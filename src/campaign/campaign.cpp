@@ -15,10 +15,6 @@
 
 namespace dav {
 
-CampaignScale CampaignScale::from_env() {
-  return EnvOptions::from_env().campaign_scale();
-}
-
 void CampaignScale::validate() const {
   const auto positive = [](const char* name, double v) {
     if (v > 0.0) return;
@@ -47,17 +43,6 @@ CampaignManager::CampaignManager(CampaignScale scale, EnvOptions env,
   env_.validate();
 }
 
-RunResult CampaignManager::run_supervised(const RunConfig& cfg) {
-  try {
-    return run_experiment(cfg);
-  } catch (const std::exception& e) {
-    // Quarantine the run (offending seed + plan) and keep the sweep alive —
-    // one pathological configuration must not abort a week-long campaign.
-    quarantined_.push_back(Quarantine{cfg, e.what()});
-    return harness_error_result(cfg);
-  }
-}
-
 std::uint64_t CampaignManager::fingerprint() const {
   ByteWriter w;
   w.u64(seed_);
@@ -72,7 +57,6 @@ std::uint64_t CampaignManager::fingerprint() const {
 }
 
 void CampaignManager::accumulate_executor_stats(const ExecutorStats& s) {
-  executor_used_ = true;
   ExecutorStats& t = executor_stats_;
   t.launched += s.launched;
   t.journal_hits += s.journal_hits;
@@ -192,7 +176,7 @@ void CampaignManager::export_campaign_trace(const ExecutorStats& s) {
                       {"trace_dropped", std::to_string(s.trace_dropped)}};
   append_histogram_metadata(s.stage_hist, trace.other_data);
   // Per-worker lifetime telemetry: one runs-served counter sample per slot
-  // at batch end (pool mode; fork-per-run leaves these zero).
+  // at batch end.
   for (std::size_t slot = 0; slot < s.slot_runs_served.size(); ++slot) {
     if (s.slot_runs_served[slot] == 0) continue;
     obs::ChromeEvent c;
@@ -298,24 +282,14 @@ std::vector<RunResult> CampaignManager::run_all(
     staged[i].trace.pid = static_cast<int>(i) + 1;
   }
   ExecutorOptions opts = env_.executor_options();
-  if (opts.enabled()) {
-    // Process-isolated path: sandboxed workers (persistent pool by default),
-    // wall-clock watchdog, write-ahead journal with lossless resume. Merged
-    // by config index, so the batch is bit-identical to the serial path
-    // below.
-    opts.campaign_fingerprint = fingerprint();
-    CampaignExecutor exec(opts);
-    std::vector<RunResult> out = exec.run_all(staged);
-    for (const RunQuarantine& q : exec.quarantined()) {
-      quarantined_.push_back(Quarantine{q.cfg, q.what});
-    }
-    accumulate_executor_stats(exec.stats());
-    if (tracing) export_campaign_trace(exec.stats());
-    return out;
+  opts.campaign_fingerprint = fingerprint();
+  CampaignExecutor exec(opts);
+  std::vector<RunResult> out = exec.run_all(staged);
+  for (const RunQuarantine& q : exec.quarantined()) {
+    quarantined_.push_back(Quarantine{q.cfg, q.what});
   }
-  std::vector<RunResult> out;
-  out.reserve(staged.size());
-  for (const RunConfig& cfg : staged) out.push_back(run_supervised(cfg));
+  accumulate_executor_stats(exec.stats());
+  if (tracing) export_campaign_trace(exec.stats());
   return out;
 }
 

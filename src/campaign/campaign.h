@@ -3,10 +3,12 @@
 // injection sweeps and detector training.
 //
 // The manager is crash-proof at campaign scale ("A Case for Bayesian Fault
-// Injection" stresses harness robustness): a run that throws anything other
-// than the in-model CrashError/HangError — bad_alloc, a logic error from a
-// bad configuration — is quarantined as a kHarnessError outcome with its
-// offending seed and plan, and the sweep continues.
+// Injection" stresses harness robustness): every batch runs through
+// CampaignExecutor (executor.h), so a run that throws anything other than the
+// in-model CrashError/HangError — bad_alloc, a logic error from a bad
+// configuration — or that kills its worker is retried, then quarantined as a
+// kHarnessError outcome with its offending seed and plan, and the sweep
+// continues.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +33,6 @@ struct CampaignScale {
   int training_runs_per_scenario = 2;
   double safety_duration_sec = 30.0;
   double long_route_duration_sec = 60.0;  // paper: 10-15 min
-
-  /// Deprecated spelling of EnvOptions::from_env().campaign_scale() — the
-  /// typed façade (env_options.h) is the only env-reading entry point.
-  static CampaignScale from_env();
 
   /// Fail fast on nonsensical sizing (throws std::invalid_argument with an
   /// actionable message). Called by the CampaignManager constructor.
@@ -65,8 +63,8 @@ struct MitigationSetup {
 
 class CampaignManager {
  public:
-  /// Environment-free: compiled-in defaults for sizing overrides, executor
-  /// routing and tracing — run_all always takes the serial in-process path.
+  /// Environment-free: compiled-in defaults for executor routing and
+  /// tracing — run_all executes in this process (jobs = 0).
   /// Throws std::invalid_argument when `scale` is nonsensical.
   explicit CampaignManager(CampaignScale scale, std::uint64_t seed = 2022);
 
@@ -87,34 +85,23 @@ class CampaignManager {
   /// Base configuration for one run of `scenario` in `mode`.
   RunConfig base_config(ScenarioId scenario, AgentMode mode) const;
 
-  /// One experiment under the campaign supervisor: CrashError/HangError are
-  /// already converted to DUEs inside run_experiment; anything else that
-  /// escapes (bad_alloc, an invalid configuration) is caught, recorded as a
-  /// quarantined kHarnessError outcome, and the campaign continues.
-  RunResult run_supervised(const RunConfig& cfg);
-
-  /// Supervised batch: one result per config, in order (quarantined runs
-  /// included as kHarnessError placeholders, never dropped). When the
-  /// injected EnvOptions enable the process-isolated executor (jobs > 0
-  /// and/or a journal path — see executor.h) the batch runs in sandboxed,
-  /// journaled workers (persistent pool by default); otherwise it runs
-  /// serially in-process. All paths merge results by config index and yield
+  /// Supervised batch through CampaignExecutor: one result per config, in
+  /// order (quarantined runs included as kHarnessError placeholders, never
+  /// dropped). The injected EnvOptions pick where runs execute — jobs = 0
+  /// in this process, N in a pool of N sandboxed workers, or the DAV_WORKERS
+  /// daemons — and whether they are journaled; every choice yields
   /// bit-identical batches.
   std::vector<RunResult> run_all(const std::vector<RunConfig>& cfgs);
 
-  /// A run the supervisor had to abort, with the offending config (seed and
-  /// fault plan included) and the exception text.
+  /// A run the executor had to give up on, with the offending config (seed
+  /// and fault plan included) and the diagnosis.
   struct Quarantine {
     RunConfig cfg;
     std::string what;
   };
   const std::vector<Quarantine>& quarantined() const { return quarantined_; }
 
-  /// True when at least one run_all batch went through the process-isolated
-  /// executor (DAV_JOBS / DAV_JOURNAL set).
-  bool executor_used() const { return executor_used_; }
-
-  /// Executor telemetry accumulated over every executor-backed batch:
+  /// Executor telemetry accumulated over every batch:
   /// launches, retries, journal traffic, per-slot busy seconds (wall_sec and
   /// slot_busy_sec sum across batches; spans are per-batch and exported to
   /// the campaign trace instead of accumulated here). Wall-clock data — print
@@ -180,7 +167,6 @@ class CampaignManager {
   EnvOptions env_;  ///< injected once at construction; never re-read
   std::uint64_t seed_;
   std::vector<Quarantine> quarantined_;
-  bool executor_used_ = false;
   ExecutorStats executor_stats_;
   int trace_batches_ = 0;  // names successive campaign trace files
 };

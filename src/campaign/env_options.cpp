@@ -1,12 +1,15 @@
 // The ONLY translation unit allowed to read the process environment
 // (davlint rule env-read). Every DAV_* knob is parsed here, strictly: a
-// malformed value is an error naming the variable, never a silent fallback.
+// malformed or out-of-range value is an error naming the variable, never a
+// silent fallback or a wrapped integer.
 #include "campaign/env_options.h"
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "campaign/campaign.h"
@@ -15,6 +18,8 @@
 namespace dav {
 
 namespace {
+
+constexpr long long kIntMax = std::numeric_limits<int>::max();
 
 [[noreturn]] void reject(const char* var, const std::string& value,
                          const std::string& want) {
@@ -34,12 +39,43 @@ double parse_double(const char* var, const std::string& value,
   return v;
 }
 
-long parse_long(const char* var, const std::string& value,
-                const std::string& want) {
+/// A base-10 integer in [lo, hi]. Garbage, trailing text and values that
+/// overflow or leave the range (and so would not fit their field) are
+/// rejected.
+long long parse_int(const char* var, const std::string& value, long long lo,
+                    long long hi, const std::string& want) {
+  errno = 0;
   char* end = nullptr;
-  const long v = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') reject(var, value, want);
+  const long long v = std::strtoll(value.c_str(), &end, 10);
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE || v < lo ||
+      v > hi) {
+    reject(var, value, want + " (" + std::to_string(lo) + ".." +
+                           std::to_string(hi) + ")");
+  }
   return v;
+}
+
+/// Seconds steady_clock can hold: (0, kMaxSeconds], or [0, kMaxSeconds]
+/// when zero means "disabled".
+double parse_seconds(const char* var, const std::string& value,
+                     bool allow_zero) {
+  const std::string want =
+      std::string(allow_zero ? "a non-negative" : "a positive") +
+      " number of seconds, at most " +
+      std::to_string(static_cast<long long>(ExecutorOptions::kMaxSeconds));
+  const double v = parse_double(var, value, want);
+  if (!((allow_zero ? v >= 0.0 : v > 0.0) &&
+        v <= ExecutorOptions::kMaxSeconds)) {
+    reject(var, value, want);
+  }
+  return v;
+}
+
+/// A MiB count whose byte count still fits a size_t.
+std::size_t parse_mib(const char* var, const std::string& value) {
+  return static_cast<std::size_t>(parse_int(
+      var, value, 0, static_cast<long long>(ExecutorOptions::kMaxMiB),
+      "a whole number of MiB"));
 }
 
 bool parse_bool(const char* var, const std::string& value) {
@@ -60,52 +96,28 @@ EnvOptions EnvOptions::from_env() {
     if (!(o.scale > 0.0)) reject("DAV_SCALE", v, "a positive number");
   }
   if (const char* v = get("DAV_JOBS")) {
-    const long n = parse_long("DAV_JOBS", v, "a non-negative integer");
-    if (n < 0) reject("DAV_JOBS", v, "a non-negative integer");
-    o.jobs = static_cast<int>(n);
-  }
-  if (const char* v = get("DAV_POOL")) o.pool = parse_bool("DAV_POOL", v);
-  if (const char* v = get("DAV_WARM_CACHE")) {
-    o.warm_cache = parse_bool("DAV_WARM_CACHE", v);
+    o.jobs = static_cast<int>(
+        parse_int("DAV_JOBS", v, 0, kIntMax, "a worker-process count"));
   }
   if (const char* v = get("DAV_CHECKPOINT")) {
     o.checkpoint = parse_bool("DAV_CHECKPOINT", v);
   }
   if (const char* v = get("DAV_CHECKPOINT_MAX_MB")) {
-    const long n = parse_long("DAV_CHECKPOINT_MAX_MB", v,
-                              "a non-negative integer number of MiB");
-    if (n < 0) {
-      reject("DAV_CHECKPOINT_MAX_MB", v,
-             "a non-negative integer number of MiB");
-    }
-    o.checkpoint_max_mb = static_cast<std::size_t>(n);
+    o.checkpoint_max_mb = parse_mib("DAV_CHECKPOINT_MAX_MB", v);
   }
   if (const char* v = get("DAV_JOURNAL")) o.journal_path = v;
   if (const char* v = get("DAV_RUN_TIMEOUT_SEC")) {
-    o.run_timeout_sec =
-        parse_double("DAV_RUN_TIMEOUT_SEC", v, "a positive number of seconds");
-    if (!(o.run_timeout_sec > 0.0)) {
-      reject("DAV_RUN_TIMEOUT_SEC", v, "a positive number of seconds");
-    }
+    o.run_timeout_sec = parse_seconds("DAV_RUN_TIMEOUT_SEC", v, false);
   }
   if (const char* v = get("DAV_RUN_RETRIES")) {
-    const long n = parse_long("DAV_RUN_RETRIES", v, "a non-negative integer");
-    if (n < 0) reject("DAV_RUN_RETRIES", v, "a non-negative integer");
-    o.run_retries = static_cast<int>(n);
+    o.run_retries = static_cast<int>(
+        parse_int("DAV_RUN_RETRIES", v, 0, kIntMax, "a retry count"));
   }
   if (const char* v = get("DAV_RUN_CPU_SEC")) {
-    o.run_cpu_sec = parse_double("DAV_RUN_CPU_SEC", v,
-                                 "a non-negative number of seconds");
-    if (o.run_cpu_sec < 0.0) {
-      reject("DAV_RUN_CPU_SEC", v, "a non-negative number of seconds");
-    }
+    o.run_cpu_sec = parse_seconds("DAV_RUN_CPU_SEC", v, true);
   }
   if (const char* v = get("DAV_RUN_AS_MB")) {
-    const long n = parse_long("DAV_RUN_AS_MB", v, "a non-negative integer "
-                                                  "number of MiB");
-    if (n < 0) reject("DAV_RUN_AS_MB", v, "a non-negative integer number of "
-                                          "MiB");
-    o.run_as_mb = static_cast<std::size_t>(n);
+    o.run_as_mb = parse_mib("DAV_RUN_AS_MB", v);
   }
   // An empty value disables distribution, mirroring DAV_JOURNAL's empty =
   // off (so `DAV_WORKERS= davcamp serve` works under a coordinator's env).
@@ -131,18 +143,10 @@ EnvOptions EnvOptions::from_env() {
     o.serve = v;
   }
   if (const char* v = get("DAV_HEARTBEAT_SEC")) {
-    o.heartbeat_sec =
-        parse_double("DAV_HEARTBEAT_SEC", v, "a positive number of seconds");
-    if (!(o.heartbeat_sec > 0.0)) {
-      reject("DAV_HEARTBEAT_SEC", v, "a positive number of seconds");
-    }
+    o.heartbeat_sec = parse_seconds("DAV_HEARTBEAT_SEC", v, false);
   }
   if (const char* v = get("DAV_STRAGGLER_SEC")) {
-    o.straggler_sec = parse_double("DAV_STRAGGLER_SEC", v,
-                                   "a non-negative number of seconds");
-    if (o.straggler_sec < 0.0) {
-      reject("DAV_STRAGGLER_SEC", v, "a non-negative number of seconds");
-    }
+    o.straggler_sec = parse_seconds("DAV_STRAGGLER_SEC", v, true);
   }
   if (const char* v = get("DAV_SENSOR_FAULTS"); v != nullptr && *v != '\0') {
     std::string list = v;
@@ -169,33 +173,25 @@ EnvOptions EnvOptions::from_env() {
     }
   }
   if (const char* v = get("DAV_SENSOR_ONSET_TICK")) {
-    const long n =
-        parse_long("DAV_SENSOR_ONSET_TICK", v, "a non-negative tick index");
-    if (n < 0) reject("DAV_SENSOR_ONSET_TICK", v, "a non-negative tick index");
-    o.sensor_onset_tick = static_cast<int>(n);
+    o.sensor_onset_tick = static_cast<int>(parse_int(
+        "DAV_SENSOR_ONSET_TICK", v, 0, kIntMax, "a tick index"));
   }
   if (const char* v = get("DAV_SENSOR_DURATION_TICKS")) {
-    const long n =
-        parse_long("DAV_SENSOR_DURATION_TICKS", v, "a positive tick count");
-    if (n <= 0) reject("DAV_SENSOR_DURATION_TICKS", v, "a positive tick count");
-    o.sensor_duration_ticks = static_cast<int>(n);
+    o.sensor_duration_ticks = static_cast<int>(parse_int(
+        "DAV_SENSOR_DURATION_TICKS", v, 1, kIntMax, "a tick count"));
   }
   // Mirror DAV_JOURNAL: empty = off, so a coordinator's env can be inherited
   // with the snapshot disabled.
   if (const char* v = get("DAV_METRICS")) o.metrics_path = v;
   if (const char* v = get("DAV_METRICS_INTERVAL_SEC")) {
-    o.metrics_interval_sec = parse_double("DAV_METRICS_INTERVAL_SEC", v,
-                                          "a positive number of seconds");
-    if (!(o.metrics_interval_sec > 0.0)) {
-      reject("DAV_METRICS_INTERVAL_SEC", v, "a positive number of seconds");
-    }
+    o.metrics_interval_sec =
+        parse_seconds("DAV_METRICS_INTERVAL_SEC", v, false);
   }
   if (const char* v = get("DAV_TRACE")) o.trace_dir = v;
   if (const char* v = get("DAV_TRACE_CAPACITY")) {
-    const long n =
-        parse_long("DAV_TRACE_CAPACITY", v, "a positive event count");
-    if (n <= 0) reject("DAV_TRACE_CAPACITY", v, "a positive event count");
-    o.trace_capacity = static_cast<std::size_t>(n);
+    o.trace_capacity = static_cast<std::size_t>(
+        parse_int("DAV_TRACE_CAPACITY", v, 1,
+                  std::numeric_limits<long long>::max(), "an event count"));
   }
   o.validate();
   return o;
@@ -208,44 +204,15 @@ void EnvOptions::validate() const {
   if (!(scale > 0.0) || !std::isfinite(scale)) {
     bad("scale must be positive and finite, got " + std::to_string(scale));
   }
-  if (jobs < 0) bad("jobs must be non-negative, got " + std::to_string(jobs));
-  if (!(run_timeout_sec > 0.0)) {
-    bad("run_timeout_sec must be positive, got " +
-        std::to_string(run_timeout_sec));
-  }
-  if (run_retries < 0) {
-    bad("run_retries must be non-negative, got " +
-        std::to_string(run_retries));
-  }
-  if (run_cpu_sec < 0.0) {
-    bad("run_cpu_sec must be non-negative, got " +
-        std::to_string(run_cpu_sec));
-  }
-  for (const std::string& spec : workers) {
-    try {
-      parse_endpoint(spec);
-    } catch (const std::exception& e) {
-      bad(std::string("workers entry is not an endpoint: ") + e.what());
-    }
-  }
+  // Every executor knob (jobs, retries, rlimits, timeouts, endpoints,
+  // metrics cadence) is checked by the struct that consumes it.
+  executor_options().validate();
   if (!serve.empty()) {
     try {
       parse_endpoint(serve);
     } catch (const std::exception& e) {
       bad(std::string("serve is not a listen address: ") + e.what());
     }
-  }
-  if (!(heartbeat_sec > 0.0)) {
-    bad("heartbeat_sec must be positive, got " +
-        std::to_string(heartbeat_sec));
-  }
-  if (straggler_sec < 0.0) {
-    bad("straggler_sec must be non-negative, got " +
-        std::to_string(straggler_sec));
-  }
-  if (!(metrics_interval_sec > 0.0) || !std::isfinite(metrics_interval_sec)) {
-    bad("metrics_interval_sec must be positive and finite, got " +
-        std::to_string(metrics_interval_sec));
   }
   for (const SensorFaultModel m : sensor_faults) {
     if (m == SensorFaultModel::kNone) {
@@ -278,8 +245,6 @@ CampaignScale EnvOptions::campaign_scale() const {
 ExecutorOptions EnvOptions::executor_options() const {
   ExecutorOptions o;
   o.jobs = jobs;
-  o.pool = pool;
-  o.warm_cache = warm_cache;
   o.checkpoint = checkpoint;
   o.checkpoint_max_mb = checkpoint_max_mb;
   o.journal_path = journal_path;
@@ -307,11 +272,7 @@ const std::vector<EnvOptions::VarDoc>& EnvOptions::docs() {
       {"DAV_SCALE", "1.0",
        "campaign size multiplier (run counts scale with paper-shaped floors)"},
       {"DAV_JOBS", "0",
-       "parallel worker processes; >0 enables the process-isolated executor"},
-      {"DAV_POOL", "1",
-       "persistent prefork worker pool; 0 falls back to fork-per-run"},
-      {"DAV_WARM_CACHE", "1",
-       "per-worker warm-state cache (scenario + initial agent snapshot)"},
+       "worker processes: 0 = in-process, N = pool of N sandboxed workers"},
       {"DAV_CHECKPOINT", "0",
        "fork-point checkpoint sharing: variants that share a fault-free "
        "prefix restore a mid-run snapshot instead of replaying it"},
@@ -323,14 +284,14 @@ const std::vector<EnvOptions::VarDoc>& EnvOptions::docs() {
       {"DAV_RUN_TIMEOUT_SEC", "600",
        "wall-clock watchdog per run attempt; hung workers are killed"},
       {"DAV_RUN_RETRIES", "1",
-       "retries for a quarantined run before the final harness-error verdict"},
+       "retries for a failed run before the final harness-error verdict"},
       {"DAV_RUN_CPU_SEC", "0",
        "RLIMIT_CPU per worker in seconds; 0 disables"},
       {"DAV_RUN_AS_MB", "0",
        "RLIMIT_AS per worker in MiB; 0 disables (keep 0 under ASan)"},
       {"DAV_WORKERS", "(unset)",
-       "comma-separated worker endpoints (host:port or unix:/path); enables "
-       "the distributed coordinator"},
+       "comma-separated worker endpoints (host:port or unix:/path); runs "
+       "campaigns on those daemons"},
       {"DAV_SERVE", "(unset)",
        "listen address for `davcamp serve`; runs this process as a worker "
        "daemon"},

@@ -30,14 +30,10 @@ struct EnvOptions {
   /// structure at simulation scale.
   double scale = 1.0;
 
-  // --- process-isolated executor (executor.h) -----------------------------
-  /// Parallel worker processes (DAV_JOBS). 0 = executor not requested.
+  // --- campaign executor (executor.h) -------------------------------------
+  /// Worker processes (DAV_JOBS): 0 runs campaigns in this process, N in a
+  /// prefork pool of N sandboxed workers.
   int jobs = 0;
-  /// Persistent prefork worker pool (DAV_POOL); false falls back to the
-  /// fork-per-run executor.
-  bool pool = true;
-  /// Per-worker warm-state cache (DAV_WARM_CACHE); pool mode only.
-  bool warm_cache = true;
   /// Fork-point checkpoint sharing (DAV_CHECKPOINT): capture a RunCheckpoint
   /// at each run's injection onset and restore it for fault variants sharing
   /// the fault-free prefix. Never changes results.
@@ -115,8 +111,8 @@ struct EnvOptions {
   /// Campaign sizing with `scale` applied (same floors as the historic
   /// DAV_SCALE handling, so existing campaigns reproduce exactly).
   CampaignScale campaign_scale() const;
-  /// Executor routing: jobs/pool/cache/journal/rlimits. The caller stamps
-  /// campaign_fingerprint before use.
+  /// Executor routing: jobs/checkpointing/journal/rlimits/endpoints. The
+  /// caller stamps campaign_fingerprint before use.
   ExecutorOptions executor_options() const;
   /// Flight-recorder opt-in for RunConfig::trace.
   obs::TraceOptions trace_options() const;

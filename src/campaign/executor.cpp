@@ -9,8 +9,8 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
+#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define DAV_EXECUTOR_POSIX 1
@@ -22,7 +22,7 @@
 #endif
 
 #include "campaign/checkpoint.h"
-#include "campaign/env_options.h"
+#include "campaign/journal.h"
 #include "campaign/serialize.h"
 #include "campaign/transport.h"
 #include "obs/export.h"
@@ -33,9 +33,25 @@ namespace dav {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using Completion = PoolSupervisor::Completion;
 
 double elapsed_sec(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
+}
+
+/// Seconds as a steady_clock duration. Every value reaching here is bounded
+/// by ExecutorOptions::kMaxSeconds (validate) or by backoff_delay_sec's cap,
+/// so the cast cannot overflow.
+Clock::duration to_duration(double sec) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(sec));
+}
+
+/// Milliseconds from `now` until `wake`, at least 1: a poll/sleep timeout.
+int ms_until(Clock::time_point now, Clock::time_point wake) {
+  return static_cast<int>(std::max<std::int64_t>(
+      1, std::chrono::duration_cast<std::chrono::milliseconds>(wake - now)
+             .count()));
 }
 
 // ---- wire format ----------------------------------------------------------
@@ -48,33 +64,19 @@ double elapsed_sec(Clock::time_point from, Clock::time_point to) {
 //                           u64 checkpoint_evictions | str capture_blob |
 //                           result payload
 // The response embeds the plain result payload verbatim, so the journaled
-// record is byte-compatible across pool, fork-per-run, distributed and
-// serial modes. capture_blob is an encoded RunTraceCapture (transport.h) —
-// the run's trace residue — or empty when the run was untraced; it rides
-// OUTSIDE the result payload, so journal bytes never depend on tracing.
-// (Fork-per-run workers write the bare result payload as their whole frame,
-// so that path cannot carry captures — a documented limitation.)
+// record is byte-compatible across in-process, pool and distributed runs.
+// capture_blob is an encoded RunTraceCapture (transport.h) — the run's trace
+// residue — or empty when the run was untraced; it rides OUTSIDE the result
+// payload, so journal bytes never depend on tracing.
 //
 // A worker that dies mid-write leaves a frame that fails the length or
 // checksum test; the supervisor treats that exactly like a signal death.
 
-/// One-shot unframe (fork-per-run pipes, where EOF delimits the frame):
-/// the buffer must hold exactly one complete, checksummed frame.
-std::optional<std::string> unframe(const std::string& buf) {
-  const FrameSplit fs = try_unframe(buf);
-  if (fs.status != FrameSplit::Status::kOk || fs.consumed != buf.size()) {
-    return std::nullopt;
-  }
-  return fs.payload;
-}
-
-/// Worker-side CheckpointStore sized from the options. Returns null when
-/// neither tier is wanted.
+/// A worker's CheckpointStore. The setup tier is always on; the deep tier
+/// fills only for checkpoint-enabled runs, within checkpoint_max_mb.
 std::unique_ptr<CheckpointStore> make_store(const ExecutorOptions& opts) {
-  if (!opts.warm_cache && !opts.checkpoint) return nullptr;
   auto store = std::make_unique<CheckpointStore>();
-  store->set_max_deep_bytes(
-      static_cast<std::size_t>(opts.checkpoint_max_mb) * 1024u * 1024u);
+  store->set_max_deep_bytes(opts.checkpoint_max_mb << 20);
   return store;
 }
 
@@ -88,10 +90,10 @@ RunConfig effective_config(const RunConfig& cfg, const ExecutorOptions& opts) {
   return c;
 }
 
-/// Prefix-affinity key for pool dispatch: the run's prefix digest at its
-/// capture target, so fault variants that share a fault-free prefix group
-/// onto one worker (the one holding the checkpoint). 0 when the run has no
-/// capture target (then affinity cannot help).
+/// Prefix-affinity key for dispatch: the run's prefix digest at its capture
+/// target, so fault variants that share a fault-free prefix group onto one
+/// worker (the one holding the checkpoint). 0 when the run has no capture
+/// target (then affinity cannot help).
 std::uint64_t dispatch_affinity(const RunConfig& cfg,
                                 const ExecutorOptions& opts) {
   if (!opts.checkpoint && !cfg.checkpoint.enabled) return 0;
@@ -116,42 +118,39 @@ RunResult harness_error_result(const RunConfig& cfg) {
   return r;
 }
 
-ExecutorOptions ExecutorOptions::from_env() {
-  return EnvOptions::from_env().executor_options();
-}
-
 void ExecutorOptions::validate() const {
   const auto reject = [](const std::string& what) {
     throw std::invalid_argument("ExecutorOptions: " + what);
   };
-  if (!(run_timeout_sec > 0.0)) {
-    reject("run_timeout_sec must be positive, got " +
-           std::to_string(run_timeout_sec));
+  // Written as !(in range) so NaN fails too.
+  const auto seconds = [&](const char* field, double v, bool allow_zero) {
+    if ((allow_zero ? v >= 0.0 : v > 0.0) && v <= kMaxSeconds) return;
+    reject(std::string(field) + " must be " +
+           (allow_zero ? "non-negative" : "positive") + " and at most " +
+           std::to_string(kMaxSeconds) + " s, got " + std::to_string(v));
+  };
+  const auto mib = [&](const char* field, std::size_t v) {
+    if (v > kMaxMiB) {
+      reject(std::string(field) + " of " + std::to_string(v) +
+             " MiB overflows a byte count (at most " +
+             std::to_string(kMaxMiB) + ")");
+    }
+  };
+  if (jobs < 0) {
+    reject("jobs must be non-negative, got " + std::to_string(jobs));
   }
   if (max_retries < 0) {
     reject("max_retries must be non-negative, got " +
            std::to_string(max_retries));
   }
-  if (retry_backoff_sec < 0.0) {
-    reject("retry_backoff_sec must be non-negative, got " +
-           std::to_string(retry_backoff_sec));
-  }
-  if (cpu_limit_sec < 0.0) {
-    reject("cpu_limit_sec must be non-negative, got " +
-           std::to_string(cpu_limit_sec));
-  }
-  if (!(heartbeat_sec > 0.0)) {
-    reject("heartbeat_sec must be positive, got " +
-           std::to_string(heartbeat_sec));
-  }
-  if (straggler_sec < 0.0) {
-    reject("straggler_sec must be non-negative, got " +
-           std::to_string(straggler_sec));
-  }
-  if (!(metrics_interval_sec > 0.0)) {
-    reject("metrics_interval_sec must be positive, got " +
-           std::to_string(metrics_interval_sec));
-  }
+  seconds("run_timeout_sec", run_timeout_sec, false);
+  seconds("retry_backoff_sec", retry_backoff_sec, true);
+  seconds("cpu_limit_sec", cpu_limit_sec, true);
+  seconds("heartbeat_sec", heartbeat_sec, false);
+  seconds("straggler_sec", straggler_sec, true);
+  seconds("metrics_interval_sec", metrics_interval_sec, false);
+  mib("address_space_mb", address_space_mb);
+  mib("checkpoint_max_mb", checkpoint_max_mb);
   for (const std::string& spec : workers) {
     try {
       parse_endpoint(spec);
@@ -176,13 +175,6 @@ CampaignExecutor::CampaignExecutor(ExecutorOptions opts, CheckpointRunFn fn)
                  return run_experiment(c, s);
                })) {
   opts_.validate();
-}
-
-void CampaignExecutor::journal_append(std::uint64_t key,
-                                      const std::string& payload) {
-  journal_.append(key, payload);
-  ++stats_.journal_appends;
-  stats_.journal_bytes += payload.size();
 }
 
 void CampaignExecutor::fold_capture(RunTraceCapture cap) {
@@ -257,126 +249,90 @@ void CampaignExecutor::write_metrics_snapshot(std::size_t total,
   obs::write_text_file(opts_.metrics_path, out);
 }
 
-std::vector<RunResult> CampaignExecutor::run_all(
-    const std::vector<RunConfig>& cfgs) {
-  quarantined_.clear();
-  stats_ = ExecutorStats{};
-  capture_seen_.clear();
-  last_metrics_ = Clock::time_point{};
-  batch_start_ = Clock::now();
-  stats_.jobs = std::max(1, opts_.jobs);
-  stats_.slot_busy_sec.assign(static_cast<std::size_t>(stats_.jobs), 0.0);
-  stats_.slot_runs_served.assign(static_cast<std::size_t>(stats_.jobs), 0);
+// ---- slot sources ---------------------------------------------------------
 
-  std::vector<RunResult> results(cfgs.size());
-  std::vector<char> done(cfgs.size(), 0);
-  std::vector<std::uint64_t> keys(cfgs.size(), 0);
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    keys[i] = run_config_digest(cfgs[i]);
+namespace {
+
+/// Where run_all's dispatch loop sends runs: PoolSupervisor's dispatch /
+/// pump / busy shape, plus the batch-end fold of lifecycle counters. A
+/// source reports exactly one Completion per dispatch.
+class SlotSource {
+ public:
+  virtual ~SlotSource() = default;
+  virtual int slots() const = 0;
+  virtual bool can_dispatch() const = 0;
+  virtual void dispatch(std::size_t index, int attempt, const RunConfig& cfg,
+                        std::uint64_t affinity) = 0;
+  /// Wait up to `max_wait_ms` for progress; append finished attempts.
+  virtual void pump(int max_wait_ms, std::vector<Completion>& out) = 0;
+  virtual int busy() const = 0;
+  /// Batch end: release workers and fold their counters into `stats`.
+  virtual void finish(ExecutorStats& stats) = 0;
+};
+
+/// One slot in this process (jobs == 0, and every non-POSIX host). The run
+/// executes inside pump(); an exception is a failed attempt. There is no
+/// watchdog or rlimit: a crash or hang here takes the campaign with it.
+class InProcessSource final : public SlotSource {
+ public:
+  InProcessSource(const ExecutorOptions& opts,
+                  CampaignExecutor::CheckpointRunFn fn,
+                  Clock::time_point epoch)
+      : fn_(std::move(fn)), epoch_(epoch), store_(make_store(opts)) {}
+
+  int slots() const override { return 1; }
+  bool can_dispatch() const override { return !queued_; }
+  void dispatch(std::size_t index, int attempt, const RunConfig& cfg,
+                std::uint64_t) override {
+    next_ = Completion{};
+    next_.index = index;
+    next_.attempt = attempt;
+    cfg_ = cfg;
+    queued_ = true;
   }
-
-  if (!opts_.journal_path.empty()) {
-    const JournalLoad load =
-        load_journal(opts_.journal_path, opts_.campaign_fingerprint);
-    stats_.torn_bytes_discarded = load.torn_bytes;
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      const auto it = load.records.find(keys[i]);
-      if (it == load.records.end()) continue;
-      try {
-        ResultPayload p = parse_result_payload(it->second);
-        results[i] = std::move(p.result);
-        done[i] = 1;
-        ++stats_.journal_hits;
-        if (!p.ok) {
-          // Replay the quarantine verdict too, so a resumed campaign reports
-          // the same quarantined() list as the uninterrupted one.
-          quarantined_.push_back(RunQuarantine{i, cfgs[i], p.what});
-          ++stats_.quarantined;
-        }
-      } catch (const std::exception&) {
-        // Undeserializable (e.g. written by an older record version):
-        // re-execute the run.
-      }
+  void pump(int max_wait_ms, std::vector<Completion>& out) override {
+    if (!queued_) {  // only backed-off retries remain: wait for one
+      std::this_thread::sleep_for(std::chrono::milliseconds(max_wait_ms));
+      return;
     }
-    journal_ = JournalWriter(opts_.journal_path, opts_.campaign_fingerprint,
-                             load);
-  } else {
-    journal_ = JournalWriter();
-  }
-
-#if DAV_EXECUTOR_POSIX
-  if (opts_.force_in_process) {
-    run_in_process(cfgs, keys, results, done);
-  } else if (!opts_.workers.empty()) {
-    run_distributed(cfgs, keys, results, done);
-  } else if (opts_.pool) {
-    run_pool(cfgs, keys, results, done);
-  } else {
-    run_forked(cfgs, keys, results, done);
-  }
-#else
-  run_in_process(cfgs, keys, results, done);
-#endif
-
-  journal_.close();
-  stats_.wall_sec = elapsed_sec(batch_start_, Clock::now());
-  // Final snapshot: phase=done, complete counts. Readers polling the file
-  // see the terminal state even for campaigns shorter than the interval.
-  write_metrics_snapshot(cfgs.size(), cfgs.size(), /*force=*/true);
-  // Workers finish in nondeterministic order; the quarantine report must not.
-  std::sort(quarantined_.begin(), quarantined_.end(),
-            [](const RunQuarantine& a, const RunQuarantine& b) {
-              return a.index < b.index;
-            });
-  return results;
-}
-
-void CampaignExecutor::run_in_process(const std::vector<RunConfig>& cfgs,
-                                      const std::vector<std::uint64_t>& keys,
-                                      std::vector<RunResult>& results,
-                                      const std::vector<char>& done) {
-  std::size_t resolved = 0;
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    if (done[i] != 0) ++resolved;
-  }
-  // Same-process runs share one executor-owned store (the in-process analog
-  // of a pool worker's per-process store).
-  const std::unique_ptr<CheckpointStore> store = make_store(opts_);
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    if (done[i] != 0) continue;
+    queued_ = false;
     const Clock::time_point started = Clock::now();
+    Completion& c = next_;
     try {
-      RunResult r = fn_(effective_config(cfgs[i], opts_), store.get());
-      if (journal_.enabled()) {
-        journal_append(keys[i], make_result_payload(true, {}, r));
-      }
-      results[i] = std::move(r);
+      c.result_payload =
+          make_result_payload(true, {}, fn_(cfg_, store_.get()));
     } catch (const std::exception& e) {
-      // In-process exceptions are deterministic; retrying them is futile.
-      results[i] = harness_error_result(cfgs[i]);
-      quarantined_.push_back(RunQuarantine{i, cfgs[i], e.what()});
-      ++stats_.quarantined;
-      if (journal_.enabled()) {
-        journal_append(keys[i],
-                       make_result_payload(false, e.what(), results[i]));
-      }
+      c.result_payload =
+          make_result_payload(false, e.what(), harness_error_result(cfg_));
     }
+    c.ok = true;
     // Same-process runs leave their trace residue in the driver's stash.
-    fold_capture(RunTraceCapture{static_cast<std::uint64_t>(i),
-                                obs::take_last_run_capture()});
-    const double dur = elapsed_sec(started, Clock::now());
-    stats_.slot_busy_sec[0] += dur;
-    stats_.spans.push_back(
-        WorkerSpan{i, 0, 0, elapsed_sec(batch_start_, started), dur});
-    ++resolved;
-    write_metrics_snapshot(cfgs.size(), resolved, /*force=*/false);
+    obs::RunCapture cap = obs::take_last_run_capture();
+    if (cap.valid) {
+      c.capture_payload = encode_run_capture(
+          RunTraceCapture{static_cast<std::uint64_t>(c.index), std::move(cap)});
+    }
+    c.start_sec = elapsed_sec(epoch_, started);
+    c.dur_sec = elapsed_sec(started, Clock::now());
+    out.push_back(std::move(c));
   }
-  if (store) {
-    stats_.checkpoint_hits += store->hits() + store->deep_hits();
-    stats_.checkpoint_misses += store->misses() + store->deep_misses();
-    stats_.checkpoint_evictions += store->evictions();
+  int busy() const override { return queued_ ? 1 : 0; }
+  void finish(ExecutorStats& s) override {
+    s.checkpoint_hits += store_->hits() + store_->deep_hits();
+    s.checkpoint_misses += store_->misses() + store_->deep_misses();
+    s.checkpoint_evictions += store_->evictions();
   }
-}
+
+ private:
+  CampaignExecutor::CheckpointRunFn fn_;
+  Clock::time_point epoch_;
+  std::unique_ptr<CheckpointStore> store_;
+  bool queued_ = false;
+  Completion next_;
+  RunConfig cfg_;
+};
+
+}  // namespace
 
 #if DAV_EXECUTOR_POSIX
 
@@ -428,51 +384,11 @@ void arm_death_note() {
   ::sigaction(SIGXCPU, &sa, nullptr);
 }
 
-void apply_rlimits(const ExecutorOptions& opts) {
-  if (opts.cpu_limit_sec > 0.0) {
-    const auto sec = static_cast<rlim_t>(opts.cpu_limit_sec + 0.999);
-    // Hard limit one second past the soft one: SIGXCPU at the soft limit,
-    // guaranteed SIGKILL shortly after if the worker somehow survives it.
-    rlimit lim{sec, sec + 1};
-    ::setrlimit(RLIMIT_CPU, &lim);
-  }
-  if (opts.address_space_mb > 0) {
-    const auto bytes =
-        static_cast<rlim_t>(opts.address_space_mb) * 1024u * 1024u;
-    rlimit lim{bytes, bytes};
-    ::setrlimit(RLIMIT_AS, &lim);
-  }
-}
-
-[[noreturn]] void worker_main(int fd, const RunConfig& cfg,
-                              const CampaignExecutor::CheckpointRunFn& fn,
-                              const ExecutorOptions& opts) {
-  arm_death_note();
-  apply_rlimits(opts);
-  // The workload handoff below allocates freely, and may: the child is a
-  // fresh single-threaded copy of a single-threaded supervisor, so its heap
-  // is consistent. fork-safety strictness is for the death paths
-  // (child_panic / xcpu_death_note), which run after arbitrary signals.
-  std::string payload;
-  try {
-    payload = make_result_payload(true, {}, fn(cfg, nullptr));  // davlint: allow(fork-safety) sanctioned workload handoff
-  } catch (const std::exception& e) {
-    payload = make_result_payload(false, e.what(), harness_error_result(cfg));  // davlint: allow(fork-safety) sanctioned workload handoff
-  } catch (...) {
-    payload = make_result_payload(false, "unknown exception",  // davlint: allow(fork-safety) sanctioned workload handoff
-                           harness_error_result(cfg));
-  }
-  write_all(fd, frame_message(payload));
-  // _exit, not exit: the worker shares the supervisor's stdio and journal
-  // buffers via fork; running atexit/flush here would emit them twice.
-  ::_exit(0);
-}
-
-/// Reset the soft CPU limit to (CPU used so far) + budget before each pool
-/// run, so a long-lived worker gets the same per-run CPU budget a fork-per-
-/// run worker gets from RLIMIT_CPU at birth. Only the soft limit moves (an
-/// unprivileged process cannot raise a hard limit once lowered); SIGXCPU's
-/// default action kills the worker, which the supervisor quarantines.
+/// Reset the soft CPU limit to (CPU used so far) + budget before each run,
+/// so a long-lived worker gets the same per-run CPU budget on every request.
+/// Only the soft limit moves (an unprivileged process cannot raise a hard
+/// limit once lowered); SIGXCPU kills the worker, which the supervisor
+/// quarantines.
 void rearm_cpu_limit(const ExecutorOptions& opts) {
   if (opts.cpu_limit_sec <= 0.0) return;
   rusage ru{};
@@ -496,17 +412,20 @@ void rearm_cpu_limit(const ExecutorOptions& opts) {
                                    const CampaignExecutor::CheckpointRunFn& fn,
                                    const ExecutorOptions& opts) {
   arm_death_note();
-  // Address-space limit applies for the worker's life; the CPU budget is
-  // per-run, re-armed before each request (see rearm_cpu_limit).
-  ExecutorOptions life = opts;
-  life.cpu_limit_sec = 0.0;
-  apply_rlimits(life);
+  // The address-space limit applies for the worker's life; the CPU budget
+  // is per-run, re-armed before each request (see rearm_cpu_limit).
+  if (opts.address_space_mb > 0) {
+    const auto bytes = static_cast<rlim_t>(opts.address_space_mb) << 20;
+    rlimit lim{bytes, bytes};
+    ::setrlimit(RLIMIT_AS, &lim);
+  }
   std::unique_ptr<CheckpointStore> store = make_store(opts);
   std::string buf;
   std::uint32_t served = 0;
-  // As in worker_main: the request/response codec below allocates, and may —
-  // the loop body runs on a consistent heap. Death paths go through
-  // child_panic (pre-formatted note + write(2) + _exit only).
+  // The request/response codec below allocates, and may: the child is a
+  // fresh single-threaded copy of a single-threaded supervisor, so the loop
+  // body runs on a consistent heap. Death paths go through child_panic
+  // (pre-formatted note + write(2) + _exit only).
   for (;;) {
     const FrameSplit fs = try_unframe(buf);  // davlint: allow(fork-safety) sanctioned request codec
     if (fs.status == FrameSplit::Status::kCorrupt) {
@@ -532,13 +451,6 @@ void rearm_cpu_limit(const ExecutorOptions& opts) {
     std::string result_payload;
     try {
       const RunConfigRecord rec = deserialize_run_config(cfg_bytes);  // davlint: allow(fork-safety) sanctioned workload handoff
-      if (!store && rec.cfg.checkpoint.enabled) {
-        // A remote coordinator opted in per-config; honor it even when this
-        // worker's own options asked for neither tier.
-        store = std::make_unique<CheckpointStore>();  // davlint: allow(fork-safety) sanctioned workload handoff
-        store->set_max_deep_bytes(
-            static_cast<std::size_t>(opts.checkpoint_max_mb) * 1024u * 1024u);
-      }
       result_payload = make_result_payload(  // davlint: allow(fork-safety) sanctioned workload handoff
           true, {}, fn(effective_config(rec.cfg, opts), store.get()));  // davlint: allow(fork-safety) sanctioned workload handoff
     } catch (const std::exception& e) {
@@ -562,9 +474,9 @@ void rearm_cpu_limit(const ExecutorOptions& opts) {
     ByteWriter resp;
     resp.u64(index);
     resp.u32(served);
-    resp.u64(store ? store->hits() + store->deep_hits() : 0);
-    resp.u64(store ? store->misses() + store->deep_misses() : 0);
-    resp.u64(store ? store->evictions() : 0);
+    resp.u64(store->hits() + store->deep_hits());
+    resp.u64(store->misses() + store->deep_misses());
+    resp.u64(store->evictions());
     resp.str(capture_blob);  // davlint: allow(fork-safety) sanctioned response codec
     resp.raw(result_payload);
     write_all(resp_fd, frame_message(resp.take()));
@@ -608,217 +520,6 @@ struct SigpipeGuard {
 };
 
 }  // namespace
-
-void CampaignExecutor::run_forked(const std::vector<RunConfig>& cfgs,
-                                  const std::vector<std::uint64_t>& keys,
-                                  std::vector<RunResult>& results,
-                                  const std::vector<char>& done) {
-  struct Pending {
-    std::size_t index = 0;
-    int attempt = 0;
-    Clock::time_point eligible{};
-  };
-  struct Worker {
-    pid_t pid = -1;
-    int fd = -1;
-    std::size_t index = 0;
-    int attempt = 0;
-    int slot = 0;  // utilization accounting + Perfetto pid
-    std::string buf;
-    Clock::time_point started{};
-    Clock::time_point deadline{};
-    bool timed_out = false;
-  };
-
-  const int jobs = std::max(1, opts_.jobs);
-  const auto timeout =
-      std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double>(opts_.run_timeout_sec));
-
-  std::deque<Pending> pending;
-  const auto start = Clock::now();
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    if (done[i] == 0) pending.push_back(Pending{i, 0, start});
-  }
-  std::vector<Worker> workers;
-  std::vector<char> slot_used(static_cast<std::size_t>(jobs), 0);
-
-  const auto claim_slot = [&]() {
-    for (std::size_t s = 0; s < slot_used.size(); ++s) {
-      if (slot_used[s] == 0) {
-        slot_used[s] = 1;
-        return static_cast<int>(s);
-      }
-    }
-    return 0;  // unreachable: launches are capped at `jobs` live workers
-  };
-
-  const auto launch = [&](const Pending& p) {
-    int pipefd[2] = {-1, -1};
-    if (::pipe(pipefd) != 0) {
-      throw std::runtime_error(std::string("executor: pipe failed: ") +
-                               std::strerror(errno));
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(pipefd[0]);
-      ::close(pipefd[1]);
-      throw std::runtime_error(std::string("executor: fork failed: ") +
-                               std::strerror(errno));
-    }
-    if (pid == 0) {
-      ::close(pipefd[0]);
-      worker_main(pipefd[1], cfgs[p.index], fn_, opts_);
-    }
-    ::close(pipefd[1]);
-    Worker w;
-    w.pid = pid;
-    w.fd = pipefd[0];
-    w.index = p.index;
-    w.attempt = p.attempt;
-    w.slot = claim_slot();
-    w.started = Clock::now();
-    w.deadline = w.started + timeout;
-    workers.push_back(std::move(w));
-    ++stats_.launched;
-  };
-
-  const auto requeue_or_quarantine = [&](const Worker& w,
-                                         const std::string& what) {
-    if (w.attempt < opts_.max_retries) {
-      ++stats_.retries;
-      // Capped exponent + per-run jitter (transport.h): the raw attempt
-      // count used to feed `1 << attempt`, which is UB past 30 retries, and
-      // unjittered retries synchronize across a fleet.
-      const double backoff_sec =
-          backoff_delay_sec(opts_.retry_backoff_sec, w.attempt, keys[w.index]);
-      pending.push_back(Pending{
-          w.index, w.attempt + 1,
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(backoff_sec))});
-      return;
-    }
-    results[w.index] = harness_error_result(cfgs[w.index]);
-    quarantined_.push_back(RunQuarantine{w.index, cfgs[w.index], what});
-    ++stats_.quarantined;
-    if (journal_.enabled()) {
-      journal_append(keys[w.index],
-                     make_result_payload(false, what, results[w.index]));
-    }
-  };
-
-  const auto finalize = [&](Worker w) {
-    ::close(w.fd);
-    const int status = await_child(w.pid);
-    const double dur = elapsed_sec(w.started, Clock::now());
-    stats_.slot_busy_sec[static_cast<std::size_t>(w.slot)] += dur;
-    stats_.spans.push_back(WorkerSpan{w.index, w.slot, w.attempt,
-                                      elapsed_sec(batch_start_, w.started),
-                                      dur});
-    slot_used[static_cast<std::size_t>(w.slot)] = 0;
-
-    // A complete, checksummed frame wins regardless of exit status (the
-    // watchdog may race a worker that finished its write).
-    if (const auto payload = unframe(w.buf)) {
-      try {
-        ResultPayload p = parse_result_payload(*payload);
-        if (p.ok) {
-          if (journal_.enabled()) journal_append(keys[w.index], *payload);
-          results[w.index] = std::move(p.result);
-        } else {
-          requeue_or_quarantine(w, p.what);
-        }
-        return;
-      } catch (const std::exception&) {
-        // fall through to the death diagnosis
-      }
-    }
-    std::string what;
-    if (w.timed_out) {
-      what = "watchdog: no result after " +
-             std::to_string(opts_.run_timeout_sec) + " s; worker killed";
-    } else {
-      what = describe_death(status);
-      if (WIFSIGNALED(status)) ++stats_.signal_deaths;
-    }
-    requeue_or_quarantine(w, what);
-  };
-
-  while (!pending.empty() || !workers.empty()) {
-    // Launch every eligible pending run into free worker slots.
-    Clock::time_point now = Clock::now();
-    for (auto it = pending.begin();
-         it != pending.end() && static_cast<int>(workers.size()) < jobs;) {
-      if (it->eligible <= now) {
-        launch(*it);
-        it = pending.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    // Sleep until the next event: readable pipe, watchdog deadline, or a
-    // retry becoming eligible.
-    Clock::time_point wake = now + std::chrono::seconds(1);
-    for (const Worker& w : workers) wake = std::min(wake, w.deadline);
-    if (static_cast<int>(workers.size()) < jobs) {
-      for (const Pending& p : pending) wake = std::min(wake, p.eligible);
-    }
-    const int timeout_ms = static_cast<int>(std::max<std::int64_t>(
-        1, std::chrono::duration_cast<std::chrono::milliseconds>(wake - now)
-               .count()));
-
-    std::vector<pollfd> fds;
-    fds.reserve(workers.size());
-    for (const Worker& w : workers) fds.push_back(pollfd{w.fd, POLLIN, 0});
-    const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
-                          static_cast<nfds_t>(fds.size()), timeout_ms);
-    if (rc < 0 && errno != EINTR) {
-      throw std::runtime_error(std::string("executor: poll failed: ") +
-                               std::strerror(errno));
-    }
-
-    // Drain readable pipes; an EOF means the worker is done (or dead).
-    for (std::size_t i = 0; i < workers.size();) {
-      Worker& w = workers[i];
-      const short revents = i < fds.size() ? fds[i].revents : 0;
-      if (revents == 0) {
-        ++i;
-        continue;
-      }
-      char chunk[65536];
-      const ssize_t n = ::read(w.fd, chunk, sizeof(chunk));
-      if (n > 0) {
-        w.buf.append(chunk, static_cast<std::size_t>(n));
-        ++i;
-      } else if (n < 0 && errno == EINTR) {
-        ++i;
-      } else {
-        Worker finished = std::move(w);
-        workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(i));
-        fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(i));
-        finalize(std::move(finished));
-      }
-    }
-
-    // Enforce the wall-clock watchdog; the kill produces an EOF picked up by
-    // the next poll round.
-    now = Clock::now();
-    for (Worker& w : workers) {
-      if (!w.timed_out && now >= w.deadline) {
-        w.timed_out = true;
-        ++stats_.timeouts;
-        ::kill(w.pid, SIGKILL);
-      }
-    }
-
-    // Every unresolved run sits in `pending` or `workers`; the difference is
-    // the live progress count.
-    write_metrics_snapshot(cfgs.size(),
-                           cfgs.size() - pending.size() - workers.size(),
-                           /*force=*/false);
-  }
-}
 
 // ---- PoolSupervisor -------------------------------------------------------
 
@@ -868,8 +569,7 @@ struct PoolSupervisor::Impl {
       : opts(o), fn(std::move(f)), epoch(ep) {
     opts.validate();
     jobs = std::max(1, opts.jobs);
-    timeout = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(opts.run_timeout_sec));
+    timeout = to_duration(opts.run_timeout_sec);
     slot_used.assign(static_cast<std::size_t>(jobs), 0);
     tele.slot_busy_sec.assign(static_cast<std::size_t>(jobs), 0.0);
     tele.slot_runs_served.assign(static_cast<std::size_t>(jobs), 0);
@@ -938,8 +638,7 @@ struct PoolSupervisor::Impl {
     w.slot = claim_slot();
     workers.push_back(std::move(w));
     ++tele.launched;
-    // First-wave spawns are the pool; spawns after any death are respawns
-    // (same accounting the pre-extraction executor reported).
+    // First-wave spawns are the pool; spawns after any death are respawns.
     if (deaths == 0) {
       ++tele.pool_workers;
     } else {
@@ -1194,156 +893,113 @@ const PoolSupervisor::Telemetry& PoolSupervisor::telemetry() const {
   return impl_->tele_snapshot;
 }
 
-void CampaignExecutor::run_pool(const std::vector<RunConfig>& cfgs,
-                                const std::vector<std::uint64_t>& keys,
-                                std::vector<RunResult>& results,
-                                const std::vector<char>& done) {
-  struct Pending {
-    std::size_t index = 0;
-    int attempt = 0;
-    Clock::time_point eligible{};
-  };
+namespace {
 
-  std::deque<Pending> pending;
-  const auto start = Clock::now();
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    if (done[i] == 0) pending.push_back(Pending{i, 0, start});
+/// The local prefork pool as a slot source.
+class PoolSource final : public SlotSource {
+ public:
+  PoolSource(const ExecutorOptions& opts, CampaignExecutor::CheckpointRunFn fn,
+             Clock::time_point epoch)
+      : sup_(opts, std::move(fn), epoch) {}
+
+  int slots() const override { return sup_.slots(); }
+  bool can_dispatch() const override { return sup_.can_dispatch(); }
+  void dispatch(std::size_t index, int attempt, const RunConfig& cfg,
+                std::uint64_t affinity) override {
+    sup_.dispatch(index, attempt, cfg, affinity);
   }
-  if (pending.empty()) return;
-
-  // Prefix-affinity grouping: order the queue so variants sharing a
-  // fault-free prefix dispatch back to back (onto the worker holding the
-  // checkpoint), with plan order as the tiebreaker. Result merging is by
-  // plan index, so the queue order never shows in the summary.
-  std::vector<std::uint64_t> affinity(cfgs.size(), 0);
-  if (opts_.checkpoint) {
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      if (done[i] == 0) affinity[i] = dispatch_affinity(cfgs[i], opts_);
-    }
-    std::stable_sort(pending.begin(), pending.end(),
-                     [&](const Pending& a, const Pending& b) {
-                       if (affinity[a.index] != affinity[b.index]) {
-                         return affinity[a.index] < affinity[b.index];
-                       }
-                       return a.index < b.index;
-                     });
+  void pump(int max_wait_ms, std::vector<Completion>& out) override {
+    sup_.pump(max_wait_ms, out);
+  }
+  int busy() const override { return sup_.busy(); }
+  void finish(ExecutorStats& s) override {
+    sup_.shutdown();
+    const PoolSupervisor::Telemetry& t = sup_.telemetry();
+    s.launched += t.launched;
+    s.pool_workers += t.pool_workers;
+    s.respawns += t.respawns;
+    s.timeouts += t.timeouts;
+    s.signal_deaths += t.signal_deaths;
+    s.checkpoint_hits += t.checkpoint_hits;
+    s.checkpoint_misses += t.checkpoint_misses;
+    s.checkpoint_evictions += t.checkpoint_evictions;
   }
 
-  PoolSupervisor sup(opts_, fn_, batch_start_);
+ private:
+  PoolSupervisor sup_;
+};
 
-  const auto requeue_or_quarantine = [&](std::size_t index, int attempt,
-                                         const std::string& what) {
-    if (attempt < opts_.max_retries) {
-      ++stats_.retries;
-      // Capped exponent + per-run jitter (transport.h): the raw attempt
-      // count used to feed `1 << attempt`, which is UB past 30 retries, and
-      // unjittered retries synchronize across a fleet.
-      const double backoff_sec =
-          backoff_delay_sec(opts_.retry_backoff_sec, attempt, keys[index]);
-      pending.push_back(Pending{
-          index, attempt + 1,
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(backoff_sec))});
-      return;
+/// The remote endpoint set (opts.workers): connect, handshake, heartbeat,
+/// reconnect with capped backoff, telemetry, and straggler copies. Each
+/// endpoint offers the slots its daemon advertises; a dispatch goes to the
+/// first ready endpoint with a free slot (work stealing: fast daemons drain
+/// the queue). A run in flight past straggler_sec gets a copy on another
+/// endpoint, and the source merges copies: the loop sees one Completion per
+/// dispatch — the first result, or a failure once no copy is left.
+class RemoteSource final : public SlotSource {
+ public:
+  RemoteSource(const ExecutorOptions& opts, std::size_t n,
+               Clock::time_point epoch, ExecutorStats& stats)
+      : opts_(opts),
+        epoch_(epoch),
+        stats_(stats),
+        hb_window_(to_duration(std::max(3.0 * opts.heartbeat_sec, 1.0))),
+        settled_(n, 0),
+        copies_(n, 0),
+        extra_copies_(n, 0) {
+    for (std::size_t w = 0; w < opts.workers.size(); ++w) {
+      Remote r;
+      r.ep = parse_endpoint(opts.workers[w]);
+      r.id = static_cast<int>(w);
+      remotes_.push_back(std::move(r));
+      EndpointTelemetry et;
+      et.spec = opts.workers[w];
+      et.index = static_cast<int>(w);
+      et.state = "connecting";
+      stats.endpoints.push_back(std::move(et));
     }
-    results[index] = harness_error_result(cfgs[index]);
-    quarantined_.push_back(RunQuarantine{index, cfgs[index], what});
-    ++stats_.quarantined;
-    if (journal_.enabled()) {
-      journal_append(keys[index],
-                     make_result_payload(false, what, results[index]));
+    stats.remote_endpoints = static_cast<int>(remotes_.size());
+  }
+  ~RemoteSource() override {
+    for (const Remote& r : remotes_) {
+      if (r.fd >= 0) ::close(r.fd);
     }
-  };
-
-  std::vector<PoolSupervisor::Completion> comps;
-  while (!pending.empty() || sup.busy() > 0) {
-    // Feed eligible pending runs to idle workers (forking replacements for
-    // dead slots while work remains).
-    const Clock::time_point now = Clock::now();
-    for (auto it = pending.begin();
-         it != pending.end() && sup.can_dispatch();) {
-      if (it->eligible <= now) {
-        sup.dispatch(it->index, it->attempt, cfgs[it->index],
-                     affinity[it->index]);
-        it = pending.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    // Sleep until the next event: a response frame, a watchdog deadline
-    // (pump handles both), or a retry becoming eligible.
-    Clock::time_point wake = now + std::chrono::seconds(1);
-    for (const Pending& p : pending) {
-      if (p.eligible > now) wake = std::min(wake, p.eligible);
-    }
-    const int wait_ms = static_cast<int>(std::max<std::int64_t>(
-        1, std::chrono::duration_cast<std::chrono::milliseconds>(wake - now)
-               .count()));
-
-    comps.clear();
-    sup.pump(wait_ms, comps);
-    for (PoolSupervisor::Completion& c : comps) {
-      stats_.spans.push_back(
-          WorkerSpan{c.index, c.slot, c.attempt, c.start_sec, c.dur_sec});
-      if (!c.capture_payload.empty()) {
-        try {
-          fold_capture(decode_run_capture(c.capture_payload));
-        } catch (const std::exception&) {
-          // Malformed capture: observability loss only, the run still counts.
-        }
-      }
-      if (!c.ok) {
-        requeue_or_quarantine(c.index, c.attempt, c.what);
-        continue;
-      }
-      try {
-        ResultPayload p = parse_result_payload(c.result_payload);
-        if (p.ok) {
-          if (journal_.enabled()) {
-            journal_append(keys[c.index], c.result_payload);
-          }
-          results[c.index] = std::move(p.result);
-        } else {
-          requeue_or_quarantine(c.index, c.attempt, p.what);
-        }
-      } catch (const std::exception& e) {
-        requeue_or_quarantine(
-            c.index, c.attempt,
-            std::string("undecodable result payload: ") + e.what());
-      }
-    }
-    write_metrics_snapshot(
-        cfgs.size(),
-        cfgs.size() - pending.size() - static_cast<std::size_t>(sup.busy()),
-        /*force=*/false);
   }
 
-  sup.shutdown();
-  const PoolSupervisor::Telemetry& t = sup.telemetry();
-  stats_.launched += t.launched;
-  stats_.pool_workers += t.pool_workers;
-  stats_.respawns += t.respawns;
-  stats_.timeouts += t.timeouts;
-  stats_.signal_deaths += t.signal_deaths;
-  stats_.checkpoint_hits += t.checkpoint_hits;
-  stats_.checkpoint_misses += t.checkpoint_misses;
-  stats_.checkpoint_evictions += t.checkpoint_evictions;
-  for (std::size_t s = 0;
-       s < t.slot_busy_sec.size() && s < stats_.slot_busy_sec.size(); ++s) {
-    stats_.slot_busy_sec[s] += t.slot_busy_sec[s];
+  int slots() const override { return static_cast<int>(remotes_.size()); }
+  bool can_dispatch() const override {
+    return std::any_of(remotes_.begin(), remotes_.end(), [](const Remote& r) {
+      return r.state == EpState::kReady && r.flights.size() < r.slots;
+    });
   }
-  for (std::size_t s = 0; s < t.slot_runs_served.size() &&
-                          s < stats_.slot_runs_served.size();
-       ++s) {
-    stats_.slot_runs_served[s] += t.slot_runs_served[s];
+  void dispatch(std::size_t index, int attempt, const RunConfig& cfg,
+                std::uint64_t) override {
+    Remote* r = free_endpoint(index);
+    if (r == nullptr) {
+      throw std::logic_error("executor: remote dispatch without a free slot");
+    }
+    requests_[index] = msg_run_request(index, serialize_run_config(cfg));
+    send_run(*r, index, attempt);
+    ++outstanding_;
   }
-}
+  void pump(int max_wait_ms, std::vector<Completion>& out) override;
+  int busy() const override { return outstanding_; }
+  void finish(ExecutorStats& s) override {
+    for (Remote& r : remotes_) {
+      if (r.fd >= 0) ::close(r.fd);
+      r.fd = -1;
+    }
+    // Endpoint aggregates are cumulative snapshots (latest wins); fold the
+    // final ones so distributed campaigns report checkpoint-store
+    // effectiveness the way local pools do.
+    for (const EndpointTelemetry& et : s.endpoints) {
+      s.checkpoint_hits += et.checkpoint_hits;
+      s.checkpoint_misses += et.checkpoint_misses;
+      s.checkpoint_evictions += et.checkpoint_evictions;
+    }
+  }
 
-void CampaignExecutor::run_distributed(const std::vector<RunConfig>& cfgs,
-                                       const std::vector<std::uint64_t>& keys,
-                                       std::vector<RunResult>& results,
-                                       const std::vector<char>& done) {
+ private:
   struct Flight {
     int attempt = 0;
     Clock::time_point sent{};
@@ -1362,592 +1018,370 @@ void CampaignExecutor::run_distributed(const std::vector<RunConfig>& cfgs,
     int connect_attempts = 0;  // consecutive failures since the last ack
     int sessions = 0;          // completed handshakes
     std::string last_error;
-  };
-  struct Pending {
-    std::size_t index = 0;
-    int attempt = 0;
-    Clock::time_point eligible{};
+    // Clock alignment (handshake timestamp exchange, see transport.h).
+    std::uint64_t hello_sent_ns = 0;
+    std::int64_t clock_offset_ns = 0;  // daemon minus coordinator
   };
 
   // Reconnect pacing: fast enough that a daemon starting moments after the
   // coordinator is picked up promptly; bounded so an endpoint that keeps
   // refusing is abandoned (kFailed) after ~7 s instead of stalling forever.
-  constexpr double kReconnectBaseSec = 0.05;
-  constexpr double kReconnectCapSec = 2.0;
-  constexpr int kMaxConnectAttempts = 8;
+  static constexpr double kReconnectBaseSec = 0.05;
+  static constexpr double kReconnectCapSec = 2.0;
+  static constexpr int kMaxConnectAttempts = 8;
 
-  const std::size_t n = cfgs.size();
-  std::vector<Remote> remotes;
-  remotes.reserve(opts_.workers.size());
-  for (std::size_t w = 0; w < opts_.workers.size(); ++w) {
-    Remote r;
-    r.ep = parse_endpoint(opts_.workers[w]);
-    r.id = static_cast<int>(w);
-    remotes.push_back(std::move(r));
+  static std::int64_t steady_ns(Clock::time_point t) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               t.time_since_epoch())
+        .count();
   }
 
-  // In distributed mode the per-slot telemetry is per-endpoint.
-  stats_.remote_endpoints = static_cast<int>(remotes.size());
-  stats_.jobs = static_cast<int>(remotes.size());
-  stats_.slot_busy_sec.assign(remotes.size(), 0.0);
-  stats_.slot_runs_served.assign(remotes.size(), 0);
-  stats_.endpoints.clear();
-  stats_.endpoints.reserve(remotes.size());
-  for (int w = 0; w < static_cast<int>(opts_.workers.size()); ++w) {
-    EndpointTelemetry et;
-    et.spec = opts_.workers[static_cast<std::size_t>(w)];
-    et.index = w;
-    et.state = "connecting";
-    stats_.endpoints.push_back(std::move(et));
+  EndpointTelemetry& telemetry(const Remote& r) {
+    return stats_.endpoints[static_cast<std::size_t>(r.id)];
   }
 
-  const auto steady_now_ns = []() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now().time_since_epoch())
-            .count());
-  };
-  const std::int64_t batch_start_ns = static_cast<std::int64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          batch_start_.time_since_epoch())
-          .count());
-  // Clock alignment (handshake timestamp exchange, see transport.h): offset =
-  // daemon steady clock minus coordinator steady clock, per endpoint. Side
-  // tables rather than Remote fields: wall-clock readings must never flow
-  // through the structs the result path touches (taint discipline — journaled
-  // state is a function of the run seed only).
-  std::vector<std::uint64_t> hello_sent_ns(remotes.size(), 0);
-  std::vector<std::int64_t> clock_offset_ns(remotes.size(), 0);
-
-  std::vector<char> completed(n, 0);  // resolved this batch (done[] aside)
-  std::vector<char> failed(n, 0);
-  std::vector<std::string> fail_what(n);
-  std::vector<int> extra_copies(n, 0);     // straggler re-dispatches so far
-  std::vector<int> inflight_copies(n, 0);  // live copies across endpoints
-  std::size_t remaining = 0;
-  std::deque<Pending> pending;
-  const Clock::time_point batch_enter = Clock::now();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (done[i] == 0) {
-      pending.push_back(Pending{i, 0, batch_enter});
-      ++remaining;
-    }
-  }
-
-  // --- per-shard journals --------------------------------------------------
-  // Results are journaled per endpoint as they arrive (plus one coordinator
-  // shard for quarantine verdicts); after the batch every record is merged
-  // into the main journal in plan order, re-encoded by the bit-exact codec,
-  // so the merged file is byte-identical to a serial journaled run. Loading
-  // existing shards first resumes a distributed campaign that crashed before
-  // (or during) the merge.
-  std::vector<std::unique_ptr<JournalWriter>> shards;
-  std::vector<std::string> shard_paths;
-  const bool journaling = journal_.enabled();
-  if (journaling) {
-    const auto replay_record = [&](const std::string& payload,
-                                   std::size_t i) {
-      try {
-        ResultPayload p = parse_result_payload(payload);
-        results[i] = std::move(p.result);
-        completed[i] = 1;
-        --remaining;
-        ++stats_.journal_hits;
-        if (!p.ok) {
-          failed[i] = 1;
-          fail_what[i] = p.what;
-          quarantined_.push_back(RunQuarantine{i, cfgs[i], p.what});
-          ++stats_.quarantined;
-        }
-      } catch (const std::exception&) {
-        // Undeserializable: leave the run pending for re-execution.
+  /// A ready endpoint with a free slot that is not already running `index`.
+  Remote* free_endpoint(std::size_t index) {
+    for (Remote& r : remotes_) {
+      if (r.state == EpState::kReady && r.flights.size() < r.slots &&
+          r.flights.count(index) == 0) {
+        return &r;
       }
-    };
-    for (std::size_t s = 0; s <= remotes.size(); ++s) {
-      const std::string tag =
-          s < remotes.size() ? std::to_string(s) : std::string("c");
-      const std::string path = opts_.journal_path + ".shard" + tag;
-      const JournalLoad load = load_journal(path, opts_.campaign_fingerprint);
-      stats_.torn_bytes_discarded += load.torn_bytes;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (done[i] != 0 || completed[i] != 0) continue;
-        const auto it = load.records.find(keys[i]);
-        if (it != load.records.end()) replay_record(it->second, i);
-      }
-      shard_paths.push_back(path);
-      shards.push_back(std::make_unique<JournalWriter>(
-          path, opts_.campaign_fingerprint, load));
     }
-    pending.erase(
-        std::remove_if(
-            pending.begin(), pending.end(),
-            [&](const Pending& p) { return completed[p.index] != 0; }),
-        pending.end());
+    return nullptr;
   }
-  const auto shard_append = [&](std::size_t shard, std::uint64_t key,
-                                const std::string& payload) {
-    if (!journaling) return;
-    shards[shard]->append(key, payload);
-    ++stats_.journal_appends;
-    stats_.journal_bytes += payload.size();
-  };
 
-  const auto requeue_or_quarantine = [&](std::size_t index, int attempt,
-                                         const std::string& what) {
-    if (completed[index] != 0) return;
-    if (attempt < opts_.max_retries) {
-      ++stats_.retries;
-      const double backoff_sec =
-          backoff_delay_sec(opts_.retry_backoff_sec, attempt, keys[index]);
-      pending.push_back(Pending{
-          index, attempt + 1,
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(backoff_sec))});
-      return;
-    }
-    results[index] = harness_error_result(cfgs[index]);
-    quarantined_.push_back(RunQuarantine{index, cfgs[index], what});
-    ++stats_.quarantined;
-    completed[index] = 1;
-    failed[index] = 1;
-    fail_what[index] = what;
-    --remaining;
-    shard_append(remotes.size(), keys[index],
-                 make_result_payload(false, what, results[index]));
-  };
+  void send_run(Remote& r, std::size_t index, int attempt) {
+    send_frame(r.fd, requests_[index]);
+    r.flights[index] = Flight{attempt, Clock::now()};
+    ++copies_[index];
+  }
 
-  /// Tear down a connection. In-flight runs whose last live copy this was
-  /// are requeued with the next attempt number — exactly the local
-  /// dead-worker policy, ending in kHarnessError quarantine past
-  /// max_retries.
-  const auto drop_endpoint = [&](Remote& r, const std::string& why,
-                                 bool permanent) {
+  /// Hand one dispatch's outcome to the loop.
+  void emit(Completion c) {
+    requests_.erase(c.index);
+    --outstanding_;
+    ready_.push_back(std::move(c));
+  }
+
+  /// Tear down a connection. A run whose last live copy this was goes back
+  /// to the loop as a failed attempt — the same retry/quarantine policy as a
+  /// dead local worker.
+  void drop(Remote& r, const std::string& why, bool permanent) {
     if (r.fd >= 0) {
       ::close(r.fd);
       r.fd = -1;
     }
     r.rbuf.clear();
+    const Clock::time_point now = Clock::now();
     for (const auto& [index, fl] : r.flights) {
-      --inflight_copies[index];
-      if (completed[index] == 0 && inflight_copies[index] == 0) {
-        requeue_or_quarantine(index, fl.attempt,
-                              "endpoint " + r.ep.spec + ": " + why);
-      }
+      if (--copies_[index] > 0 || settled_[index] != 0) continue;
+      Completion c;
+      c.index = index;
+      c.attempt = fl.attempt;
+      c.slot = r.id;
+      c.what = "endpoint " + r.ep.spec + ": " + why;
+      c.start_sec = elapsed_sec(epoch_, fl.sent);
+      c.dur_sec = elapsed_sec(fl.sent, now);
+      emit(std::move(c));
     }
     r.flights.clear();
     r.last_error = why;
-    if (permanent) {
-      r.state = EpState::kFailed;
-      stats_.endpoints[static_cast<std::size_t>(r.id)].state = "failed";
+    if (!permanent && ++r.connect_attempts <= kMaxConnectAttempts) {
+      r.state = EpState::kDisconnected;
+      telemetry(r).state = "disconnected";
+      r.reconnect_at =
+          now + to_duration(backoff_delay_sec(
+                    kReconnectBaseSec, r.connect_attempts,
+                    fnv1a64(r.ep.spec.data(), r.ep.spec.size()),
+                    kReconnectCapSec));
       return;
     }
-    r.state = EpState::kDisconnected;
-    stats_.endpoints[static_cast<std::size_t>(r.id)].state = "disconnected";
-    ++r.connect_attempts;
-    if (r.connect_attempts > kMaxConnectAttempts) {
-      r.state = EpState::kFailed;
-      stats_.endpoints[static_cast<std::size_t>(r.id)].state = "failed";
-      return;
-    }
-    r.reconnect_at =
-        Clock::now() +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(backoff_delay_sec(
-                kReconnectBaseSec, r.connect_attempts,
-                fnv1a64(r.ep.spec.data(), r.ep.spec.size()),
-                kReconnectCapSec)));
-  };
+    r.state = EpState::kFailed;
+    telemetry(r).state = "failed";
+  }
 
-  /// One kRunResult frame. First completed result per plan index wins;
-  /// late copies (stragglers, re-runs after a reconnect) are discarded.
-  /// Returns false when the endpoint broke protocol.
-  const auto on_result = [&](Remote& r, std::uint64_t index64,
-                             const std::string& payload) -> bool {
-    const std::size_t index = static_cast<std::size_t>(index64);
-    if (index >= n) return false;
+  /// One kRunResult frame. The first completed result per plan index wins;
+  /// late copies (stragglers) are discarded. A workload failure is
+  /// deterministic — every copy reports it — so only the last outstanding
+  /// copy hands it to the retry policy. Returns false on a protocol breach.
+  bool on_result(Remote& r, std::uint64_t index64, std::string payload) {
+    if (index64 >= settled_.size()) return false;
+    const auto index = static_cast<std::size_t>(index64);
     const auto fit = r.flights.find(index);
-    if (fit == r.flights.end()) {
-      // Not in flight here (e.g. a result raced the teardown bookkeeping of
-      // an earlier session). Nothing to account.
-      if (completed[index] != 0 || done[index] != 0) {
-        ++stats_.duplicate_discards;
+    if (fit != r.flights.end()) {
+      const Flight fl = fit->second;
+      r.flights.erase(fit);
+      --copies_[index];
+      // The payload's leading byte is its ok flag (serialize.h).
+      const bool ok = !payload.empty() && payload.front() != 0;
+      if (settled_[index] == 0 && (ok || copies_[index] == 0)) {
+        settled_[index] = ok ? 1 : 0;
+        if (ok) ++telemetry(r).runs_done;
+        Completion c;
+        c.index = index;
+        c.attempt = fl.attempt;
+        c.slot = r.id;
+        c.ok = true;
+        c.result_payload = std::move(payload);
+        if (const auto cap = captures_.find(index); cap != captures_.end()) {
+          c.capture_payload = std::move(cap->second);
+          captures_.erase(cap);
+        }
+        c.start_sec = elapsed_sec(epoch_, fl.sent);
+        c.dur_sec = elapsed_sec(fl.sent, Clock::now());
+        emit(std::move(c));
+        return true;
       }
-      return true;
     }
-    const Flight fl = fit->second;
-    r.flights.erase(fit);
-    --inflight_copies[index];
-    const double dur = elapsed_sec(fl.sent, Clock::now());
-    stats_.slot_busy_sec[static_cast<std::size_t>(r.id)] += dur;
-    stats_.spans.push_back(WorkerSpan{index, r.id, fl.attempt,
-                                      elapsed_sec(batch_start_, fl.sent),
-                                      dur});
-    if (completed[index] != 0 || done[index] != 0) {
-      ++stats_.duplicate_discards;  // a faster copy already won
-      return true;
-    }
-    try {
-      ResultPayload p = parse_result_payload(payload);
-      if (p.ok) {
-        results[index] = std::move(p.result);
-        completed[index] = 1;
-        --remaining;
-        ++stats_.slot_runs_served[static_cast<std::size_t>(r.id)];
-        ++stats_.endpoints[static_cast<std::size_t>(r.id)].runs_done;
-        shard_append(static_cast<std::size_t>(r.id), keys[index], payload);
-      } else if (inflight_copies[index] == 0) {
-        // A workload failure is deterministic — every copy reports the same
-        // verdict — so only the last outstanding copy drives the retry.
-        requeue_or_quarantine(index, fl.attempt, p.what);
-      }
-    } catch (const std::exception&) {
-      return false;  // undecodable payload: the stream is broken
-    }
+    // A copy a faster one beat, or a result that raced an earlier session's
+    // teardown.
+    if (settled_[index] != 0) ++stats_.duplicate_discards;
     return true;
-  };
+  }
 
-  const auto on_readable = [&](Remote& r) {
-    char chunk[65536];
-    const ssize_t nread = ::read(r.fd, chunk, sizeof(chunk));
-    if (nread < 0) {
-      if (errno == EINTR) return;
-      drop_endpoint(r, std::string("read error: ") + std::strerror(errno),
-                    false);
+  void on_readable(Remote& r);
+
+  std::vector<Remote> remotes_;
+  const ExecutorOptions& opts_;
+  Clock::time_point epoch_;
+  ExecutorStats& stats_;
+  const Clock::duration hb_window_;
+  SigpipeGuard sigpipe_guard_;
+  int outstanding_ = 0;                          // dispatches not yet emitted
+  std::vector<char> settled_;                    // a result was emitted
+  std::vector<int> copies_;                      // live copies per plan index
+  std::vector<int> extra_copies_;                // straggler copies sent
+  std::map<std::size_t, std::string> requests_;  // framed kRunRequest bodies
+  std::map<std::size_t, std::string> captures_;  // capture blob per index
+  std::vector<Completion> ready_;                // emitted, not yet pumped out
+};
+
+void RemoteSource::on_readable(Remote& r) {
+  char chunk[65536];
+  const ssize_t nread = ::read(r.fd, chunk, sizeof(chunk));
+  if (nread < 0) {
+    if (errno != EINTR) {
+      drop(r, std::string("read error: ") + std::strerror(errno), false);
+    }
+    return;
+  }
+  if (nread == 0) {
+    drop(r, "connection closed", false);
+    return;
+  }
+  r.last_rx = Clock::now();
+  r.rbuf.append(chunk, static_cast<std::size_t>(nread));
+  for (;;) {
+    const FrameSplit fs = try_unframe(r.rbuf);
+    if (fs.status == FrameSplit::Status::kNeedMore) return;
+    if (fs.status == FrameSplit::Status::kCorrupt) {
+      drop(r, "corrupt frame", false);
       return;
     }
-    if (nread == 0) {
-      drop_endpoint(r, "connection closed", false);
+    r.rbuf.erase(0, fs.consumed);
+    TransportMsg msg;
+    try {
+      msg = parse_transport_msg(fs.payload);
+    } catch (const std::exception& e) {
+      drop(r, std::string("bad message: ") + e.what(), false);
       return;
     }
-    r.last_rx = Clock::now();
-    r.rbuf.append(chunk, static_cast<std::size_t>(nread));
-    for (;;) {
-      const FrameSplit fs = try_unframe(r.rbuf);
-      if (fs.status == FrameSplit::Status::kNeedMore) break;
-      if (fs.status == FrameSplit::Status::kCorrupt) {
-        drop_endpoint(r, "corrupt frame", false);
-        return;
-      }
-      r.rbuf.erase(0, fs.consumed);
-      TransportMsg msg;
-      try {
-        msg = parse_transport_msg(fs.payload);
-      } catch (const std::exception& e) {
-        drop_endpoint(r, std::string("bad message: ") + e.what(), false);
-        return;
-      }
-      switch (msg.type) {
-        case TransportMsgType::kHelloAck: {
-          if (r.state != EpState::kHandshake ||
-              msg.proto_version != kTransportProtocolVersion) {
-            drop_endpoint(r, "unexpected handshake ack", false);
-            return;
-          }
-          r.state = EpState::kReady;
-          r.slots = std::max<std::uint32_t>(1, msg.slots);
-          r.connect_attempts = 0;
-          if (r.sessions > 0) ++stats_.reconnects;
-          ++r.sessions;
-          // NTP-style midpoint estimate: the daemon read its clock (t1)
-          // roughly halfway between our send (t0) and this receive (t2).
-          const auto t2 = steady_now_ns();
-          clock_offset_ns[static_cast<std::size_t>(r.id)] =
-              static_cast<std::int64_t>(msg.clock_ns) -
-              static_cast<std::int64_t>(
-                  (hello_sent_ns[static_cast<std::size_t>(r.id)] + t2) / 2);
-          EndpointTelemetry& et =
-              stats_.endpoints[static_cast<std::size_t>(r.id)];
-          et.state = "ready";
-          et.slots = r.slots;
-          et.reconnects = r.sessions - 1;
-          et.clock_offset_sec =
-              static_cast<double>(
-                  clock_offset_ns[static_cast<std::size_t>(r.id)]) *
-              1e-9;
-          break;
-        }
-        case TransportMsgType::kHelloReject:
-          // The daemon refused this campaign (fingerprint or protocol
-          // mismatch) — reconnecting cannot help.
-          drop_endpoint(r, "rejected: " + msg.reason, true);
+    switch (msg.type) {
+      case TransportMsgType::kHelloAck: {
+        if (r.state != EpState::kHandshake ||
+            msg.proto_version != kTransportProtocolVersion) {
+          drop(r, "unexpected handshake ack", false);
           return;
-        case TransportMsgType::kHeartbeat:
-          break;  // last_rx already refreshed
-        case TransportMsgType::kTelemetry: {
-          if (r.state != EpState::kReady) {
-            drop_endpoint(r, "protocol violation", false);
-            return;
-          }
-          try {
-            if (telemetry_subtype(msg.body) == kTelemetryRunCapture) {
-              fold_capture(decode_telemetry_capture(msg.body));
-            } else {
-              const TelemetryAggregate agg =
-                  decode_telemetry_aggregate(msg.body);
-              EndpointTelemetry& et =
-                  stats_.endpoints[static_cast<std::size_t>(r.id)];
-              // Counters and histograms are cumulative snapshots (latest
-              // wins); spans arrive incrementally and accumulate.
-              et.launched = agg.launched;
-              et.respawns = agg.respawns;
-              et.timeouts = agg.timeouts;
-              et.signal_deaths = agg.signal_deaths;
-              et.checkpoint_hits = agg.checkpoint_hits;
-              et.checkpoint_misses = agg.checkpoint_misses;
-              et.checkpoint_evictions = agg.checkpoint_evictions;
-              et.trace_dropped = agg.trace_dropped;
-              et.histograms = agg.histograms;
-              et.base_sec =
-                  static_cast<double>(
-                      static_cast<std::int64_t>(agg.base_ns) -
-                      clock_offset_ns[static_cast<std::size_t>(r.id)] -
-                      batch_start_ns) *
-                  1e-9;
-              et.spans.insert(et.spans.end(), agg.spans.begin(),
-                              agg.spans.end());
-            }
-          } catch (const std::exception& e) {
-            drop_endpoint(r, std::string("bad telemetry: ") + e.what(),
-                          false);
-            return;
-          }
-          break;
         }
-        case TransportMsgType::kRunResult:
-          if (r.state != EpState::kReady ||
-              !on_result(r, msg.index, msg.body)) {
-            drop_endpoint(r, "protocol violation", false);
-            return;
-          }
-          break;
-        default:
-          drop_endpoint(r, "unexpected message type", false);
-          return;
-      }
-    }
-  };
-
-  SigpipeGuard sigpipe_guard;
-  const double hb_window = std::max(3.0 * opts_.heartbeat_sec, 1.0);
-
-  while (remaining > 0) {
-    Clock::time_point now = Clock::now();
-
-    // (Re)connect and open the handshake.
-    for (Remote& r : remotes) {
-      if (r.state != EpState::kDisconnected || now < r.reconnect_at) continue;
-      std::string err;
-      const int fd = connect_endpoint(r.ep, &err);
-      if (fd < 0) {
-        r.last_error = err;
-        ++r.connect_attempts;
-        if (r.connect_attempts > kMaxConnectAttempts) {
-          r.state = EpState::kFailed;
-          continue;
-        }
-        r.reconnect_at =
-            now + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(backoff_delay_sec(
-                          kReconnectBaseSec, r.connect_attempts,
-                          fnv1a64(r.ep.spec.data(), r.ep.spec.size()),
-                          kReconnectCapSec)));
-        continue;
-      }
-      r.fd = fd;
-      r.state = EpState::kHandshake;
-      r.last_rx = now;
-      stats_.endpoints[static_cast<std::size_t>(r.id)].state = "handshake";
-      hello_sent_ns[static_cast<std::size_t>(r.id)] = steady_now_ns();
-      send_frame(fd, msg_hello(opts_.campaign_fingerprint,
-                               hello_sent_ns[static_cast<std::size_t>(r.id)]));
-    }
-
-    // Every endpoint permanently failed with work outstanding: fail loudly
-    // instead of spinning (the journal shards preserve finished work).
-    bool any_alive = false;
-    for (const Remote& r : remotes) {
-      if (r.state != EpState::kFailed) {
-        any_alive = true;
+        r.state = EpState::kReady;
+        r.slots = std::max<std::uint32_t>(1, msg.slots);
+        r.connect_attempts = 0;
+        if (r.sessions > 0) ++stats_.reconnects;
+        ++r.sessions;
+        // NTP-style midpoint estimate: the daemon read its clock (t1)
+        // roughly halfway between our send (t0) and this receive (t2).
+        const auto t2 = static_cast<std::uint64_t>(steady_ns(Clock::now()));
+        const std::uint64_t midpoint = (r.hello_sent_ns + t2) / 2;
+        r.clock_offset_ns = static_cast<std::int64_t>(msg.clock_ns) -
+                            static_cast<std::int64_t>(midpoint);
+        EndpointTelemetry& et = telemetry(r);
+        et.state = "ready";
+        et.slots = r.slots;
+        et.reconnects = r.sessions - 1;
+        et.clock_offset_sec = static_cast<double>(r.clock_offset_ns) * 1e-9;
         break;
       }
-    }
-    if (!any_alive) {
-      std::string detail;
-      for (const Remote& r : remotes) {
-        detail += "\n  " + r.ep.spec + ": " +
-                  (r.last_error.empty() ? "unreachable" : r.last_error);
-      }
-      throw std::runtime_error(
-          "executor: no distributed worker endpoint is usable, " +
-          std::to_string(remaining) + " runs unfinished" + detail);
-    }
-
-    // Straggler re-dispatch: a run in flight past the deadline gets one
-    // extra copy queued for another endpoint; the first result wins.
-    if (opts_.straggler_sec > 0.0) {
-      for (Remote& r : remotes) {
-        if (r.state != EpState::kReady) continue;
-        for (const auto& [index, fl] : r.flights) {
-          if (completed[index] != 0 || inflight_copies[index] != 1) continue;
-          if (elapsed_sec(fl.sent, now) < opts_.straggler_sec) continue;
-          if (extra_copies[index] >=
-              static_cast<int>(remotes.size()) - 1) {
-            continue;
-          }
-          bool queued = false;
-          for (const Pending& p : pending) {
-            if (p.index == index) {
-              queued = true;
-              break;
+      case TransportMsgType::kHelloReject:
+        // The daemon refused this campaign (fingerprint or protocol
+        // mismatch) — reconnecting cannot help.
+        drop(r, "rejected: " + msg.reason, true);
+        return;
+      case TransportMsgType::kHeartbeat:
+        break;  // last_rx already refreshed
+      case TransportMsgType::kTelemetry: {
+        if (r.state != EpState::kReady) {
+          drop(r, "protocol violation", false);
+          return;
+        }
+        try {
+          if (telemetry_subtype(msg.body) == kTelemetryRunCapture) {
+            // Held until the run's result arrives (the daemon sends the
+            // capture first), then folded by the loop with it.
+            const RunTraceCapture cap = decode_telemetry_capture(msg.body);
+            if (cap.plan_index < settled_.size() &&
+                settled_[cap.plan_index] == 0) {
+              captures_[cap.plan_index] = msg.body.substr(1);
             }
+          } else {
+            const TelemetryAggregate agg = decode_telemetry_aggregate(msg.body);
+            EndpointTelemetry& et = telemetry(r);
+            // Counters and histograms are cumulative snapshots (latest
+            // wins); spans arrive incrementally and accumulate.
+            et.launched = agg.launched;
+            et.respawns = agg.respawns;
+            et.timeouts = agg.timeouts;
+            et.signal_deaths = agg.signal_deaths;
+            et.checkpoint_hits = agg.checkpoint_hits;
+            et.checkpoint_misses = agg.checkpoint_misses;
+            et.checkpoint_evictions = agg.checkpoint_evictions;
+            et.trace_dropped = agg.trace_dropped;
+            et.histograms = agg.histograms;
+            et.base_sec = static_cast<double>(
+                              static_cast<std::int64_t>(agg.base_ns) -
+                              r.clock_offset_ns - steady_ns(epoch_)) *
+                          1e-9;
+            et.spans.insert(et.spans.end(), agg.spans.begin(),
+                            agg.spans.end());
           }
-          if (queued) continue;
-          pending.push_back(Pending{index, fl.attempt, now});
-          ++extra_copies[index];
-          ++stats_.redispatches;
+        } catch (const std::exception& e) {
+          drop(r, std::string("bad telemetry: ") + e.what(), false);
+          return;
         }
+        break;
       }
-    }
-
-    // Work-stealing dispatch: every ready endpoint with free slots pulls
-    // from the shared queue, so fast endpoints naturally take more runs. A
-    // straggler copy never lands on an endpoint that already runs the index.
-    for (Remote& r : remotes) {
-      if (r.state != EpState::kReady) continue;
-      for (auto it = pending.begin();
-           it != pending.end() && r.flights.size() < r.slots;) {
-        if (completed[it->index] != 0) {
-          it = pending.erase(it);  // stale straggler copy
-          continue;
+      case TransportMsgType::kRunResult:
+        if (r.state != EpState::kReady ||
+            !on_result(r, msg.index, std::move(msg.body))) {
+          drop(r, "protocol violation", false);
+          return;
         }
-        if (it->eligible > now || r.flights.count(it->index) != 0) {
-          ++it;
-          continue;
-        }
-        send_frame(r.fd,
-                   msg_run_request(it->index,
-                                   serialize_run_config(effective_config(
-                                       cfgs[it->index], opts_))));
-        r.flights[it->index] = Flight{it->attempt, now};
-        ++inflight_copies[it->index];
-        it = pending.erase(it);
-      }
+        break;
+      default:
+        drop(r, "unexpected message type", false);
+        return;
     }
-
-    // Sleep until the next event: socket bytes, a retry or reconnect coming
-    // due, a straggler deadline, or a heartbeat-silence verdict.
-    Clock::time_point wake = now + std::chrono::seconds(1);
-    for (const Pending& p : pending) {
-      if (p.eligible > now) wake = std::min(wake, p.eligible);
-    }
-    const auto hb_duration = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(hb_window));
-    const auto straggler_duration =
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(opts_.straggler_sec));
-    std::vector<pollfd> fds;
-    std::vector<Remote*> polled;
-    for (Remote& r : remotes) {
-      if (r.state == EpState::kFailed) continue;
-      if (r.state == EpState::kDisconnected) {
-        wake = std::min(wake, r.reconnect_at);
-        continue;
-      }
-      fds.push_back(pollfd{r.fd, POLLIN, 0});
-      polled.push_back(&r);
-      wake = std::min(wake, r.last_rx + hb_duration);
-      if (opts_.straggler_sec > 0.0) {
-        for (const auto& [index, fl] : r.flights) {
-          wake = std::min(wake, fl.sent + straggler_duration);
-        }
-      }
-    }
-    const int timeout_ms = static_cast<int>(std::max<std::int64_t>(
-        1, std::chrono::duration_cast<std::chrono::milliseconds>(wake - now)
-               .count()));
-    const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
-                          static_cast<nfds_t>(fds.size()), timeout_ms);
-    if (rc < 0 && errno != EINTR) {
-      throw std::runtime_error(std::string("executor: poll failed: ") +
-                               std::strerror(errno));
-    }
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      if (fds[i].revents != 0) on_readable(*polled[i]);
-    }
-
-    // Declare heartbeat-silent endpoints dead (covers a hung daemon and a
-    // dropped network path — no FIN ever arrives in either case).
-    now = Clock::now();
-    for (Remote& r : remotes) {
-      if ((r.state == EpState::kReady || r.state == EpState::kHandshake) &&
-          elapsed_sec(r.last_rx, now) > hb_window) {
-        drop_endpoint(r,
-                      "no traffic for " + std::to_string(hb_window) +
-                          " s (heartbeat silence)",
-                      false);
-      }
-    }
-
-    write_metrics_snapshot(n, n - remaining, /*force=*/false);
-  }
-
-  for (Remote& r : remotes) {
-    if (r.fd >= 0) ::close(r.fd);
-    r.fd = -1;
-  }
-
-  // Endpoint aggregates are cumulative snapshots (latest wins); fold the
-  // final ones into the batch totals so distributed campaigns report
-  // checkpoint-store effectiveness the same way local pools do.
-  for (const EndpointTelemetry& et : stats_.endpoints) {
-    stats_.checkpoint_hits += et.checkpoint_hits;
-    stats_.checkpoint_misses += et.checkpoint_misses;
-    stats_.checkpoint_evictions += et.checkpoint_evictions;
-  }
-
-  if (journaling) {
-    // Deterministic merge: append every record this batch produced to the
-    // main journal in plan order. The payload encoder is bit-exact, so the
-    // merged journal is byte-identical to one written by a serial run; a
-    // crash mid-merge leaves a plan-order prefix the next attempt's main
-    // load skips over, and the shards still hold everything unmerged.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i] != 0) continue;
-      journal_append(keys[i],
-                     failed[i] != 0
-                         ? make_result_payload(false, fail_what[i], results[i])
-                         : make_result_payload(true, {}, results[i]));
-    }
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      shards[s]->close();
-      std::remove(shard_paths[s].c_str());
-    }
-    fsync_parent_dir(opts_.journal_path);
   }
 }
+
+void RemoteSource::pump(int max_wait_ms, std::vector<Completion>& out) {
+  Clock::time_point now = Clock::now();
+
+  // (Re)connect and open the handshake.
+  for (Remote& r : remotes_) {
+    if (r.state != EpState::kDisconnected || now < r.reconnect_at) continue;
+    std::string err;
+    const int fd = connect_endpoint(r.ep, &err);
+    if (fd < 0) {
+      drop(r, err, false);
+      continue;
+    }
+    r.fd = fd;
+    r.state = EpState::kHandshake;
+    r.last_rx = now;
+    telemetry(r).state = "handshake";
+    r.hello_sent_ns = static_cast<std::uint64_t>(steady_ns(Clock::now()));
+    send_frame(fd, msg_hello(opts_.campaign_fingerprint, r.hello_sent_ns));
+  }
+
+  // Every endpoint permanently failed with work outstanding: fail loudly
+  // instead of spinning (the journal shard preserves finished work).
+  if (std::all_of(remotes_.begin(), remotes_.end(), [](const Remote& r) {
+        return r.state == EpState::kFailed;
+      })) {
+    std::string detail;
+    for (const Remote& r : remotes_) {
+      detail += "\n  " + r.ep.spec + ": " +
+                (r.last_error.empty() ? "unreachable" : r.last_error);
+    }
+    throw std::runtime_error(
+        "executor: no distributed worker endpoint is usable" + detail);
+  }
+
+  // Straggler re-dispatch: a run in flight past the deadline gets one copy
+  // on another endpoint (never one already running it); the first result
+  // wins.
+  if (opts_.straggler_sec > 0.0) {
+    for (Remote& r : remotes_) {
+      if (r.state != EpState::kReady) continue;
+      for (const auto& [index, fl] : r.flights) {
+        if (settled_[index] != 0 || copies_[index] != 1 ||
+            extra_copies_[index] + 1 >= static_cast<int>(remotes_.size()) ||
+            elapsed_sec(fl.sent, now) < opts_.straggler_sec) {
+          continue;
+        }
+        Remote* other = free_endpoint(index);
+        if (other == nullptr) continue;
+        send_run(*other, index, fl.attempt);
+        ++extra_copies_[index];
+        ++stats_.redispatches;
+      }
+    }
+  }
+
+  // Sleep until the next event: socket bytes, a reconnect coming due, a
+  // straggler deadline, or a heartbeat-silence verdict.
+  Clock::time_point wake = now + std::chrono::milliseconds(max_wait_ms);
+  std::vector<pollfd> fds;
+  std::vector<Remote*> polled;
+  const Clock::duration straggler = to_duration(opts_.straggler_sec);
+  for (Remote& r : remotes_) {
+    if (r.state == EpState::kFailed) continue;
+    if (r.state == EpState::kDisconnected) {
+      wake = std::min(wake, r.reconnect_at);
+      continue;
+    }
+    fds.push_back(pollfd{r.fd, POLLIN, 0});
+    polled.push_back(&r);
+    wake = std::min(wake, r.last_rx + hb_window_);
+    if (opts_.straggler_sec > 0.0) {
+      for (const auto& [index, fl] : r.flights) {
+        const Clock::time_point due = fl.sent + straggler;
+        if (due > now) wake = std::min(wake, due);
+      }
+    }
+  }
+  const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
+                        static_cast<nfds_t>(fds.size()), ms_until(now, wake));
+  if (rc < 0 && errno != EINTR) {
+    throw std::runtime_error(std::string("executor: poll failed: ") +
+                             std::strerror(errno));
+  }
+  for (std::size_t i = 0; i < polled.size(); ++i) {
+    if (fds[i].revents != 0) on_readable(*polled[i]);
+  }
+
+  // Declare heartbeat-silent endpoints dead (covers a hung daemon and a
+  // dropped network path — no FIN ever arrives in either case).
+  now = Clock::now();
+  const double window_sec = std::chrono::duration<double>(hb_window_).count();
+  for (Remote& r : remotes_) {
+    if ((r.state == EpState::kReady || r.state == EpState::kHandshake) &&
+        now - r.last_rx > hb_window_) {
+      drop(r,
+           "no traffic for " + std::to_string(window_sec) +
+               " s (heartbeat silence)",
+           false);
+    }
+  }
+
+  for (Completion& c : ready_) out.push_back(std::move(c));
+  ready_.clear();
+}
+
+}  // namespace
 
 #else  // !DAV_EXECUTOR_POSIX
-
-void CampaignExecutor::run_forked(const std::vector<RunConfig>& cfgs,
-                                  const std::vector<std::uint64_t>& keys,
-                                  std::vector<RunResult>& results,
-                                  const std::vector<char>& done) {
-  run_in_process(cfgs, keys, results, done);
-}
-
-void CampaignExecutor::run_pool(const std::vector<RunConfig>& cfgs,
-                                const std::vector<std::uint64_t>& keys,
-                                std::vector<RunResult>& results,
-                                const std::vector<char>& done) {
-  run_in_process(cfgs, keys, results, done);
-}
-
-void CampaignExecutor::run_distributed(const std::vector<RunConfig>& cfgs,
-                                       const std::vector<std::uint64_t>& keys,
-                                       std::vector<RunResult>& results,
-                                       const std::vector<char>& done) {
-  run_in_process(cfgs, keys, results, done);
-}
 
 struct PoolSupervisor::Impl {
   Telemetry tele;
@@ -1977,10 +1411,224 @@ void PoolSupervisor::pump(int, std::vector<Completion>&, int, bool*) {
 void PoolSupervisor::shutdown() {}
 
 const PoolSupervisor::Telemetry& PoolSupervisor::telemetry() const {
-  static const Telemetry kEmpty;
-  return kEmpty;
+  return impl_->tele;
 }
 
+#endif  // DAV_EXECUTOR_POSIX
+
+namespace {
+
+std::unique_ptr<SlotSource> make_source(
+    const ExecutorOptions& opts, const CampaignExecutor::CheckpointRunFn& fn,
+    [[maybe_unused]] std::size_t n, Clock::time_point epoch,
+    [[maybe_unused]] ExecutorStats& stats) {
+#if DAV_EXECUTOR_POSIX
+  if (!opts.workers.empty()) {
+    return std::make_unique<RemoteSource>(opts, n, epoch, stats);
+  }
+  if (opts.jobs > 0) return std::make_unique<PoolSource>(opts, fn, epoch);
 #endif
+  return std::make_unique<InProcessSource>(opts, fn, epoch);
+}
+
+}  // namespace
+
+std::vector<RunResult> CampaignExecutor::run_all(
+    const std::vector<RunConfig>& cfgs) {
+  quarantined_.clear();
+  stats_ = ExecutorStats{};
+  capture_seen_.clear();
+  last_metrics_ = Clock::time_point{};
+  batch_start_ = Clock::now();
+
+  const std::size_t n = cfgs.size();
+  std::vector<RunResult> results(n);
+  std::vector<char> done(n, 0);
+  std::size_t resolved = 0;
+  std::vector<std::uint64_t> keys(n, 0);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = run_config_digest(cfgs[i]);
+
+  // The one place a verdict lands: the result, and for a failure the
+  // quarantine record. Journal replays come through here too, so a resumed
+  // campaign reports the same quarantined() list as the uninterrupted one.
+  const auto settle = [&](std::size_t i, ResultPayload p) {
+    results[i] = std::move(p.result);
+    done[i] = 1;
+    ++resolved;
+    if (!p.ok) {
+      quarantined_.push_back(RunQuarantine{i, cfgs[i], std::move(p.what)});
+      ++stats_.quarantined;
+    }
+  };
+
+  // Journal resume. Remote results append to one side shard and merge into
+  // the main journal in plan order at batch end, so the main journal is
+  // byte-identical to an in-process run's; replaying the shard too resumes
+  // a coordinator that died before (or during) the merge.
+  const bool remote = !opts_.workers.empty();
+  const std::string shard_path = opts_.journal_path + ".shard";
+  JournalWriter journal;
+  JournalWriter shard;
+  std::vector<char> in_main;
+  const auto replay = [&](const std::string& path) {
+    const JournalLoad load = load_journal(path, opts_.campaign_fingerprint);
+    stats_.torn_bytes_discarded += load.torn_bytes;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto it = load.records.find(keys[i]);
+      if (done[i] != 0 || it == load.records.end()) continue;
+      try {
+        settle(i, parse_result_payload(it->second));
+        ++stats_.journal_hits;
+      } catch (const std::exception&) {
+        // Undeserializable (e.g. an older record version): re-execute.
+      }
+    }
+    return JournalWriter(path, opts_.campaign_fingerprint, load);
+  };
+  if (!opts_.journal_path.empty()) {
+    journal = replay(opts_.journal_path);
+    in_main = done;
+    if (remote) shard = replay(shard_path);
+  }
+  JournalWriter& sink = remote ? shard : journal;
+  const auto append = [&](JournalWriter& w, std::size_t i,
+                          const std::string& payload) {
+    if (!w.enabled()) return;
+    w.append(keys[i], payload);
+    ++stats_.journal_appends;
+    stats_.journal_bytes += payload.size();
+  };
+
+  // The plan queue. Prefix-affinity grouping: variants sharing a fault-free
+  // prefix dispatch back to back (onto the worker holding the checkpoint),
+  // plan order breaking ties. Results merge by plan index, so the queue
+  // order never shows in the summary.
+  struct Pending {
+    std::size_t index = 0;
+    int attempt = 0;
+    Clock::time_point eligible{};
+  };
+  std::deque<Pending> pending;
+  std::vector<std::uint64_t> affinity(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (done[i] != 0) continue;
+    pending.push_back(Pending{i, 0, batch_start_});
+    affinity[i] = dispatch_affinity(cfgs[i], opts_);
+  }
+  std::stable_sort(pending.begin(), pending.end(),
+                   [&](const Pending& a, const Pending& b) {
+                     return affinity[a.index] < affinity[b.index];
+                   });
+
+  const std::unique_ptr<SlotSource> src =
+      make_source(opts_, fn_, n, batch_start_, stats_);
+  stats_.jobs = src->slots();
+  stats_.slot_busy_sec.assign(static_cast<std::size_t>(stats_.jobs), 0.0);
+  stats_.slot_runs_served.assign(static_cast<std::size_t>(stats_.jobs), 0);
+
+  std::vector<Completion> comps;
+  while (!pending.empty() || src->busy() > 0) {
+    const Clock::time_point now = Clock::now();
+    for (auto it = pending.begin();
+         it != pending.end() && src->can_dispatch();) {
+      if (it->eligible > now) {
+        ++it;
+        continue;
+      }
+      src->dispatch(it->index, it->attempt,
+                    effective_config(cfgs[it->index], opts_),
+                    affinity[it->index]);
+      it = pending.erase(it);
+    }
+
+    // Sleep until the next event: a completion (the source also wakes for
+    // its own deadlines) or a backed-off retry coming due.
+    Clock::time_point wake = now + std::chrono::seconds(1);
+    for (const Pending& p : pending) {
+      if (p.eligible > now) wake = std::min(wake, p.eligible);
+    }
+    comps.clear();
+    src->pump(ms_until(now, wake), comps);
+
+    for (Completion& c : comps) {
+      const auto slot = static_cast<std::size_t>(c.slot);
+      stats_.spans.push_back(
+          WorkerSpan{c.index, c.slot, c.attempt, c.start_sec, c.dur_sec});
+      stats_.slot_busy_sec[slot] += c.dur_sec;
+      if (!c.capture_payload.empty()) {
+        try {
+          fold_capture(decode_run_capture(c.capture_payload));
+        } catch (const std::exception&) {
+          // Malformed capture: observability loss only, the run still counts.
+        }
+      }
+      if (done[c.index] != 0) {  // first result wins
+        ++stats_.duplicate_discards;
+        continue;
+      }
+      ResultPayload p;
+      if (c.ok) {
+        ++stats_.slot_runs_served[slot];
+        try {
+          p = parse_result_payload(c.result_payload);
+        } catch (const std::exception& e) {
+          p.what = std::string("undecodable result payload: ") + e.what();
+        }
+      } else {
+        p.what = std::move(c.what);
+      }
+      if (p.ok) {
+        append(sink, c.index, c.result_payload);
+        settle(c.index, std::move(p));
+      } else if (c.attempt < opts_.max_retries) {
+        ++stats_.retries;
+        // Capped exponent + per-run jitter (transport.h): unjittered retries
+        // synchronize across a fleet.
+        pending.push_back(Pending{
+            c.index, c.attempt + 1,
+            Clock::now() + to_duration(backoff_delay_sec(
+                               opts_.retry_backoff_sec, c.attempt,
+                               keys[c.index]))});
+      } else {
+        p.result = harness_error_result(cfgs[c.index]);
+        append(sink, c.index, make_result_payload(false, p.what, p.result));
+        settle(c.index, std::move(p));
+      }
+    }
+    write_metrics_snapshot(n, resolved, /*force=*/false);
+  }
+  src->finish(stats_);
+
+  // Workers finish in nondeterministic order; the quarantine report must not.
+  std::sort(quarantined_.begin(), quarantined_.end(),
+            [](const RunQuarantine& a, const RunQuarantine& b) {
+              return a.index < b.index;
+            });
+  if (remote && journal.enabled()) {
+    // Deterministic merge: every record not already in the main journal,
+    // re-encoded by the bit-exact codec in plan order. A crash mid-merge
+    // leaves a plan-order prefix the next load skips over, and the shard
+    // still holds everything unmerged.
+    auto q = quarantined_.begin();
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool failed = q != quarantined_.end() && q->index == i;
+      if (in_main[i] == 0) {
+        append(journal, i,
+               make_result_payload(!failed, failed ? q->what : std::string(),
+                                   results[i]));
+      }
+      if (failed) ++q;
+    }
+    shard.close();
+    std::remove(shard_path.c_str());
+    fsync_parent_dir(opts_.journal_path);
+  }
+  journal.close();
+  stats_.wall_sec = elapsed_sec(batch_start_, Clock::now());
+  // Final snapshot: phase=done, complete counts. Readers polling the file
+  // see the terminal state even for campaigns shorter than the interval.
+  write_metrics_snapshot(n, n, /*force=*/true);
+  return results;
+}
 
 }  // namespace dav

@@ -2,66 +2,56 @@
 //
 // Injected faults produce crashes and hangs by design, and at campaign scale
 // the harness itself must survive them (AVFI and the Bayesian-FI follow-up
-// treat this as first-class infrastructure). The in-process supervisor
-// (CampaignManager::run_supervised) only quarantines C++ exceptions; this
-// executor extends that guarantee to OS-level failures. Each run executes in
-// a forked, sandboxed worker process with a wall-clock watchdog and optional
-// CPU / address-space rlimits; the worker ships its RunResult back over a
-// pipe as a versioned, checksummed record. A worker death by signal, rlimit,
-// or watchdog timeout is captured via waitpid status and quarantined as a
-// kHarnessError outcome with the offending seed and FaultPlan — the sweep
-// always completes.
+// treat this as first-class infrastructure). CampaignExecutor::run_all is the
+// one dispatch loop every campaign goes through: it owns the plan queue,
+// attempts with capped backoff, retry-or-quarantine, the write-ahead journal
+// (journal.h), first-result-wins dedup by plan index, telemetry folding and
+// the live metrics snapshot. Where a run executes is a *slot source*:
 //
-// Two isolation strategies share those guarantees. The default persistent
-// prefork POOL forks `jobs` long-lived workers once per batch and streams
-// RunConfigs to them as checksummed request frames (serialize.h); a worker
-// is recycled only when it dies, and each worker keeps a CheckpointStore
-// (campaign/checkpoint.h) so sweep runs sharing a scenario/mode skip
-// redundant setup replay — and, with checkpointing on, fault variants that
-// share a fault-free prefix restore a fork-point RunCheckpoint instead of
-// replaying the prefix. The legacy FORK-PER-RUN path (pool = false) forks a
-// fresh process per attempt.
+//  - jobs == 0 (and every non-POSIX host): one slot in this process. A run
+//    that throws becomes a failed attempt; no watchdog or rlimits.
+//  - jobs == N: a persistent prefork pool of N sandboxed workers
+//    (PoolSupervisor). Each worker streams RunConfigs in and checksummed
+//    result records out, keeps a CheckpointStore (campaign/checkpoint.h) so
+//    runs sharing a scenario skip setup replay, and is replaced when it dies
+//    by signal, rlimit or the wall-clock watchdog.
+//  - workers non-empty: remote worker daemons (transport.h) with handshake,
+//    heartbeat, reconnect and straggler copies.
 //
-// Completed runs are persisted in a write-ahead journal (journal.h), so
-// re-launching the same campaign skips finished work and an interrupted
-// sweep resumes losslessly. DAV_JOBS workers run in parallel; quarantined
-// runs get a bounded retry with exponential backoff; and results are merged
-// deterministically by plan index, so the pooled/resumed/parallel summary is
-// bit-identical to the uninterrupted serial one.
+// Every source yields the same result bytes, merged by plan index, so a
+// pooled, resumed, distributed or in-process sweep of the same configs is
+// bit-identical; quarantined runs still complete the sweep as kHarnessError
+// records naming the offending seed and FaultPlan.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "campaign/driver.h"
-#include "campaign/journal.h"
 #include "util/trace.h"
 
 namespace dav {
 
 struct ExecutorOptions {
-  /// Parallel worker processes. <= 0 means "not explicitly enabled"; the
-  /// executor itself treats it as 1.
+  /// Longest duration any seconds-valued option may hold. Far inside
+  /// steady_clock's range, so `now + duration` can never overflow.
+  static constexpr double kMaxSeconds = 1e9;
+  /// Largest MiB count whose byte count (MiB << 20) fits a size_t.
+  static constexpr std::size_t kMaxMiB =
+      std::numeric_limits<std::size_t>::max() >> 20;
+
+  /// Worker processes: 0 runs every attempt in this process, N forks a pool
+  /// of N sandboxed workers.
   int jobs = 1;
-  /// Persistent prefork worker pool: fork `jobs` long-lived workers once per
-  /// batch and stream RunConfigs to them, instead of forking one process per
-  /// run. Same isolation guarantees (a dead/hung worker is quarantined and
-  /// replaced); an order of magnitude less fork/exec overhead per run.
-  /// false selects the legacy fork-per-run path.
-  bool pool = true;
-  /// Per-worker CheckpointStore setup tier (campaign/checkpoint.h): reuse
-  /// scenario + initial-agent setup across runs that share the setup key.
-  /// Pool mode only (a fork-per-run worker dies before it could reuse
-  /// anything). Never changes results — see checkpoint.h.
-  bool warm_cache = true;
   /// Fork-point checkpoint sharing (DAV_CHECKPOINT / davcamp --checkpoint):
-  /// force cfg.checkpoint.enabled for every dispatched run, so pool workers
+  /// force cfg.checkpoint.enabled for every dispatched run, so workers
   /// capture a RunCheckpoint at each run's injection onset and variants that
   /// share the fault-free prefix restore it instead of replaying the prefix.
   /// Also turns on prefix-affinity scheduling (variants of one prefix go to
@@ -78,7 +68,7 @@ struct ExecutorOptions {
   /// RLIMIT_AS for each worker, MiB. 0 disables the limit. (Leave 0 under
   /// AddressSanitizer: ASan reserves terabytes of virtual address space.)
   std::size_t address_space_mb = 0;
-  /// Re-execution attempts for a quarantined run before it is recorded as a
+  /// Re-execution attempts for a failed run before it is recorded as a
   /// final kHarnessError.
   int max_retries = 1;
   /// Base delay before a retry; doubles per attempt.
@@ -87,13 +77,9 @@ struct ExecutorOptions {
   std::string journal_path;
   /// Binds the journal to one campaign configuration (see journal.h).
   std::uint64_t campaign_fingerprint = 0;
-  /// Run every attempt in this process instead of forking (non-POSIX hosts,
-  /// or debugging): no watchdog or rlimits, but journaling still works.
-  bool force_in_process = false;
   /// Remote worker endpoints ("host:port" or "unix:/path", see transport.h).
-  /// Non-empty selects the distributed coordinator: the plan is sharded
-  /// across the endpoints with work-stealing, per-shard journals, straggler
-  /// re-dispatch and reconnect. Empty keeps execution on this host.
+  /// Non-empty runs the plan on those daemons with work-stealing, straggler
+  /// copies and reconnect; `jobs` then sizes nothing on this host.
   std::vector<std::string> workers;
   /// Distributed liveness: a daemon beacons when idle for this long, and the
   /// coordinator declares an endpoint dead after ~3x of silence. Seconds.
@@ -112,24 +98,14 @@ struct ExecutorOptions {
   /// Minimum seconds between metrics snapshots (DAV_METRICS_INTERVAL_SEC).
   double metrics_interval_sec = 2.0;
 
-  /// Deprecated spelling of EnvOptions::from_env().executor_options() — the
-  /// typed façade (env_options.h) is the only env-reading entry point.
-  static ExecutorOptions from_env();
-
-  /// True when the environment asked for the executor (DAV_JOBS, DAV_JOURNAL
-  /// or DAV_WORKERS set); CampaignManager::run_all falls back to the legacy
-  /// in-process serial supervisor otherwise.
-  bool enabled() const {
-    return jobs > 0 || !journal_path.empty() || !workers.empty();
-  }
-
-  /// Throws std::invalid_argument on nonsensical values.
+  /// Throws std::invalid_argument naming the field on nonsensical values,
+  /// including seconds past kMaxSeconds and MiB counts past kMaxMiB.
   void validate() const;
 };
 
 /// A run the executor had to give up on, with the offending config (seed and
-/// fault plan included) and a diagnosis: the child's exception text, the
-/// death signal, or the watchdog timeout.
+/// fault plan included) and a diagnosis: the exception text, the death
+/// signal, or the watchdog timeout.
 struct RunQuarantine {
   std::size_t index = 0;  ///< position in the submitted config list
   RunConfig cfg;
@@ -148,7 +124,7 @@ struct WorkerSpan {
 };
 
 /// The observability residue of one completed run (util/trace.h RunCapture)
-/// tagged with its plan index. Harvested by the in-process path from the
+/// tagged with its plan index. Harvested by the in-process slot from the
 /// driver's stash, shipped by pool workers inside their response frame, and
 /// forwarded by daemons as kTelemetry capture messages — one record per
 /// traced, non-replayed run, first arrival wins on re-dispatch duplicates.
@@ -190,13 +166,13 @@ struct EndpointTelemetry {
 struct ExecutorStats {
   int launched = 0;       ///< worker processes forked
   int journal_hits = 0;   ///< runs skipped because the journal had them
-  int retries = 0;        ///< re-executions of quarantined attempts
+  int retries = 0;        ///< re-executions of failed attempts
   int signal_deaths = 0;  ///< workers that died to a signal (not the watchdog)
   int timeouts = 0;       ///< workers killed by the wall-clock watchdog
   int quarantined = 0;    ///< runs recorded as final kHarnessError
   std::uint64_t torn_bytes_discarded = 0;  ///< from the journal's torn tail
 
-  // Pool-mode lifecycle (zero in fork-per-run mode).
+  // Pool lifecycle (zero in-process and distributed).
   int pool_workers = 0;   ///< persistent workers forked at batch start
   int respawns = 0;       ///< replacement workers forked after a death
   /// CheckpointStore reuse counters, summed across workers: hits/misses over
@@ -220,7 +196,7 @@ struct ExecutorStats {
   int journal_appends = 0;           ///< records written to the journal
   std::uint64_t journal_bytes = 0;   ///< payload bytes appended
   std::vector<double> slot_busy_sec; ///< busy seconds per worker slot
-  std::vector<int> slot_runs_served; ///< pool runs completed per worker slot
+  std::vector<int> slot_runs_served; ///< runs completed per worker slot
   std::vector<WorkerSpan> spans;     ///< completed attempts, timeline order
 
   // Trace telemetry (only populated when runs trace, i.e. DAV_TRACE).
@@ -237,13 +213,12 @@ RunResult harness_error_result(const RunConfig& cfg);
 
 class CampaignExecutor {
  public:
-  /// The work function, executed inside the worker process. Defaults to
+  /// The work function, executed inside the worker. Defaults to
   /// run_experiment; tests substitute functions that crash, hang, or abort
   /// to exercise the sandbox.
   using RunFn = std::function<RunResult(const RunConfig&)>;
-  /// Store-aware work function for pool workers: the second argument is the
-  /// worker's CheckpointStore (nullptr when reuse is off or the path cannot
-  /// reuse state). MUST return the same result with and without the store.
+  /// Store-aware work function: the second argument is the worker's
+  /// CheckpointStore. MUST return the same result with and without the store.
   using CheckpointRunFn =
       std::function<RunResult(const RunConfig&, CheckpointStore*)>;
 
@@ -251,11 +226,10 @@ class CampaignExecutor {
   explicit CampaignExecutor(ExecutorOptions opts, RunFn fn = {});
   CampaignExecutor(ExecutorOptions opts, CheckpointRunFn fn);
 
-  /// Execute every config, in parallel, with journal resume. Returns one
-  /// result per config in submission order (quarantined runs included as
-  /// kHarnessError placeholders, never dropped). Deterministic: the result
-  /// vector is bit-identical to a serial in-process sweep of the same
-  /// configs.
+  /// Execute every config with journal resume. Returns one result per config
+  /// in submission order (quarantined runs included as kHarnessError
+  /// placeholders, never dropped). Deterministic: the result vector is
+  /// bit-identical whatever slot source ran it.
   std::vector<RunResult> run_all(const std::vector<RunConfig>& cfgs);
 
   /// Final quarantines of the last run_all, sorted by config index.
@@ -265,8 +239,6 @@ class CampaignExecutor {
   const ExecutorStats& stats() const { return stats_; }
 
  private:
-  /// journal_.append plus telemetry accounting (appends + bytes).
-  void journal_append(std::uint64_t key, const std::string& payload);
   /// Fold one run's trace residue into stats_ (first arrival wins per plan
   /// index — re-dispatch duplicates and retries are discarded, mirroring the
   /// result dedup).
@@ -275,32 +247,9 @@ class CampaignExecutor {
   /// by metrics_interval_sec unless `force` (batch end / final state).
   /// Per-endpoint lines derive from stats_.endpoints in distributed mode.
   void write_metrics_snapshot(std::size_t total, std::size_t done, bool force);
-  void run_in_process(const std::vector<RunConfig>& cfgs,
-                      const std::vector<std::uint64_t>& keys,
-                      std::vector<RunResult>& results,
-                      const std::vector<char>& done);
-  void run_forked(const std::vector<RunConfig>& cfgs,
-                  const std::vector<std::uint64_t>& keys,
-                  std::vector<RunResult>& results,
-                  const std::vector<char>& done);
-  /// Persistent prefork pool: workers forked once per batch, requests
-  /// streamed over pipes, dead workers respawned.
-  void run_pool(const std::vector<RunConfig>& cfgs,
-                const std::vector<std::uint64_t>& keys,
-                std::vector<RunResult>& results,
-                const std::vector<char>& done);
-  /// Distributed coordinator: shard the plan across the socket endpoints in
-  /// opts_.workers with work-stealing, per-shard journals merged by plan
-  /// index, straggler re-dispatch, reconnect with backoff, and dead-endpoint
-  /// requeue through the same retry/quarantine policy as the local paths.
-  void run_distributed(const std::vector<RunConfig>& cfgs,
-                       const std::vector<std::uint64_t>& keys,
-                       std::vector<RunResult>& results,
-                       const std::vector<char>& done);
 
   ExecutorOptions opts_;
   CheckpointRunFn fn_;
-  JournalWriter journal_;
   std::vector<RunQuarantine> quarantined_;
   ExecutorStats stats_;
   /// run_all entry instant: the zero of the WorkerSpan timeline.
@@ -311,9 +260,9 @@ class CampaignExecutor {
   std::chrono::steady_clock::time_point last_metrics_{};
 };
 
-/// Event-driven supervisor over the persistent prefork worker pool,
-/// extracted from the executor so the socket worker daemon (transport.h)
-/// hosts the same machinery: lazily forked long-lived workers, checksummed
+/// Event-driven supervisor over the persistent prefork worker pool: the
+/// executor's local slot source, and what the socket worker daemon
+/// (transport.h) hosts. Lazily forked long-lived workers, checksummed
 /// request/response framing, per-run CPU-budget re-arm, a wall-clock
 /// watchdog, death diagnosis and respawn accounting. Policy stays with the
 /// caller: retries, backoff, journaling and result merging all consume the

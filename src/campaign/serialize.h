@@ -91,7 +91,7 @@ RunResult deserialize_run_result(const std::string& bytes);
 // wraps a completed RunResult, ok=0 wraps the quarantine diagnosis plus the
 // kHarnessError placeholder. Pool responses and the socket transport embed
 // this payload verbatim, so a journal record is byte-compatible across
-// serial, fork-per-run, pool and distributed modes.
+// in-process, pool and distributed runs.
 
 struct ResultPayload {
   bool ok = false;
@@ -112,9 +112,9 @@ ResultPayload parse_result_payload(const std::string& bytes);
 //
 // frame = u32 payload_len | u64 fnv1a64(payload) | payload
 //
-// Both directions of the executor protocol use this frame: fork-per-run
-// workers ship one result frame and exit; pool workers stream request frames
-// in and result frames out over long-lived pipes. A process that dies
+// Both directions of the executor protocol use this frame: pool workers
+// stream request frames in and result frames out over long-lived pipes, and
+// the socket transport carries the same frames. A process that dies
 // mid-write leaves a frame that fails the length or checksum test, which the
 // supervisor treats exactly like a signal death.
 
@@ -133,9 +133,9 @@ struct FrameSplit {
   std::size_t consumed = 0;
 };
 
-/// Scan the front of a streaming receive buffer for one complete frame.
-/// Unlike a one-shot pipe (EOF delimits the frame), a persistent worker pipe
-/// carries many frames back to back, so extraction is incremental.
+/// Scan the front of a streaming receive buffer for one complete frame. A
+/// persistent worker pipe or socket carries many frames back to back, so
+/// extraction is incremental.
 FrameSplit try_unframe(const std::string& buf);
 
 /// Complete, versioned encoding of a RunConfig — every outcome-determining

@@ -157,6 +157,21 @@ void get_histograms(ByteReader& r, obs::StageHistogramSet& hist) {
   }
 }
 
+/// A u32 element count read off the wire. Each element takes at least
+/// `elem_bytes`, so a count past the remaining bytes is corruption — caught
+/// here instead of in a giant reserve().
+std::uint32_t get_count(ByteReader& r, std::size_t elem_bytes) {
+  const std::uint32_t n = r.u32();
+  if (n > r.remaining() / elem_bytes) {
+    throw std::runtime_error("telemetry: implausible element count");
+  }
+  return n;
+}
+
+// Wire sizes of one capture instant and one aggregate span (see encoders).
+constexpr std::size_t kInstantBytes = 4 + 4 + 1 + 8;
+constexpr std::size_t kSpanBytes = 8 + 4 + 4 + 8 + 8;
+
 }  // namespace
 
 std::uint8_t telemetry_subtype(const std::string& body) {
@@ -190,7 +205,7 @@ RunTraceCapture decode_run_capture(const std::string& blob) {
   cap.capture.dropped = r.u64();
   cap.capture.dt = r.f64();
   get_histograms(r, cap.capture.histograms);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = get_count(r, kInstantBytes);
   cap.capture.instants.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     obs::TraceEvent ev;
@@ -254,7 +269,7 @@ TelemetryAggregate decode_telemetry_aggregate(const std::string& body) {
   agg.checkpoint_evictions = r.u64();
   agg.trace_dropped = r.u64();
   get_histograms(r, agg.histograms);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = get_count(r, kSpanBytes);
   agg.spans.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     WorkerSpan s;
@@ -720,7 +735,6 @@ int serve_campaign(const ServeOptions& sopts, const ExecutorOptions& eopts,
   // remote workers) belongs to the coordinator side only.
   ExecutorOptions pool_opts = eopts;
   pool_opts.jobs = std::max(1, eopts.jobs);
-  pool_opts.pool = true;
   pool_opts.workers.clear();
   pool_opts.journal_path.clear();
 

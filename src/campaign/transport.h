@@ -6,8 +6,8 @@
 // ("host:port") or Unix-domain ("unix:/path") — so a campaign can span
 // worker daemons. Because the frame and payload bytes are unchanged, a
 // journal record produced by a remote worker is byte-identical to one
-// produced by the in-process, fork-per-run, or pool strategy, and resume
-// works across all of them.
+// produced in-process or by the local pool, and resume works across all of
+// them.
 //
 // Protocol (every message is one frame_message()-wrapped payload):
 //   coordinator -> worker : kHello(version, fingerprint, coordinator clock)

@@ -105,7 +105,15 @@ ThresholdLut ThresholdLut::load(std::istream& in) {
     throw std::runtime_error("ThresholdLut::load: bad header");
   }
   LutConfig cfg;
-  const auto axis = [&](BinAxis& a) { in >> a.lo >> a.hi >> a.bins; };
+  // A LUT arrives as text inside run configs shipped to workers: bound the
+  // bin counts before they size the tables.
+  constexpr int kMaxBins = 1024;
+  const auto axis = [&](BinAxis& a) {
+    in >> a.lo >> a.hi >> a.bins;
+    if (in && (a.bins < 1 || a.bins > kMaxBins)) {
+      throw std::runtime_error("ThresholdLut::load: implausible bin count");
+    }
+  };
   axis(cfg.speed);
   axis(cfg.accel);
   axis(cfg.yaw_rate);

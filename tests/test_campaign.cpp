@@ -22,12 +22,12 @@ CampaignScale tiny_scale() {
 
 TEST(CampaignScaleTest, FromEnvScalesCounts) {
   setenv("DAV_SCALE", "0.5", 1);
-  const CampaignScale s = CampaignScale::from_env();
+  const CampaignScale s = EnvOptions::from_env().campaign_scale();
   EXPECT_EQ(s.transient_runs, 20);
   EXPECT_EQ(s.golden_runs, 5);
   EXPECT_GE(s.permanent_repeats, 1);
   unsetenv("DAV_SCALE");
-  const CampaignScale d = CampaignScale::from_env();
+  const CampaignScale d = EnvOptions::from_env().campaign_scale();
   EXPECT_EQ(d.transient_runs, 40);
 }
 

@@ -418,8 +418,7 @@ std::vector<RunConfig> sweep_configs() {
 TEST(CheckpointExecutor, InProcessMatchesSerialByteForByte) {
   const auto cfgs = sweep_configs();
   ExecutorOptions o;
-  o.jobs = 1;
-  o.force_in_process = true;
+  o.jobs = 0;
   o.checkpoint = true;
   CampaignExecutor exec(o);
   const auto results = exec.run_all(cfgs);
@@ -439,7 +438,6 @@ TEST(CheckpointExecutor, PoolMatchesSerialByteForByte) {
   const auto cfgs = sweep_configs();
   ExecutorOptions o;
   o.jobs = 1;  // one worker: every variant lands on the same store
-  o.pool = true;
   o.checkpoint = true;
   o.run_timeout_sec = 120.0;
   CampaignExecutor exec(o);
@@ -453,11 +451,10 @@ TEST(CheckpointExecutor, PoolMatchesSerialByteForByte) {
   EXPECT_EQ(exec.stats().checkpoint_evictions, 0u);
 }
 
-TEST(CheckpointExecutor, ForkPerRunMatchesSerialByteForByte) {
+TEST(CheckpointExecutor, TwoWorkerPoolMatchesSerialByteForByte) {
   const auto cfgs = sweep_configs();
   ExecutorOptions o;
-  o.jobs = 2;
-  o.pool = false;  // fork-per-run cannot share a store; results unchanged
+  o.jobs = 2;  // variants split across two stores; results unchanged
   o.checkpoint = true;
   o.run_timeout_sec = 120.0;
   CampaignExecutor exec(o);

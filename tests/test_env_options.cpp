@@ -64,8 +64,6 @@ TEST(EnvOptions, DefaultsWhenNothingIsSet) {
   const EnvOptions o = EnvOptions::from_env();
   EXPECT_DOUBLE_EQ(o.scale, 1.0);
   EXPECT_EQ(o.jobs, 0);
-  EXPECT_TRUE(o.pool);
-  EXPECT_TRUE(o.warm_cache);
   EXPECT_FALSE(o.checkpoint);
   EXPECT_EQ(o.checkpoint_max_mb, 64u);
   EXPECT_TRUE(o.journal_path.empty());
@@ -81,15 +79,14 @@ TEST(EnvOptions, DefaultsWhenNothingIsSet) {
   EXPECT_DOUBLE_EQ(o.straggler_sec, 0.0);
   EXPECT_TRUE(o.metrics_path.empty());
   EXPECT_DOUBLE_EQ(o.metrics_interval_sec, 2.0);
-  EXPECT_FALSE(o.executor_options().enabled());
+  // Unset DAV_JOBS runs campaigns in this process.
+  EXPECT_EQ(o.executor_options().jobs, 0);
 }
 
 TEST(EnvOptions, ParsesEveryKnob) {
   CleanEnv clean;
   ScopedEnv e1("DAV_SCALE", "0.5");
   ScopedEnv e2("DAV_JOBS", "4");
-  ScopedEnv e3("DAV_POOL", "off");
-  ScopedEnv e4("DAV_WARM_CACHE", "no");
   ScopedEnv e5("DAV_JOURNAL", "/tmp/dav.journal");
   ScopedEnv e6("DAV_RUN_TIMEOUT_SEC", "12.5");
   ScopedEnv e7("DAV_RUN_RETRIES", "3");
@@ -106,8 +103,6 @@ TEST(EnvOptions, ParsesEveryKnob) {
   const EnvOptions o = EnvOptions::from_env();
   EXPECT_DOUBLE_EQ(o.scale, 0.5);
   EXPECT_EQ(o.jobs, 4);
-  EXPECT_FALSE(o.pool);
-  EXPECT_FALSE(o.warm_cache);
   EXPECT_EQ(o.journal_path, "/tmp/dav.journal");
   EXPECT_DOUBLE_EQ(o.run_timeout_sec, 12.5);
   EXPECT_EQ(o.run_retries, 3);
@@ -133,12 +128,12 @@ TEST(EnvOptions, ServeAddressParses) {
 TEST(EnvOptions, BooleanSpellings) {
   CleanEnv clean;
   for (const char* yes : {"1", "true", "TRUE", "on", "Yes"}) {
-    ScopedEnv e("DAV_POOL", yes);
-    EXPECT_TRUE(EnvOptions::from_env().pool) << yes;
+    ScopedEnv e("DAV_CHECKPOINT", yes);
+    EXPECT_TRUE(EnvOptions::from_env().checkpoint) << yes;
   }
   for (const char* no : {"0", "false", "OFF", "no"}) {
-    ScopedEnv e("DAV_POOL", no);
-    EXPECT_FALSE(EnvOptions::from_env().pool) << no;
+    ScopedEnv e("DAV_CHECKPOINT", no);
+    EXPECT_FALSE(EnvOptions::from_env().checkpoint) << no;
   }
 }
 
@@ -167,8 +162,6 @@ TEST(EnvOptions, RejectsMalformedValuesWithActionableErrors) {
   expect_rejects("DAV_SCALE", "fast");
   expect_rejects("DAV_RUN_TIMEOUT_SEC", "-5");
   expect_rejects("DAV_RUN_TIMEOUT_SEC", "soon");
-  expect_rejects("DAV_POOL", "maybe");
-  expect_rejects("DAV_WARM_CACHE", "2");
   expect_rejects("DAV_CHECKPOINT", "maybe");
   expect_rejects("DAV_CHECKPOINT", "2");
   expect_rejects("DAV_CHECKPOINT_MAX_MB", "-1");
@@ -190,6 +183,19 @@ TEST(EnvOptions, RejectsMalformedValuesWithActionableErrors) {
   expect_rejects("DAV_METRICS_INTERVAL_SEC", "0");
   expect_rejects("DAV_METRICS_INTERVAL_SEC", "-1");
   expect_rejects("DAV_METRICS_INTERVAL_SEC", "slow");
+  // Out of range for the field: rejected, never wrapped or truncated.
+  expect_rejects("DAV_JOBS", "4294967297");             // would wrap to 1
+  expect_rejects("DAV_JOBS", "99999999999999999999");   // overflows strtoll
+  expect_rejects("DAV_RUN_RETRIES", "4294967296");      // would wrap to 0
+  expect_rejects("DAV_SENSOR_ONSET_TICK", "4294967336");
+  expect_rejects("DAV_SENSOR_DURATION_TICKS", "4294967376");
+  expect_rejects("DAV_RUN_AS_MB", "17592186044417");    // bytes wrap to 1 MiB
+  expect_rejects("DAV_CHECKPOINT_MAX_MB", "17592186044417");
+  expect_rejects("DAV_RUN_TIMEOUT_SEC", "1e10");        // past steady_clock
+  expect_rejects("DAV_HEARTBEAT_SEC", "1e10");
+  expect_rejects("DAV_STRAGGLER_SEC", "1e10");
+  expect_rejects("DAV_RUN_CPU_SEC", "1e10");
+  expect_rejects("DAV_METRICS_INTERVAL_SEC", "1e10");
 }
 
 TEST(EnvOptions, ValidateRejectsNonsenseOnHandBuiltValues) {
@@ -244,8 +250,6 @@ TEST(EnvOptions, CampaignScaleReproducesLegacyMath) {
 TEST(EnvOptions, ExecutorAndTraceProjections) {
   EnvOptions o;
   o.jobs = 3;
-  o.pool = false;
-  o.warm_cache = false;
   o.journal_path = "/tmp/j";
   o.run_timeout_sec = 42.0;
   o.run_retries = 2;
@@ -261,8 +265,6 @@ TEST(EnvOptions, ExecutorAndTraceProjections) {
 
   const ExecutorOptions x = o.executor_options();
   EXPECT_EQ(x.jobs, 3);
-  EXPECT_FALSE(x.pool);
-  EXPECT_FALSE(x.warm_cache);
   EXPECT_EQ(x.journal_path, "/tmp/j");
   EXPECT_DOUBLE_EQ(x.run_timeout_sec, 42.0);
   EXPECT_EQ(x.max_retries, 2);
@@ -274,7 +276,7 @@ TEST(EnvOptions, ExecutorAndTraceProjections) {
   EXPECT_DOUBLE_EQ(x.straggler_sec, 15.0);
   EXPECT_EQ(x.metrics_path, "/tmp/m.metrics");
   EXPECT_DOUBLE_EQ(x.metrics_interval_sec, 0.5);
-  EXPECT_TRUE(x.enabled());
+  EXPECT_NO_THROW(x.validate());
 
   const obs::TraceOptions t = o.trace_options();
   EXPECT_EQ(t.dir, "/tmp/t");
@@ -338,10 +340,10 @@ TEST(EnvOptions, DocsCoverEveryParsedVariable) {
   // The docs table drives the README and davcamp --env-help; every variable
   // the parser understands must appear exactly once.
   const std::vector<const char*> expected = {
-      "DAV_SCALE",       "DAV_JOBS",          "DAV_POOL",
-      "DAV_WARM_CACHE",  "DAV_CHECKPOINT",    "DAV_CHECKPOINT_MAX_MB",
-      "DAV_JOURNAL",     "DAV_RUN_TIMEOUT_SEC",
-      "DAV_RUN_RETRIES", "DAV_RUN_CPU_SEC",   "DAV_RUN_AS_MB",
+      "DAV_SCALE",       "DAV_JOBS",          "DAV_CHECKPOINT",
+      "DAV_CHECKPOINT_MAX_MB",                "DAV_JOURNAL",
+      "DAV_RUN_TIMEOUT_SEC", "DAV_RUN_RETRIES", "DAV_RUN_CPU_SEC",
+      "DAV_RUN_AS_MB",
       "DAV_TRACE",       "DAV_TRACE_CAPACITY", "DAV_WORKERS",
       "DAV_SERVE",       "DAV_HEARTBEAT_SEC", "DAV_STRAGGLER_SEC",
       "DAV_METRICS",     "DAV_METRICS_INTERVAL_SEC",
@@ -360,15 +362,6 @@ TEST(EnvOptions, DocsCoverEveryParsedVariable) {
     EXPECT_NE(d.summary[0], '\0') << d.name << " has no summary";
     EXPECT_NE(d.fallback[0], '\0') << d.name << " has no default";
   }
-}
-
-TEST(EnvOptions, LegacyFromEnvSpellingsDelegate) {
-  CleanEnv clean;
-  ScopedEnv e("DAV_SCALE", "0.5");
-  // CampaignScale::from_env is now a thin wrapper over the façade.
-  const CampaignScale s = CampaignScale::from_env();
-  EXPECT_EQ(s.transient_runs, 20);
-  EXPECT_EQ(s.golden_runs, 5);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
-// Process-isolated campaign executor: sandboxing, watchdog, retry, and
-// journal resume. The fork/pipe machinery is POSIX-only, matching the
-// executor itself (non-POSIX hosts fall back to the in-process path).
+// Campaign executor: the in-process slot, the sandboxed prefork pool
+// (watchdog, rlimits, respawn), retry, and journal resume. The fork/pipe
+// machinery is POSIX-only, matching the executor itself (non-POSIX hosts run
+// every campaign in-process).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,23 +67,21 @@ std::vector<RunConfig> make_configs(std::size_t n) {
   return cfgs;
 }
 
-/// PR 3's fork-per-run strategy (pool disabled): the worker-lifecycle tests
-/// below pin its per-run isolation semantics unchanged.
+/// A two-worker pool with no retries: the worker-lifecycle tests below pin
+/// its isolation semantics (crash, abort, hang, rlimit, resume).
 ExecutorOptions fast_options() {
   ExecutorOptions o;
   o.jobs = 2;
-  o.pool = false;
   o.run_timeout_sec = 60.0;
   o.max_retries = 0;
   o.retry_backoff_sec = 0.01;
   return o;
 }
 
-/// The persistent prefork pool (the default strategy).
+/// The persistent prefork pool with `jobs` workers (0 = in-process).
 ExecutorOptions pool_options(int jobs = 2) {
   ExecutorOptions o;
   o.jobs = jobs;
-  o.pool = true;
   o.run_timeout_sec = 60.0;
   o.max_retries = 0;
   o.retry_backoff_sec = 0.01;
@@ -96,22 +98,40 @@ TEST(ExecutorOptions, ValidationRejectsNonsense) {
   o = ExecutorOptions{};
   o.retry_backoff_sec = -0.1;
   EXPECT_THROW(o.validate(), std::invalid_argument);
-}
-
-TEST(ExecutorOptions, EnabledOnlyWhenEnvAsksForIt) {
-  ExecutorOptions o;
-  o.jobs = 0;
-  EXPECT_FALSE(o.enabled());
-  o.journal_path = "/tmp/j";
-  EXPECT_TRUE(o.enabled());
   o = ExecutorOptions{};
-  o.jobs = 4;
-  EXPECT_TRUE(o.enabled());
+  o.retry_backoff_sec = std::nan("");
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+  o = ExecutorOptions{};
+  o.jobs = -1;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+  // Durations steady_clock cannot hold, and MiB counts whose byte count
+  // wraps, are rejected instead of overflowing a cast downstream.
+  for (double ExecutorOptions::*field :
+       {&ExecutorOptions::run_timeout_sec, &ExecutorOptions::heartbeat_sec,
+        &ExecutorOptions::straggler_sec, &ExecutorOptions::cpu_limit_sec,
+        &ExecutorOptions::retry_backoff_sec,
+        &ExecutorOptions::metrics_interval_sec}) {
+    o = ExecutorOptions{};
+    o.*field = 1e10;
+    EXPECT_THROW(o.validate(), std::invalid_argument);
+  }
+  for (std::size_t ExecutorOptions::*field :
+       {&ExecutorOptions::address_space_mb,
+        &ExecutorOptions::checkpoint_max_mb}) {
+    o = ExecutorOptions{};
+    o.*field = ExecutorOptions::kMaxMiB + 1;
+    EXPECT_THROW(o.validate(), std::invalid_argument);
+    o.*field = ExecutorOptions::kMaxMiB;
+    EXPECT_NO_THROW(o.validate());
+  }
+  o = ExecutorOptions{};
+  o.jobs = 0;
+  EXPECT_NO_THROW(o.validate());
 }
 
 TEST(Executor, InProcessPathMatchesDirectCalls) {
   ExecutorOptions o = fast_options();
-  o.force_in_process = true;
+  o.jobs = 0;
   CampaignExecutor exec(o, stub_result);
   const auto cfgs = make_configs(5);
   const auto results = exec.run_all(cfgs);
@@ -122,6 +142,39 @@ TEST(Executor, InProcessPathMatchesDirectCalls) {
         << "index " << i;
   }
   EXPECT_TRUE(exec.quarantined().empty());
+  // jobs = 0 forks nothing: every attempt ran in this process, one slot.
+  EXPECT_EQ(exec.stats().launched, 0);
+  EXPECT_EQ(exec.stats().jobs, 1);
+  EXPECT_EQ(exec.stats().spans.size(), cfgs.size());
+}
+
+TEST(Executor, InProcessRetriesAThrowingRunBeforeQuarantine) {
+  // The retry policy is the same for every slot source: a run that throws
+  // in-process is retried, and quarantined only once retries run out.
+  std::map<std::uint64_t, int> attempts;
+  const auto fn = [&attempts](const RunConfig& cfg) -> RunResult {
+    const int n = attempts[cfg.run_seed]++;
+    if (cfg.run_seed == 1001 && n == 0) throw std::runtime_error("flaky");
+    if (cfg.run_seed == 1002) throw std::runtime_error("always broken");
+    return stub_result(cfg);
+  };
+  ExecutorOptions o = fast_options();
+  o.jobs = 0;
+  o.max_retries = 1;
+  CampaignExecutor exec(o, fn);
+  const auto cfgs = make_configs(3);
+  const auto results = exec.run_all(cfgs);
+
+  EXPECT_EQ(serialize_run_result(results[1]),
+            serialize_run_result(stub_result(cfgs[1])));
+  EXPECT_EQ(results[2].outcome, FaultOutcome::kHarnessError);
+  EXPECT_EQ(attempts[1001], 2);
+  EXPECT_EQ(attempts[1002], 2);
+  EXPECT_EQ(exec.stats().retries, 2);
+  EXPECT_EQ(exec.stats().launched, 0);
+  ASSERT_EQ(exec.quarantined().size(), 1u);
+  EXPECT_EQ(exec.quarantined()[0].index, 2u);
+  EXPECT_EQ(exec.quarantined()[0].what, "always broken");
 }
 
 #if DAV_TEST_POSIX
@@ -139,7 +192,7 @@ TEST(Executor, ParallelForkedMatchesSerial) {
         << "index " << i;
   }
   EXPECT_TRUE(exec.quarantined().empty());
-  EXPECT_EQ(exec.stats().launched, 9);
+  EXPECT_EQ(exec.stats().launched, 2);
 }
 
 TEST(Executor, CrashingAndAbortingRunsAreQuarantined) {
@@ -251,6 +304,7 @@ TEST(Executor, RetryRecoversATransientWorkerDeath) {
     return stub_result(cfg);
   };
   ExecutorOptions o = fast_options();
+  o.jobs = 1;  // the retry lands on the respawned replacement worker
   o.max_retries = 2;
   CampaignExecutor exec(o, fn);
   const auto cfgs = make_configs(3);
@@ -263,6 +317,7 @@ TEST(Executor, RetryRecoversATransientWorkerDeath) {
   }
   EXPECT_TRUE(exec.quarantined().empty());
   EXPECT_GE(exec.stats().retries, 1);
+  EXPECT_GE(exec.stats().respawns, 1);
   std::remove(marker.c_str());
 }
 
@@ -335,8 +390,10 @@ TEST(Executor, KillMidFlightThenResumeIsBitIdentical) {
   ::waitpid(pid, &status, 0);
   ASSERT_TRUE(saw_progress) << "supervisor never journaled a record";
 
-  // Resume in this process: journaled runs replay, the rest re-execute, and
-  // the merged batch is bit-identical to the uninterrupted reference.
+  // Resume in this process, in-process (jobs = 0): journaled runs replay,
+  // the rest re-execute, and the merged batch is bit-identical to the
+  // uninterrupted pool reference — resume works across slot sources.
+  o.jobs = 0;
   CampaignExecutor resumed(o, slow_stub);
   const auto res = resumed.run_all(cfgs);
   ASSERT_EQ(res.size(), ref.size());
@@ -350,9 +407,9 @@ TEST(Executor, KillMidFlightThenResumeIsBitIdentical) {
 }
 
 TEST(Executor, RealRunsAreBitIdenticalAcrossProcessBoundary) {
-  // The default RunFn (run_experiment) shipped through fork + pipe must give
-  // byte-for-byte the results of calling it in-process: run_experiment is a
-  // pure function of RunConfig, and the wire format is bit-exact.
+  // The default RunFn (run_experiment) shipped through the pool's pipes must
+  // give byte-for-byte the results of calling it in-process: run_experiment
+  // is a pure function of RunConfig, and the wire format is bit-exact.
   std::vector<RunConfig> cfgs(2);
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     cfgs[i].run_seed = 7 + i;
@@ -372,15 +429,15 @@ TEST(Executor, RealRunsAreBitIdenticalAcrossProcessBoundary) {
 // ---- persistent prefork pool ----
 
 TEST(ExecutorPool, MatchesSerialAndForkPerRunByteForByte) {
+  // The name predates the removal of the fork-per-run strategy; its
+  // one-process-at-a-time reference is now a one-worker pool.
   const auto cfgs = make_configs(9);
 
-  ExecutorOptions serial = pool_options();
-  serial.force_in_process = true;
-  CampaignExecutor serial_exec(serial, stub_result);
+  CampaignExecutor serial_exec(pool_options(/*jobs=*/0), stub_result);
   const auto ref = serial_exec.run_all(cfgs);
 
-  CampaignExecutor fork_exec(fast_options(), stub_result);
-  const auto forked = fork_exec.run_all(cfgs);
+  CampaignExecutor single_exec(pool_options(/*jobs=*/1), stub_result);
+  const auto single = single_exec.run_all(cfgs);
 
   CampaignExecutor pool_exec(pool_options(), stub_result);
   const auto pooled = pool_exec.run_all(cfgs);
@@ -389,14 +446,15 @@ TEST(ExecutorPool, MatchesSerialAndForkPerRunByteForByte) {
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     EXPECT_EQ(serialize_run_result(pooled[i]), serialize_run_result(ref[i]))
         << "pool vs serial, index " << i;
-    EXPECT_EQ(serialize_run_result(pooled[i]), serialize_run_result(forked[i]))
-        << "pool vs fork-per-run, index " << i;
+    EXPECT_EQ(serialize_run_result(pooled[i]), serialize_run_result(single[i]))
+        << "pool vs one-worker pool, index " << i;
   }
   EXPECT_TRUE(pool_exec.quarantined().empty());
   // Persistent workers: one spawn wave serves the whole batch.
   EXPECT_EQ(pool_exec.stats().pool_workers, 2);
   EXPECT_EQ(pool_exec.stats().launched, 2);
   EXPECT_EQ(pool_exec.stats().respawns, 0);
+  EXPECT_EQ(single_exec.stats().launched, 1);
   int served = 0;
   for (int s : pool_exec.stats().slot_runs_served) served += s;
   EXPECT_EQ(served, 9);
@@ -526,9 +584,7 @@ TEST(ExecutorPool, KillMidFlightThenResumeIsBitIdentical) {
   const auto cfgs = make_configs(6);
 
   // Uninterrupted serial reference, no journal involved.
-  ExecutorOptions serial = pool_options();
-  serial.force_in_process = true;
-  CampaignExecutor ref_exec(serial, slow_stub);
+  CampaignExecutor ref_exec(pool_options(/*jobs=*/0), slow_stub);
   const auto ref = ref_exec.run_all(cfgs);
 
   ExecutorOptions o = pool_options(/*jobs=*/1);
@@ -751,7 +807,7 @@ TEST(CampaignManagerRouting, InjectedExecutorOptionsMatchSerialPath) {
   scale.safety_duration_sec = 2.0;
   scale.long_route_duration_sec = 4.0;
 
-  // The legacy ctor is env-free: defaults mean the serial in-process path.
+  // The legacy ctor is env-free: defaults mean the in-process slot.
   CampaignManager legacy(scale, 2022);
   const auto ref = legacy.golden(ScenarioId::kLeadSlowdown,
                                  AgentMode::kRoundRobin, 2);

@@ -599,7 +599,7 @@ TEST(SensorFaultRun, SameSeedAndPlanIsByteIdenticalAcrossSerialAndPool) {
   CampaignManager mgr(env.campaign_scale(), env, /*seed=*/2022);
   const std::vector<RunResult> pooled = mgr.run_all({cfg, cfg});
   ASSERT_EQ(pooled.size(), 2u);
-  EXPECT_TRUE(mgr.executor_used());
+  EXPECT_GT(mgr.executor_stats().launched, 0);
   EXPECT_EQ(serialize_run_result(pooled[0]), serial_a);
   EXPECT_EQ(serialize_run_result(pooled[1]), serial_a);
 }

@@ -22,8 +22,9 @@
 //
 // Environment: every DAV_* variable is parsed by dav::EnvOptions (the only
 // env-reading entry point); `davcamp --env-help` prints the full table.
-// DAV_SCALE scales run counts; DAV_JOBS / DAV_JOURNAL select the
-// process-isolated executor (persistent pool by default, DESIGN.md §9/§11).
+// DAV_SCALE scales run counts; DAV_JOBS picks in-process (0, the default) or
+// a pool of N sandboxed workers, and DAV_JOURNAL makes the campaign
+// resumable (DESIGN.md §9/§11).
 // DAV_WORKERS / --workers route the campaign through the distributed
 // coordinator, and `davcamp serve` (listen address from --listen or
 // DAV_SERVE) runs this process as a worker daemon (DESIGN.md §13).
@@ -224,7 +225,6 @@ void print_env_help() {
 /// a quarantine-reason histogram. Wall-clock data, so it goes to STDERR —
 /// the published summary stays byte-deterministic for the CI resume diff.
 void print_telemetry(const CampaignManager& mgr) {
-  if (!mgr.executor_used()) return;
   const ExecutorStats& s = mgr.executor_stats();
   std::fprintf(stderr,
                "davcamp executor telemetry (stderr only, nondeterministic)\n"
