@@ -5,7 +5,8 @@
 // and given hostile length fields. A decoder must return or throw a
 // std::exception — never crash, read out of bounds or allocate without
 // bound. The seed is fixed, so a failure replays exactly; the ASan/UBSan
-// build runs the same cases.
+// build runs the same cases. The seed encodings themselves are pinned by
+// FNV-1a (WirePins.*).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "campaign/serialize.h"
 #include "campaign/transport.h"
 #include "core/threshold_lut.h"
+#include "util/bits.h"
 #include "util/rng.h"
 
 namespace dav {
@@ -267,6 +269,68 @@ TEST(DecoderFuzz, TelemetryAggregates) {
 TEST(DecoderFuzz, RunCheckpoints) {
   fuzz(8, checkpoint_seeds(),
        [](const std::string& bytes) { deserialize_run_checkpoint(bytes); });
+}
+
+// --- byte pins ---------------------------------------------------------------
+// FNV-1a pins of every seed encoding above. An encoder and its decoder share
+// one field walk, so these pins are what notice a layout change: update one
+// only together with the version constant of the layout it pins.
+
+std::uint64_t fnv_of(const std::string& b) {
+  return fnv1a64(b.data(), b.size());
+}
+
+TEST(WirePins, RunConfigs) {
+  const ThresholdLut lut = trained_lut();
+  const std::vector<std::string> seeds = config_seeds(lut);
+  EXPECT_EQ(fnv_of(seeds[0]), 0x43f8786786ae1defULL);  // plain
+  // LUT detector + trace options
+  EXPECT_EQ(fnv_of(seeds[1]), 0x12058844cd3c6ad9ULL);
+  // sensor + fusion + checkpoint extensions
+  EXPECT_EQ(fnv_of(seeds[2]), 0x67eeed0729276ec2ULL);
+  EXPECT_EQ(run_config_digest(deserialize_run_config(seeds[0]).cfg),
+            0x311b2f3ce3becc44ULL);
+  EXPECT_EQ(run_config_digest(deserialize_run_config(seeds[2]).cfg),
+            0x703c190a2f94cd18ULL);
+}
+
+TEST(WirePins, ResultPayloads) {
+  const std::vector<std::string> seeds = payload_seeds();
+  EXPECT_EQ(fnv_of(seeds[0]), 0x8b3f0aa00d1a9bf3ULL);  // sensor extension
+  EXPECT_EQ(fnv_of(seeds[1]), 0x1a13de27a17fd5ecULL);  // failure payload
+}
+
+TEST(WirePins, Telemetry) {
+  EXPECT_EQ(fnv_of(encode_run_capture(sample_capture())),
+            0xc7e7fb5da5990fd2ULL);
+  EXPECT_EQ(fnv_of(encode_run_capture(RunTraceCapture{})),
+            0x6a83ca37bf434fbdULL);
+  EXPECT_EQ(fnv_of(msg_telemetry_aggregate(sample_aggregate())),
+            0x67deae6c000131f1ULL);
+  EXPECT_EQ(fnv_of(msg_telemetry_aggregate(TelemetryAggregate{})),
+            0x0946a90d3d47ecacULL);
+}
+
+TEST(WirePins, RunCheckpoints) {
+  const std::vector<std::string> seeds = checkpoint_seeds();
+  EXPECT_EQ(fnv_of(seeds[0]), 0x0b0545c97a7a4856ULL);  // bare
+  EXPECT_EQ(fnv_of(seeds[1]), 0xf5946db36c16ecd6ULL);  // every section
+}
+
+TEST(WirePins, TransportMessages) {
+  const ThresholdLut lut = trained_lut();
+  EXPECT_EQ(fnv_of(msg_hello(0xDEADBEEFull, 42)), 0x0fb2cfff0603ac9bULL);
+  EXPECT_EQ(fnv_of(msg_hello_ack(4, 43)), 0x1dcd2e97fdf88509ULL);
+  EXPECT_EQ(fnv_of(msg_hello_reject("fingerprint mismatch")),
+            0x76337d7c163d87aeULL);
+  EXPECT_EQ(fnv_of(msg_run_request(3, config_seeds(lut)[1])),
+            0xe4801fe1da15dec8ULL);
+  EXPECT_EQ(fnv_of(msg_run_result(3, payload_seeds()[0])),
+            0x6fb93c7d6db72a31ULL);
+  EXPECT_EQ(fnv_of(msg_heartbeat()), 0xaf63bb4c8601b479ULL);
+  EXPECT_EQ(
+      fnv_of(msg_telemetry_capture(encode_run_capture(sample_capture()))),
+      0x1d5e3f9bc48ca6d2ULL);
 }
 
 TEST(DecoderFuzz, ThresholdLutRejectsImplausibleBinCounts) {
