@@ -1,575 +1,241 @@
 #include "campaign/checkpoint.h"
 
-#include <stdexcept>
 #include <utility>
 
 #include "campaign/serialize.h"
 
 namespace dav {
 
-namespace {
+// RunCheckpoint's field walk and its sub-state walks (serialize.h explains
+// the scheme). Vehicle states, recovery events and sensor degrade events use
+// the run record's walks.
 
-[[noreturn]] void malformed(const char* what) {
-  throw std::runtime_error(std::string("run checkpoint: ") + what);
+template <class A>
+void io(A& a, Actuation& act) {
+  a.f64(act.throttle);
+  a.f64(act.brake);
+  a.f64(act.steer);
 }
 
-std::uint64_t get_count(ByteReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining()) malformed("implausible element count");
-  return n;
+template <class A>
+void io(A& a, std::array<std::uint64_t, 4>& rng_state) {
+  for (std::uint64_t& word : rng_state) a.u64(word);
 }
 
-void put_bytes(ByteWriter& w, const std::vector<std::uint8_t>& v) {
-  w.u64(v.size());
-  w.raw(std::string(v.begin(), v.end()));
+template <class A>
+void io(A& a, SensorRig::RngState& s) {
+  io(a, s.camera);
+  io(a, s.imu);
+  io(a, s.lidar);
 }
 
-std::vector<std::uint8_t> get_bytes(ByteReader& r) {
-  const std::string s = r.str();
-  return {s.begin(), s.end()};
+template <class A>
+void io(A& a, EngineState& e) {
+  a.vec(e.counts, [&](std::uint64_t& c) { a.u64(c); });
+  a.u64(e.total);
+  io(a, e.rng);
+  a.u8(e.armed);
+  a.u8(e.activated);
+  a.u64(e.corruptions);
+  a.u8(e.permanent_outcome_decided);
+  a.u8(e.permanent_lethal);
 }
 
-void put_f64_vec(ByteWriter& w, const std::vector<double>& v) {
-  w.u64(v.size());
-  for (double d : v) w.f64(d);
+template <class A>
+void io(A& a, WindowState& s) {
+  a.vec(s.values, [&](double& v) { a.f64(v); });
+  a.f64(s.running_sum);  // verbatim: float addition is order-dependent
 }
 
-std::vector<double> get_f64_vec(ByteReader& r) {
-  std::vector<double> v;
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) v.push_back(r.f64());
-  return v;
+template <class A>
+void io(A& a, DetectorState& d) {
+  io(a, d.signal.throttle);
+  io(a, d.signal.brake);
+  io(a, d.signal.steer);
+  a.u8(d.alarmed);
+  a.f64(d.alarm_time);
+  a.i32(d.streak);
+  a.f64(d.streak_start_time);
 }
 
-void put_actuation(ByteWriter& w, const Actuation& a) {
-  w.f64(a.throttle);
-  w.f64(a.brake);
-  w.f64(a.steer);
+template <class A>
+void io(A& a, GpsImuSample& s) {
+  a.f32(s.gps_x);
+  a.f32(s.gps_y);
+  a.f32(s.speed);
+  a.f32(s.accel_long);
+  a.f32(s.yaw);
+  a.f32(s.yaw_rate);
 }
 
-Actuation get_actuation(ByteReader& r) {
-  Actuation a;
-  a.throttle = r.f64();
-  a.brake = r.f64();
-  a.steer = r.f64();
-  return a;
-}
-
-void put_vehicle(ByteWriter& w, const VehicleState& s) {
-  w.f64(s.pose.pos.x);
-  w.f64(s.pose.pos.y);
-  w.f64(s.pose.yaw);
-  w.f64(s.v);
-  w.f64(s.a);
-  w.f64(s.omega);
-  w.f64(s.alpha);
-}
-
-VehicleState get_vehicle(ByteReader& r) {
-  VehicleState s;
-  s.pose.pos.x = r.f64();
-  s.pose.pos.y = r.f64();
-  s.pose.yaw = r.f64();
-  s.v = r.f64();
-  s.a = r.f64();
-  s.omega = r.f64();
-  s.alpha = r.f64();
-  return s;
-}
-
-void put_rng(ByteWriter& w, const std::array<std::uint64_t, 4>& s) {
-  for (std::uint64_t word : s) w.u64(word);
-}
-
-std::array<std::uint64_t, 4> get_rng(ByteReader& r) {
-  std::array<std::uint64_t, 4> s{};
-  for (auto& word : s) word = r.u64();
-  return s;
-}
-
-void put_engine(ByteWriter& w, const EngineState& e) {
-  w.u64(e.counts.size());
-  for (std::uint64_t c : e.counts) w.u64(c);
-  w.u64(e.total);
-  put_rng(w, e.rng);
-  w.u8(e.armed ? 1 : 0);
-  w.u8(e.activated ? 1 : 0);
-  w.u64(e.corruptions);
-  w.u8(e.permanent_outcome_decided ? 1 : 0);
-  w.u8(e.permanent_lethal ? 1 : 0);
-}
-
-EngineState get_engine(ByteReader& r) {
-  EngineState e;
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    e.counts.push_back(r.u64());
-  }
-  e.total = r.u64();
-  e.rng = get_rng(r);
-  e.armed = r.u8() != 0;
-  e.activated = r.u8() != 0;
-  e.corruptions = r.u64();
-  e.permanent_outcome_decided = r.u8() != 0;
-  e.permanent_lethal = r.u8() != 0;
-  return e;
-}
-
-void put_window(ByteWriter& w, const WindowState& s) {
-  put_f64_vec(w, s.values);
-  w.f64(s.running_sum);  // verbatim: float addition is order-dependent
-}
-
-WindowState get_window(ByteReader& r) {
-  WindowState s;
-  s.values = get_f64_vec(r);
-  s.running_sum = r.f64();
-  return s;
-}
-
-void put_detector(ByteWriter& w, const DetectorState& d) {
-  put_window(w, d.signal.throttle);
-  put_window(w, d.signal.brake);
-  put_window(w, d.signal.steer);
-  w.u8(d.alarmed ? 1 : 0);
-  w.f64(d.alarm_time);
-  w.i32(d.streak);
-  w.f64(d.streak_start_time);
-}
-
-DetectorState get_detector(ByteReader& r) {
-  DetectorState d;
-  d.signal.throttle = get_window(r);
-  d.signal.brake = get_window(r);
-  d.signal.steer = get_window(r);
-  d.alarmed = r.u8() != 0;
-  d.alarm_time = r.f64();
-  d.streak = r.i32();
-  d.streak_start_time = r.f64();
-  return d;
-}
-
-void put_gps_sample(ByteWriter& w, const GpsImuSample& s) {
-  w.f32(s.gps_x);
-  w.f32(s.gps_y);
-  w.f32(s.speed);
-  w.f32(s.accel_long);
-  w.f32(s.yaw);
-  w.f32(s.yaw_rate);
-}
-
-GpsImuSample get_gps_sample(ByteReader& r) {
-  GpsImuSample s;
-  s.gps_x = r.f32();
-  s.gps_y = r.f32();
-  s.speed = r.f32();
-  s.accel_long = r.f32();
-  s.yaw = r.f32();
-  s.yaw_rate = r.f32();
-  return s;
-}
-
-void put_health_ladder(ByteWriter& w, const SensorHealthSnapshot& s) {
-  for (int i = 0; i < kSensorChannelCount; ++i) {
-    w.u8(s.status[static_cast<std::size_t>(i)]);
-    w.i32(s.bad_streak[static_cast<std::size_t>(i)]);
-    w.i32(s.good_streak[static_cast<std::size_t>(i)]);
+template <class A>
+void io(A& a, SensorHealthSnapshot& s) {
+  for (std::size_t i = 0; i < s.status.size(); ++i) {
+    a.u8(s.status[i]);
+    a.i32(s.bad_streak[i]);
+    a.i32(s.good_streak[i]);
   }
 }
 
-SensorHealthSnapshot get_health_ladder(ByteReader& r) {
-  SensorHealthSnapshot s;
-  for (int i = 0; i < kSensorChannelCount; ++i) {
-    s.status[static_cast<std::size_t>(i)] = r.u8();
-    s.bad_streak[static_cast<std::size_t>(i)] = r.i32();
-    s.good_streak[static_cast<std::size_t>(i)] = r.i32();
-  }
-  return s;
+template <class A>
+void io(A& a, SensorHealthMonitor::GpsPoint& p) {
+  a.f64(p.gx);
+  a.f64(p.gy);
+  a.f64(p.ex);
+  a.f64(p.ey);
+  a.f64(p.t);
 }
 
-void put_monitor(ByteWriter& w, const SensorHealthMonitor::State& m) {
-  put_health_ladder(w, m.ladder);
-  for (const auto& sample : m.prev_sample) put_bytes(w, sample);
-  w.u64(m.gps_window.size());
-  for (const auto& p : m.gps_window) {
-    w.f64(p.gx);
-    w.f64(p.gy);
-    w.f64(p.ex);
-    w.f64(p.ey);
-    w.f64(p.t);
-  }
-  w.f64(m.exp_x);
-  w.f64(m.exp_y);
-  w.u8(m.gps_primed ? 1 : 0);
-  put_gps_sample(w, m.prev_gps);
-  w.f64(m.prev_time);
-  w.u8(m.lidar_seen ? 1 : 0);
+template <class A>
+void io(A& a, SensorHealthMonitor::State& m) {
+  io(a, m.ladder);
+  for (std::vector<std::uint8_t>& sample : m.prev_sample) a.bytes(sample);
+  a.vec(m.gps_window, [&](SensorHealthMonitor::GpsPoint& p) { io(a, p); });
+  a.f64(m.exp_x);
+  a.f64(m.exp_y);
+  a.u8(m.gps_primed);
+  io(a, m.prev_gps);
+  a.f64(m.prev_time);
+  a.u8(m.lidar_seen);
 }
 
-SensorHealthMonitor::State get_monitor(ByteReader& r) {
-  SensorHealthMonitor::State m;
-  m.ladder = get_health_ladder(r);
-  for (auto& sample : m.prev_sample) sample = get_bytes(r);
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    SensorHealthMonitor::GpsPoint p;
-    p.gx = r.f64();
-    p.gy = r.f64();
-    p.ex = r.f64();
-    p.ey = r.f64();
-    p.t = r.f64();
-    m.gps_window.push_back(p);
-  }
-  m.exp_x = r.f64();
-  m.exp_y = r.f64();
-  m.gps_primed = r.u8() != 0;
-  m.prev_gps = get_gps_sample(r);
-  m.prev_time = r.f64();
-  m.lidar_seen = r.u8() != 0;
-  return m;
+template <class A>
+void io(A& a, AgentCheckpoint& c) {
+  AgentSnapshot& s = c.snapshot;
+  a.f32(s.perception.lane_offset_ema);
+  a.f32(s.perception.heading_ema);
+  a.f32(s.perception.obstacle_ema);
+  for (float& h : s.perception.obstacle_hist) a.f32(h);
+  a.i32(s.perception.hist_idx);
+  a.u8(s.perception.ema_init);
+  a.f64(s.planner_progress);
+  a.f64(s.control.integral);
+  a.f64(s.control.steer_ema);
+  a.f64(s.control.throttle_ema);
+  a.f64(s.control.brake_ema);
+  a.f64(s.control.prev_v_tgt);
+  a.u8(s.control.first_step);
+  a.u8(s.control.stopped);
+  a.i32(s.steps);
+  io(a, s.sensor_health);
+  a.f64(s.v_held);
+  io(a, c.health);
+  a.u64(c.perception_scratch);
 }
 
-void put_agent(ByteWriter& w, const AgentCheckpoint& a) {
-  const AgentSnapshot& s = a.snapshot;
-  w.f32(s.perception.lane_offset_ema);
-  w.f32(s.perception.heading_ema);
-  w.f32(s.perception.obstacle_ema);
-  for (float h : s.perception.obstacle_hist) w.f32(h);
-  w.i32(s.perception.hist_idx);
-  w.u8(s.perception.ema_init ? 1 : 0);
-  w.f64(s.planner_progress);
-  w.f64(s.control.integral);
-  w.f64(s.control.steer_ema);
-  w.f64(s.control.throttle_ema);
-  w.f64(s.control.brake_ema);
-  w.f64(s.control.prev_v_tgt);
-  w.u8(s.control.first_step ? 1 : 0);
-  w.u8(s.control.stopped ? 1 : 0);
-  w.i32(s.steps);
-  put_health_ladder(w, s.sensor_health);
-  w.f64(s.v_held);
-  put_monitor(w, a.health);
-  w.u64(a.perception_scratch);
+template <class A>
+void io(A& a, AdsState& s) {
+  io(a, s.agent0);
+  a.u8(s.has_agent1);
+  if (s.has_agent1) io(a, s.agent1);
+  a.u8(s.has_prev_output);
+  if (s.has_prev_output) io(a, s.prev_output);
+  a.i32(s.step);
+  a.i32(s.executing);
 }
 
-AgentCheckpoint get_agent(ByteReader& r) {
-  AgentCheckpoint a;
-  AgentSnapshot& s = a.snapshot;
-  s.perception.lane_offset_ema = r.f32();
-  s.perception.heading_ema = r.f32();
-  s.perception.obstacle_ema = r.f32();
-  for (float& h : s.perception.obstacle_hist) h = r.f32();
-  s.perception.hist_idx = r.i32();
-  s.perception.ema_init = r.u8() != 0;
-  s.planner_progress = r.f64();
-  s.control.integral = r.f64();
-  s.control.steer_ema = r.f64();
-  s.control.throttle_ema = r.f64();
-  s.control.brake_ema = r.f64();
-  s.control.prev_v_tgt = r.f64();
-  s.control.first_step = r.u8() != 0;
-  s.control.stopped = r.u8() != 0;
-  s.steps = r.i32();
-  s.sensor_health = get_health_ladder(r);
-  s.v_held = r.f64();
-  a.health = get_monitor(r);
-  a.perception_scratch = static_cast<std::size_t>(r.u64());
-  return a;
+template <class A>
+void io(A& a, NpcState& n) {
+  a.f64(n.s);
+  a.f64(n.lateral);
+  a.f64(n.target_lateral);
+  a.f64(n.lane_change_rate);
+  a.f64(n.v);
+  a.f64(n.desired_speed);
+  a.u8(n.braking_override);
+  a.f64(n.brake_decel);
+  a.f64(n.brake_until);
+  a.u8(n.crashed);
+  a.bytes(n.events_fired);
 }
 
-void put_ads(ByteWriter& w, const AdsState& s) {
-  put_agent(w, s.agent0);
-  w.u8(s.has_agent1 ? 1 : 0);
-  if (s.has_agent1) put_agent(w, s.agent1);
-  w.u8(s.has_prev_output ? 1 : 0);
-  if (s.has_prev_output) put_actuation(w, s.prev_output);
-  w.i32(s.step);
-  w.i32(s.executing);
+template <class A>
+void io(A& a, WorldState& s) {
+  io(a, s.ego);
+  a.f64(s.ego_s);
+  a.f64(s.ego_lat);
+  a.f64(s.time);
+  a.i32(s.step_count);
+  a.f64(s.cvip);
+  io(a, s.flags);
+  a.vec(s.trajectory, [&](Vec2& p) { io(a, p); });
+  a.f64(s.collision_time);
+  a.f64(s.prev_ego_s);
+  a.vec(s.npcs, [&](NpcState& n) { io(a, n); });
 }
 
-AdsState get_ads(ByteReader& r) {
-  AdsState s;
-  s.agent0 = get_agent(r);
-  s.has_agent1 = r.u8() != 0;
-  if (s.has_agent1) s.agent1 = get_agent(r);
-  s.has_prev_output = r.u8() != 0;
-  if (s.has_prev_output) s.prev_output = get_actuation(r);
-  s.step = r.i32();
-  s.executing = r.i32();
-  return s;
+template <class A>
+void io(A& a, SensorFaultInjector::State& s) {
+  a.u64(s.corruptions);
+  a.i32(s.patch_x);
+  a.i32(s.patch_y);
+  a.i32(s.patch_w);
+  a.i32(s.patch_h);
+  a.u8(s.patch_drawn);
+  a.f64(s.drift_cos);
+  a.f64(s.drift_sin);
+  a.bytes(s.frozen);
 }
 
-void put_world(ByteWriter& w, const WorldState& s) {
-  put_vehicle(w, s.ego);
-  w.f64(s.ego_s);
-  w.f64(s.ego_lat);
-  w.f64(s.time);
-  w.i32(s.step_count);
-  w.f64(s.cvip);
-  w.u8(s.flags.collision ? 1 : 0);
-  w.u8(s.flags.red_light_violation ? 1 : 0);
-  w.u8(s.flags.speeding ? 1 : 0);
-  w.u8(s.flags.off_road ? 1 : 0);
-  w.u64(s.trajectory.size());
-  for (const Vec2& p : s.trajectory) {
-    w.f64(p.x);
-    w.f64(p.y);
-  }
-  w.f64(s.collision_time);
-  w.f64(s.prev_ego_s);
-  w.u64(s.npcs.size());
-  for (const NpcState& n : s.npcs) {
-    w.f64(n.s);
-    w.f64(n.lateral);
-    w.f64(n.target_lateral);
-    w.f64(n.lane_change_rate);
-    w.f64(n.v);
-    w.f64(n.desired_speed);
-    w.u8(n.braking_override ? 1 : 0);
-    w.f64(n.brake_decel);
-    w.f64(n.brake_until);
-    w.u8(n.crashed ? 1 : 0);
-    put_bytes(w, n.events_fired);
+template <class A>
+void io(A& a, RecoveryState& s) {
+  a.i32(s.state);
+  io(a, s.last_applied);
+  a.i32(s.probe_left);
+  a.f64(s.probe_score0);
+  a.f64(s.probe_score1);
+  a.f64(s.probe_alarm_time);
+  a.i32(s.probe_alarm_tick);
+  a.i32(s.rewarm_left);
+  a.i32(s.healthy);
+  a.vec(s.restart_ticks, [&](int& t) { a.i32(t); });
+  io_recovery_counts(a, s.stats);
+  io_sensor_recovery(a, s.stats);
+  a.u8(s.has_sensor_monitor);
+  if (s.has_sensor_monitor) io(a, s.sensor_monitor);
+  for (int& idx : s.open_sensor_event) a.i32(idx);
+}
+
+template <class A>
+void io(A& a, RunCheckpoint& c) {
+  a.version(kRunCheckpointVersion);
+  a.i32(c.tick);
+  a.u8(c.clean);
+  a.u64(c.full_digest);
+  a.u64(c.prefix_digest);
+  a.u64(c.gpu0_total);
+  a.u64(c.cpu0_total);
+  io(a, c.world);
+  io(a, c.rig);
+  io(a, c.gpu0);
+  io(a, c.cpu0);
+  io(a, c.gpu1);
+  io(a, c.cpu1);
+  io(a, c.ads);
+  a.u8(c.has_injector);
+  if (c.has_injector) io(a, c.injector);
+  a.u8(c.has_detector);
+  if (c.has_detector) io(a, c.detector);
+  a.u8(c.has_recovery);
+  if (c.has_recovery) io(a, c.recovery);
+  io(a, c.last_applied);
+  a.u8(c.failing_back);
+  a.f64(c.stationary_sec);
+  a.i32(c.failback_ticks);
+  a.u64(c.traced_corruptions);
+  a.str(c.partial_result);
+  a.u8(c.has_cameras);
+  if (c.has_cameras) {
+    for (std::vector<std::uint8_t>& cam : c.cameras) a.bytes(cam);
   }
 }
-
-WorldState get_world(ByteReader& r) {
-  WorldState s;
-  s.ego = get_vehicle(r);
-  s.ego_s = r.f64();
-  s.ego_lat = r.f64();
-  s.time = r.f64();
-  s.step_count = r.i32();
-  s.cvip = r.f64();
-  s.flags.collision = r.u8() != 0;
-  s.flags.red_light_violation = r.u8() != 0;
-  s.flags.speeding = r.u8() != 0;
-  s.flags.off_road = r.u8() != 0;
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    const double x = r.f64();
-    const double y = r.f64();
-    s.trajectory.push_back({x, y});
-  }
-  s.collision_time = r.f64();
-  s.prev_ego_s = r.f64();
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    NpcState npc;
-    npc.s = r.f64();
-    npc.lateral = r.f64();
-    npc.target_lateral = r.f64();
-    npc.lane_change_rate = r.f64();
-    npc.v = r.f64();
-    npc.desired_speed = r.f64();
-    npc.braking_override = r.u8() != 0;
-    npc.brake_decel = r.f64();
-    npc.brake_until = r.f64();
-    npc.crashed = r.u8() != 0;
-    npc.events_fired = get_bytes(r);
-    s.npcs.push_back(std::move(npc));
-  }
-  return s;
-}
-
-void put_injector(ByteWriter& w, const SensorFaultInjector::State& s) {
-  w.u64(s.corruptions);
-  w.i32(s.patch_x);
-  w.i32(s.patch_y);
-  w.i32(s.patch_w);
-  w.i32(s.patch_h);
-  w.u8(s.patch_drawn ? 1 : 0);
-  w.f64(s.drift_cos);
-  w.f64(s.drift_sin);
-  put_bytes(w, s.frozen);
-}
-
-SensorFaultInjector::State get_injector(ByteReader& r) {
-  SensorFaultInjector::State s;
-  s.corruptions = r.u64();
-  s.patch_x = r.i32();
-  s.patch_y = r.i32();
-  s.patch_w = r.i32();
-  s.patch_h = r.i32();
-  s.patch_drawn = r.u8() != 0;
-  s.drift_cos = r.f64();
-  s.drift_sin = r.f64();
-  s.frozen = get_bytes(r);
-  return s;
-}
-
-void put_recovery(ByteWriter& w, const RecoveryState& s) {
-  w.i32(s.state);
-  put_actuation(w, s.last_applied);
-  w.i32(s.probe_left);
-  w.f64(s.probe_score0);
-  w.f64(s.probe_score1);
-  w.f64(s.probe_alarm_time);
-  w.i32(s.probe_alarm_tick);
-  w.i32(s.rewarm_left);
-  w.i32(s.healthy);
-  w.u64(s.restart_ticks.size());
-  for (int t : s.restart_ticks) w.i32(t);
-  const MitigationStats& m = s.stats;
-  w.i32(m.attempts);
-  w.i32(m.completed);
-  w.u8(m.escalated ? 1 : 0);
-  w.f64(m.first_detector_alarm_time);
-  w.u64(m.events.size());
-  for (const RecoveryEvent& e : m.events) {
-    w.i32(e.suspect);
-    w.u8(static_cast<std::uint8_t>(e.trigger));
-    w.f64(e.alarm_time);
-    w.f64(e.restart_time);
-    w.f64(e.rejoin_time);
-    w.i32(e.alarm_tick);
-    w.i32(e.restart_tick);
-    w.i32(e.rejoin_tick);
-  }
-  w.i32(m.nominal_ticks);
-  w.i32(m.probe_ticks);
-  w.i32(m.degraded_ticks);
-  w.i32(m.failback_ticks);
-  w.i32(m.sensor_degraded_ticks);
-  w.u64(m.sensor_events.size());
-  for (const SensorDegradeEvent& e : m.sensor_events) {
-    w.i32(e.channel);
-    w.i32(e.onset_tick);
-    w.f64(e.onset_time);
-    w.i32(e.rejoin_tick);
-    w.f64(e.rejoin_time);
-    w.u8(e.dropped ? 1 : 0);
-    w.u8(e.escalated ? 1 : 0);
-  }
-  w.u8(s.has_sensor_monitor ? 1 : 0);
-  if (s.has_sensor_monitor) put_monitor(w, s.sensor_monitor);
-  for (int idx : s.open_sensor_event) w.i32(idx);
-}
-
-RecoveryState get_recovery(ByteReader& r) {
-  RecoveryState s;
-  s.state = r.i32();
-  s.last_applied = get_actuation(r);
-  s.probe_left = r.i32();
-  s.probe_score0 = r.f64();
-  s.probe_score1 = r.f64();
-  s.probe_alarm_time = r.f64();
-  s.probe_alarm_tick = r.i32();
-  s.rewarm_left = r.i32();
-  s.healthy = r.i32();
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    s.restart_ticks.push_back(r.i32());
-  }
-  MitigationStats& m = s.stats;
-  m.attempts = r.i32();
-  m.completed = r.i32();
-  m.escalated = r.u8() != 0;
-  m.first_detector_alarm_time = r.f64();
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    RecoveryEvent e;
-    e.suspect = r.i32();
-    e.trigger = static_cast<DueSource>(r.u8());
-    e.alarm_time = r.f64();
-    e.restart_time = r.f64();
-    e.rejoin_time = r.f64();
-    e.alarm_tick = r.i32();
-    e.restart_tick = r.i32();
-    e.rejoin_tick = r.i32();
-    m.events.push_back(e);
-  }
-  m.nominal_ticks = r.i32();
-  m.probe_ticks = r.i32();
-  m.degraded_ticks = r.i32();
-  m.failback_ticks = r.i32();
-  m.sensor_degraded_ticks = r.i32();
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    SensorDegradeEvent e;
-    e.channel = r.i32();
-    e.onset_tick = r.i32();
-    e.onset_time = r.f64();
-    e.rejoin_tick = r.i32();
-    e.rejoin_time = r.f64();
-    e.dropped = r.u8() != 0;
-    e.escalated = r.u8() != 0;
-    m.sensor_events.push_back(e);
-  }
-  s.has_sensor_monitor = r.u8() != 0;
-  if (s.has_sensor_monitor) s.sensor_monitor = get_monitor(r);
-  for (int& idx : s.open_sensor_event) idx = r.i32();
-  return s;
-}
-
-}  // namespace
 
 std::string serialize_run_checkpoint(const RunCheckpoint& c) {
-  ByteWriter w;
-  w.u32(kRunCheckpointVersion);
-  w.i32(c.tick);
-  w.u8(c.clean ? 1 : 0);
-  w.u64(c.full_digest);
-  w.u64(c.prefix_digest);
-  w.u64(c.gpu0_total);
-  w.u64(c.cpu0_total);
-  put_world(w, c.world);
-  put_rng(w, c.rig.camera);
-  put_rng(w, c.rig.imu);
-  put_rng(w, c.rig.lidar);
-  put_engine(w, c.gpu0);
-  put_engine(w, c.cpu0);
-  put_engine(w, c.gpu1);
-  put_engine(w, c.cpu1);
-  put_ads(w, c.ads);
-  w.u8(c.has_injector ? 1 : 0);
-  if (c.has_injector) put_injector(w, c.injector);
-  w.u8(c.has_detector ? 1 : 0);
-  if (c.has_detector) put_detector(w, c.detector);
-  w.u8(c.has_recovery ? 1 : 0);
-  if (c.has_recovery) put_recovery(w, c.recovery);
-  put_actuation(w, c.last_applied);
-  w.u8(c.failing_back ? 1 : 0);
-  w.f64(c.stationary_sec);
-  w.i32(c.failback_ticks);
-  w.u64(c.traced_corruptions);
-  w.str(c.partial_result);
-  w.u8(c.has_cameras ? 1 : 0);
-  if (c.has_cameras) {
-    for (const auto& cam : c.cameras) put_bytes(w, cam);
-  }
-  return w.take();
+  return encode_fields(c);
 }
 
 RunCheckpoint deserialize_run_checkpoint(const std::string& bytes) {
-  ByteReader r(bytes);
-  if (r.u32() != kRunCheckpointVersion) malformed("version mismatch");
-  RunCheckpoint c;
-  c.tick = r.i32();
-  c.clean = r.u8() != 0;
-  c.full_digest = r.u64();
-  c.prefix_digest = r.u64();
-  c.gpu0_total = r.u64();
-  c.cpu0_total = r.u64();
-  c.world = get_world(r);
-  c.rig.camera = get_rng(r);
-  c.rig.imu = get_rng(r);
-  c.rig.lidar = get_rng(r);
-  c.gpu0 = get_engine(r);
-  c.cpu0 = get_engine(r);
-  c.gpu1 = get_engine(r);
-  c.cpu1 = get_engine(r);
-  c.ads = get_ads(r);
-  c.has_injector = r.u8() != 0;
-  if (c.has_injector) c.injector = get_injector(r);
-  c.has_detector = r.u8() != 0;
-  if (c.has_detector) c.detector = get_detector(r);
-  c.has_recovery = r.u8() != 0;
-  if (c.has_recovery) c.recovery = get_recovery(r);
-  c.last_applied = get_actuation(r);
-  c.failing_back = r.u8() != 0;
-  c.stationary_sec = r.f64();
-  c.failback_ticks = r.i32();
-  c.traced_corruptions = r.u64();
-  c.partial_result = r.str();
-  c.has_cameras = r.u8() != 0;
-  if (c.has_cameras) {
-    for (auto& cam : c.cameras) cam = get_bytes(r);
-  }
-  if (!r.done()) malformed("trailing bytes");
-  return c;
+  return decode_fields<RunCheckpoint>(bytes, "run checkpoint");
 }
 
 CheckpointStore::SetupLease CheckpointStore::acquire_setup(

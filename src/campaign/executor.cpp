@@ -56,21 +56,49 @@ int ms_until(Clock::time_point now, Clock::time_point wake) {
 
 // ---- wire format ----------------------------------------------------------
 //
-// Frames (serialize.h: u32 len | u64 fnv1a64 | payload) carry:
-//   result payload (serialize.h: u8 ok | [str what] | serialized RunResult)
-//   pool request payload = u64 index | serialized RunConfig
-//   pool response payload = u64 index | u32 runs_served |
-//                           u64 checkpoint_hits | u64 checkpoint_misses |
-//                           u64 checkpoint_evictions | str capture_blob |
-//                           result payload
-// The response embeds the plain result payload verbatim, so the journaled
-// record is byte-compatible across in-process, pool and distributed runs.
-// capture_blob is an encoded RunTraceCapture (transport.h) — the run's trace
-// residue — or empty when the run was untraced; it rides OUTSIDE the result
-// payload, so journal bytes never depend on tracing.
+// Frames (serialize.h: u32 len | u64 fnv1a64 | payload) carry a pool request
+// one way and a pool response the other. The response embeds the plain
+// result payload (serialize.h: u8 ok | [str what] | serialized RunResult)
+// verbatim, so the journaled record is byte-compatible across in-process,
+// pool and distributed runs. `capture` is an encoded RunTraceCapture
+// (transport.h) — the run's trace residue — or empty when the run was
+// untraced; it rides OUTSIDE the result payload, so journal bytes never depend
+// on tracing. Both layouts stay inside one process tree and are never
+// persisted.
 //
 // A worker that dies mid-write leaves a frame that fails the length or
 // checksum test; the supervisor treats that exactly like a signal death.
+
+struct PoolRequest {
+  std::uint64_t index = 0;
+  std::string config;  ///< serialize_run_config
+};
+
+template <class A>
+void io(A& a, PoolRequest& r) {
+  a.u64(r.index);
+  a.rest(r.config);
+}
+
+struct PoolResponse {
+  std::uint64_t index = 0;
+  // The worker's CheckpointStore counters, cumulative over its life.
+  std::uint64_t checkpoint_hits = 0;
+  std::uint64_t checkpoint_misses = 0;
+  std::uint64_t checkpoint_evictions = 0;
+  std::string capture;
+  std::string result_payload;
+};
+
+template <class A>
+void io(A& a, PoolResponse& r) {
+  a.u64(r.index);
+  a.u64(r.checkpoint_hits);
+  a.u64(r.checkpoint_misses);
+  a.u64(r.checkpoint_evictions);
+  a.str(r.capture);
+  a.rest(r.result_payload);
+}
 
 /// A worker's CheckpointStore. The setup tier is always on; the deep tier
 /// fills only for checkpoint-enabled runs, within checkpoint_max_mb.
@@ -405,9 +433,9 @@ void rearm_cpu_limit(const ExecutorOptions& opts) {
   ::setrlimit(RLIMIT_CPU, &lim);
 }
 
-/// Long-lived pool worker: read request frames (u64 index | RunConfig) off
-/// `req_fd` until the supervisor closes it, execute each config through the
-/// worker's CheckpointStore, and ship response frames back on `resp_fd`.
+/// Long-lived pool worker: read request frames off `req_fd` until the
+/// supervisor closes it, execute each config through the worker's
+/// CheckpointStore, and ship response frames back on `resp_fd`.
 [[noreturn]] void pool_worker_main(int req_fd, int resp_fd,
                                    const CampaignExecutor::CheckpointRunFn& fn,
                                    const ExecutorOptions& opts) {
@@ -421,7 +449,6 @@ void rearm_cpu_limit(const ExecutorOptions& opts) {
   }
   std::unique_ptr<CheckpointStore> store = make_store(opts);
   std::string buf;
-  std::uint32_t served = 0;
   // The request/response codec below allocates, and may: the child is a
   // fresh single-threaded copy of a single-threaded supervisor, so the loop
   // body runs on a consistent heap. Death paths go through child_panic
@@ -443,43 +470,34 @@ void rearm_cpu_limit(const ExecutorOptions& opts) {
       continue;
     }
     buf.erase(0, fs.consumed);
-    ByteReader req(fs.payload);
-    const std::uint64_t index = req.u64();
-    const std::string cfg_bytes =
-        fs.payload.substr(fs.payload.size() - req.remaining());  // davlint: allow(fork-safety) sanctioned request codec
+    const PoolRequest req = decode_fields<PoolRequest>(fs.payload, "pool request");  // davlint: allow(fork-safety) sanctioned request codec
     rearm_cpu_limit(opts);
-    std::string result_payload;
+    PoolResponse resp;
+    resp.index = req.index;
     try {
-      const RunConfigRecord rec = deserialize_run_config(cfg_bytes);  // davlint: allow(fork-safety) sanctioned workload handoff
-      result_payload = make_result_payload(  // davlint: allow(fork-safety) sanctioned workload handoff
+      const RunConfigRecord rec = deserialize_run_config(req.config);  // davlint: allow(fork-safety) sanctioned workload handoff
+      resp.result_payload = make_result_payload(  // davlint: allow(fork-safety) sanctioned workload handoff
           true, {}, fn(effective_config(rec.cfg, opts), store.get()));  // davlint: allow(fork-safety) sanctioned workload handoff
     } catch (const std::exception& e) {
-      result_payload =
+      resp.result_payload =
           make_result_payload(false, e.what(), harness_error_result(RunConfig{}));  // davlint: allow(fork-safety) sanctioned workload handoff
     } catch (...) {
-      result_payload = make_result_payload(false, "unknown exception",  // davlint: allow(fork-safety) sanctioned workload handoff
+      resp.result_payload = make_result_payload(false, "unknown exception",  // davlint: allow(fork-safety) sanctioned workload handoff
                                     harness_error_result(RunConfig{}));
     }
-    ++served;
     // Trace residue stashed by the driver (instants + histograms + drops):
     // ships alongside — never inside — the result payload.
-    std::string capture_blob;
     obs::RunCapture cap = obs::take_last_run_capture();  // davlint: allow(fork-safety) sanctioned response codec
     if (cap.valid) {
       RunTraceCapture rec;
-      rec.plan_index = index;
+      rec.plan_index = req.index;
       rec.capture = std::move(cap);
-      capture_blob = encode_run_capture(rec);  // davlint: allow(fork-safety) sanctioned response codec
+      resp.capture = encode_run_capture(rec);  // davlint: allow(fork-safety) sanctioned response codec
     }
-    ByteWriter resp;
-    resp.u64(index);
-    resp.u32(served);
-    resp.u64(store->hits() + store->deep_hits());
-    resp.u64(store->misses() + store->deep_misses());
-    resp.u64(store->evictions());
-    resp.str(capture_blob);  // davlint: allow(fork-safety) sanctioned response codec
-    resp.raw(result_payload);
-    write_all(resp_fd, frame_message(resp.take()));
+    resp.checkpoint_hits = store->hits() + store->deep_hits();
+    resp.checkpoint_misses = store->misses() + store->deep_misses();
+    resp.checkpoint_evictions = store->evictions();
+    write_all(resp_fd, frame_message(encode_fields(resp)));  // davlint: allow(fork-safety) sanctioned response codec
   }
 }
 
@@ -540,7 +558,6 @@ struct PoolSupervisor::Impl {
     bool timed_out = false;
     // Cumulative counters from the worker's latest response; folded into the
     // telemetry when the worker retires.
-    int served = 0;
     std::uint64_t checkpoint_hits = 0;
     std::uint64_t checkpoint_misses = 0;
     std::uint64_t checkpoint_evictions = 0;
@@ -571,8 +588,6 @@ struct PoolSupervisor::Impl {
     jobs = std::max(1, opts.jobs);
     timeout = to_duration(opts.run_timeout_sec);
     slot_used.assign(static_cast<std::size_t>(jobs), 0);
-    tele.slot_busy_sec.assign(static_cast<std::size_t>(jobs), 0.0);
-    tele.slot_runs_served.assign(static_cast<std::size_t>(jobs), 0);
   }
 
   ~Impl() {
@@ -671,10 +686,9 @@ struct PoolSupervisor::Impl {
       spawn();
       idle = &workers.back();
     }
-    ByteWriter req;
-    req.u64(index);
-    req.raw(serialize_run_config(cfg));
-    write_all(idle->req_fd, frame_message(req.take()));
+    write_all(idle->req_fd,
+              frame_message(encode_fields(
+                  PoolRequest{index, serialize_run_config(cfg)})));
     idle->busy = true;
     idle->index = index;
     idle->attempt = attempt;
@@ -690,31 +704,21 @@ struct PoolSupervisor::Impl {
   bool on_response(PoolWorker& w, const std::string& payload,
                    std::vector<Completion>& out) {
     try {
-      ByteReader r(payload);
-      const std::uint64_t index = r.u64();
-      const int served = static_cast<int>(r.u32());
-      const std::uint64_t hits = r.u64();
-      const std::uint64_t misses = r.u64();
-      const std::uint64_t evictions = r.u64();
-      std::string capture_payload = r.str();
-      std::string result_payload =
-          payload.substr(payload.size() - r.remaining());
-      if (!w.busy || index != w.index) return false;  // protocol violation
-      w.served = served;
-      w.checkpoint_hits = hits;
-      w.checkpoint_misses = misses;
-      w.checkpoint_evictions = evictions;
-      const double dur = elapsed_sec(w.started, Clock::now());
-      tele.slot_busy_sec[static_cast<std::size_t>(w.slot)] += dur;
+      PoolResponse resp =
+          decode_fields<PoolResponse>(payload, "pool response");
+      if (!w.busy || resp.index != w.index) return false;  // protocol violation
+      w.checkpoint_hits = resp.checkpoint_hits;
+      w.checkpoint_misses = resp.checkpoint_misses;
+      w.checkpoint_evictions = resp.checkpoint_evictions;
       Completion c;
       c.index = w.index;
       c.attempt = w.attempt;
       c.slot = w.slot;
       c.ok = true;
-      c.result_payload = std::move(result_payload);
-      c.capture_payload = std::move(capture_payload);
+      c.result_payload = std::move(resp.result_payload);
+      c.capture_payload = std::move(resp.capture);
       c.start_sec = elapsed_sec(epoch, w.started);
-      c.dur_sec = dur;
+      c.dur_sec = elapsed_sec(w.started, Clock::now());
       out.push_back(std::move(c));
       w.busy = false;
       return true;
@@ -736,13 +740,11 @@ struct PoolSupervisor::Impl {
     }
     const int status = await_child(w.pid);
     slot_used[static_cast<std::size_t>(w.slot)] = 0;
-    tele.slot_runs_served[static_cast<std::size_t>(w.slot)] += w.served;
     tele.checkpoint_hits += w.checkpoint_hits;
     tele.checkpoint_misses += w.checkpoint_misses;
     tele.checkpoint_evictions += w.checkpoint_evictions;
     if (!w.busy) return;
     const double dur = elapsed_sec(w.started, Clock::now());
-    tele.slot_busy_sec[static_cast<std::size_t>(w.slot)] += dur;
     std::string what;
     if (w.timed_out) {
       what = "watchdog: no result after " +

@@ -299,8 +299,6 @@ class PoolSupervisor {
     std::uint64_t checkpoint_hits = 0;
     std::uint64_t checkpoint_misses = 0;
     std::uint64_t checkpoint_evictions = 0;
-    std::vector<double> slot_busy_sec;
-    std::vector<int> slot_runs_served;
   };
 
   /// `epoch` anchors Completion::start_sec (run_all entry, or daemon session

@@ -29,30 +29,6 @@ constexpr std::uint64_t kHeaderBytes = 8 + 4 + 8;
                            std::strerror(errno));
 }
 
-bool get_u32(const std::string& b, std::uint64_t& pos, std::uint32_t& out) {
-  if (b.size() - pos < 4) return false;
-  out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(b[pos + static_cast<std::size_t>(i)]))
-           << (8 * i);
-  }
-  pos += 4;
-  return true;
-}
-
-bool get_u64(const std::string& b, std::uint64_t& pos, std::uint64_t& out) {
-  if (b.size() - pos < 8) return false;
-  out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(b[pos + static_cast<std::size_t>(i)]))
-           << (8 * i);
-  }
-  pos += 8;
-  return true;
-}
-
 std::string header_bytes(std::uint64_t fingerprint) {
   ByteWriter w;
   w.raw(std::string(kMagic, sizeof(kMagic)));
@@ -119,11 +95,9 @@ JournalLoad load_journal(const std::string& path, std::uint64_t fingerprint) {
     throw std::runtime_error("journal: " + path +
                              " exists but is not a campaign journal");
   }
-  std::uint64_t pos = sizeof(kMagic);
-  std::uint32_t version = 0;
-  std::uint64_t file_fingerprint = 0;
-  get_u32(bytes, pos, version);
-  get_u64(bytes, pos, file_fingerprint);
+  ByteReader r(bytes.data() + sizeof(kMagic), bytes.size() - sizeof(kMagic));
+  const std::uint32_t version = r.u32();
+  const std::uint64_t file_fingerprint = r.u64();
   if (version != kJournalVersion) {
     throw std::runtime_error("journal: " + path + " has version " +
                              std::to_string(version) + ", expected " +
@@ -136,31 +110,24 @@ JournalLoad load_journal(const std::string& path, std::uint64_t fingerprint) {
         "(fingerprint mismatch); delete it or point DAV_JOURNAL elsewhere");
   }
 
-  load.valid_bytes = pos;
-  while (pos < bytes.size()) {
-    const std::uint64_t record_start = pos;
-    std::uint32_t marker = 0;
-    std::uint64_t key = 0;
-    std::uint32_t payload_len = 0;
-    std::uint64_t checksum = 0;
-    if (!get_u32(bytes, pos, marker) || marker != kRecordMarker ||
-        !get_u64(bytes, pos, key) || !get_u32(bytes, pos, payload_len) ||
-        !get_u64(bytes, pos, checksum) || bytes.size() - pos < payload_len) {
-      // Torn or corrupt from here on: everything after the last intact record
-      // is discarded and re-executed. Sequential scan, no resync — a corrupt
-      // middle record invalidates its successors too (their provenance is
-      // unknowable once framing is lost).
-      pos = record_start;
-      break;
+  load.valid_bytes = kHeaderBytes;
+  // A torn or corrupt record ends the scan: everything after the last intact
+  // record is discarded and re-executed. Sequential scan, no resync — a
+  // corrupt middle record invalidates its successors too (their provenance
+  // is unknowable once framing is lost).
+  try {
+    while (!r.done()) {
+      if (r.u32() != kRecordMarker) break;
+      const std::uint64_t key = r.u64();
+      const std::uint32_t payload_len = r.u32();
+      const std::uint64_t checksum = r.u64();
+      std::string payload = r.raw(payload_len);
+      if (fnv1a64(payload.data(), payload.size()) != checksum) break;
+      load.records[key] = std::move(payload);
+      load.valid_bytes = bytes.size() - r.remaining();
     }
-    const std::string payload = bytes.substr(pos, payload_len);
-    if (fnv1a64(payload.data(), payload.size()) != checksum) {
-      pos = record_start;
-      break;
-    }
-    pos += payload_len;
-    load.records[key] = payload;
-    load.valid_bytes = pos;
+  } catch (const std::runtime_error&) {
+    // Truncated record: the torn tail of an interrupted append.
   }
   load.torn_bytes = bytes.size() - load.valid_bytes;
   return load;

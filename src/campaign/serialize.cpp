@@ -74,337 +74,136 @@ float ByteReader::f32() { return bits_float(u32()); }
 std::string ByteReader::str() {
   const std::uint64_t n = u64();
   if (size_ - pos_ < n) malformed("truncated string");
-  const char* p = need(static_cast<std::size_t>(n));
-  return std::string(p, static_cast<std::size_t>(n));
+  return raw(static_cast<std::size_t>(n));
 }
 
-namespace {
+std::string ByteReader::raw(std::size_t n) { return std::string(need(n), n); }
 
-void put_fault_plan(ByteWriter& w, const FaultPlan& p) {
-  w.u8(static_cast<std::uint8_t>(p.kind));
-  w.u8(static_cast<std::uint8_t>(p.domain));
-  w.u64(p.target_dyn_index);
-  w.i32(p.target_opcode);
-  w.i32(p.bit);
+std::uint64_t ByteReader::count() {
+  const std::uint64_t n = u64();
+  if (n > remaining()) malformed("implausible element count");
+  return n;
 }
 
-FaultPlan get_fault_plan(ByteReader& r) {
-  FaultPlan p;
-  p.kind = static_cast<FaultModelKind>(r.u8());
-  p.domain = static_cast<FaultDomain>(r.u8());
-  p.target_dyn_index = r.u64();
-  p.target_opcode = r.i32();
-  p.bit = r.i32();
-  return p;
+std::uint32_t ByteReader::count32() {
+  const std::uint32_t n = u32();
+  if (n > remaining()) malformed("implausible element count");
+  return n;
+}
+
+void WireReader::fail(const char* what) const {
+  throw std::runtime_error(std::string(context_) + ": " + what);
+}
+
+template <class A>
+void io(A& a, FaultPlan& p) {
+  a.u8(p.kind);
+  a.u8(p.domain);
+  a.u64(p.target_dyn_index);
+  a.i32(p.target_opcode);
+  a.i32(p.bit);
 }
 
 // --- Sensor extension (trailing, optional) ---------------------------------
 // The sensor-fault / fusion fields ride in a trailing section that is written
 // ONLY when active. A plan-free, fusion-free config or result serializes to
 // the exact pre-extension byte stream (pinned by test_sensor_fault), so
-// existing journals and digests are untouched; readers probe `!r.done()`
-// before the trailing-bytes check, so both generations parse.
+// existing journals and digests are untouched; readers probe for remaining
+// bytes before the trailing-bytes check, so both generations parse.
 
-void put_sensor_plan(ByteWriter& w, const SensorFaultPlan& p) {
-  w.u8(static_cast<std::uint8_t>(p.model));
-  w.i32(p.sensor_index);
-  w.i32(p.onset_tick);
-  w.i32(p.duration_ticks);
-  w.u64(p.seed);
-  w.f64(p.magnitude);
-  w.i32(p.layer);
-  w.i32(p.bit);
+template <class A>
+void io(A& a, SensorFaultPlan& p) {
+  a.u8(p.model);
+  a.i32(p.sensor_index);
+  a.i32(p.onset_tick);
+  a.i32(p.duration_ticks);
+  a.u64(p.seed);
+  a.f64(p.magnitude);
+  a.i32(p.layer);
+  a.i32(p.bit);
 }
 
-SensorFaultPlan get_sensor_plan(ByteReader& r) {
-  SensorFaultPlan p;
-  p.model = static_cast<SensorFaultModel>(r.u8());
-  p.sensor_index = r.i32();
-  p.onset_tick = r.i32();
-  p.duration_ticks = r.i32();
-  p.seed = r.u64();
-  p.magnitude = r.f64();
-  p.layer = r.i32();
-  p.bit = r.i32();
-  return p;
+/// Everything a worker needs to reproduce the fused agent + monitor exactly
+/// (`enabled` travels separately, ahead of the sensor plan).
+template <class A>
+void io(A& a, FusionConfig& f) {
+  a.i32(f.health.degrade_after);
+  a.i32(f.health.drop_after);
+  a.i32(f.health.rejoin_after);
+  a.f64(f.health.degraded_weight);
+  a.f64(f.health.cam_min_mean);
+  a.f64(f.health.cam_extreme_frac);
+  a.f64(f.health.gps_jump_m);
+  a.f64(f.health.gps_velocity_mismatch_mps);
+  a.i32(f.health.gps_window_ticks);
+  a.f64(f.health.lidar_invalid_frac);
+  a.f64(f.health.lidar_ghost_range_m);
+  a.f64(f.health.lidar_ghost_frac);
+  a.f64(f.lidar_corridor_half_deg);
+  a.f64(f.min_cruise_mps);
 }
 
-/// Everything a worker needs to reproduce the fused agent + monitor exactly.
-void put_fusion_config(ByteWriter& w, const FusionConfig& f) {
-  w.i32(f.health.degrade_after);
-  w.i32(f.health.drop_after);
-  w.i32(f.health.rejoin_after);
-  w.f64(f.health.degraded_weight);
-  w.f64(f.health.cam_min_mean);
-  w.f64(f.health.cam_extreme_frac);
-  w.f64(f.health.gps_jump_m);
-  w.f64(f.health.gps_velocity_mismatch_mps);
-  w.i32(f.health.gps_window_ticks);
-  w.f64(f.health.lidar_invalid_frac);
-  w.f64(f.health.lidar_ghost_range_m);
-  w.f64(f.health.lidar_ghost_frac);
-  w.f64(f.lidar_corridor_half_deg);
-  w.f64(f.min_cruise_mps);
+template <class A>
+void io(A& a, StepObservation& s) {
+  a.f64(s.time);
+  io(a, s.state);
+  a.f64(s.delta.throttle);
+  a.f64(s.delta.brake);
+  a.f64(s.delta.steer);
 }
 
-FusionConfig get_fusion_config(ByteReader& r) {
-  FusionConfig f;
-  f.health.degrade_after = r.i32();
-  f.health.drop_after = r.i32();
-  f.health.rejoin_after = r.i32();
-  f.health.degraded_weight = r.f64();
-  f.health.cam_min_mean = r.f64();
-  f.health.cam_extreme_frac = r.f64();
-  f.health.gps_jump_m = r.f64();
-  f.health.gps_velocity_mismatch_mps = r.f64();
-  f.health.gps_window_ticks = r.i32();
-  f.health.lidar_invalid_frac = r.f64();
-  f.health.lidar_ghost_range_m = r.f64();
-  f.health.lidar_ghost_frac = r.f64();
-  f.lidar_corridor_half_deg = r.f64();
-  f.min_cruise_mps = r.f64();
-  return f;
+template <class A>
+void io(A& a, RunResult& r) {
+  a.version(kRunRecordVersion);
+  a.u8(r.scenario);
+  a.u8(r.mode);
+  io(a, r.fault);
+  a.u64(r.run_seed);
+  a.u8(r.outcome);
+  a.u8(r.fault_activated);
+  a.u8(r.collision);
+  a.f64(r.collision_time);
+  io(a, r.flags);
+  a.vec(r.trajectory.points(), [&](Vec2& p) { io(a, p); });
+  a.f64(r.duration);
+  a.f64(r.scheduled_duration);
+  a.f64(r.dt);
+  a.i32(r.steps);
+  a.u8(r.due);
+  a.f64(r.due_time);
+  a.u8(r.due_source);
+  a.u8(r.online_alarmed);
+  a.f64(r.online_alarm_time);
+  io_recovery_counts(a, r.recovery);
+  a.vec(r.observations, [&](StepObservation& s) { io(a, s); });
+  const auto f64s = [&](std::vector<double>& v) {
+    a.vec(v, [&](double& d) { a.f64(d); });
+  };
+  f64s(r.time_trace);
+  f64s(r.throttle_trace);
+  f64s(r.brake_trace);
+  f64s(r.steer_trace);
+  f64s(r.cvip_trace);
+  a.vec(r.acting_agent_trace, [&](int& v) { a.i32(v); });
+  a.u64(r.gpu_instructions);
+  a.u64(r.cpu_instructions);
+  a.u64(r.agent_state_bytes);
+  a.u64(r.sensor_frame_bytes);
+  if (a.extension(r.sensor_fault.active() || r.sensor_corruptions != 0 ||
+                  r.recovery.sensor_degraded_ticks != 0 ||
+                  !r.recovery.sensor_events.empty())) {
+    io(a, r.sensor_fault);
+    a.u64(r.sensor_corruptions);
+    io_sensor_recovery(a, r.recovery);
+  }
 }
-
-bool config_has_sensor_extension(const RunConfig& cfg) {
-  return cfg.sensor_fault.active() || cfg.fusion.enabled;
-}
-
-// Second trailing section (checkpoint routing). Trailing sections carry no
-// tags — readers probe `!r.done()` in order — so a config that needs the
-// checkpoint section must also FORCE-write the sensor section in front of
-// it, or the reader would misparse checkpoint bytes as a sensor plan. A
-// default CheckpointOptions writes nothing, keeping checkpoint-off configs
-// byte-identical to the PR-9 encoding.
-bool config_has_checkpoint_extension(const RunConfig& cfg) {
-  return cfg.checkpoint.enabled || cfg.checkpoint.capture_tick >= 0;
-}
-
-void put_config_sensor_extension(ByteWriter& w, const RunConfig& cfg) {
-  w.u8(cfg.fusion.enabled ? 1 : 0);
-  put_sensor_plan(w, cfg.sensor_fault);
-  put_fusion_config(w, cfg.fusion);
-}
-
-void put_vehicle_state(ByteWriter& w, const VehicleState& s) {
-  w.f64(s.pose.pos.x);
-  w.f64(s.pose.pos.y);
-  w.f64(s.pose.yaw);
-  w.f64(s.v);
-  w.f64(s.a);
-  w.f64(s.omega);
-  w.f64(s.alpha);
-}
-
-VehicleState get_vehicle_state(ByteReader& r) {
-  VehicleState s;
-  s.pose.pos.x = r.f64();
-  s.pose.pos.y = r.f64();
-  s.pose.yaw = r.f64();
-  s.v = r.f64();
-  s.a = r.f64();
-  s.omega = r.f64();
-  s.alpha = r.f64();
-  return s;
-}
-
-template <typename T, typename PutFn>
-void put_vec(ByteWriter& w, const std::vector<T>& v, PutFn put) {
-  w.u64(v.size());
-  for (const T& e : v) put(w, e);
-}
-
-std::uint64_t get_count(ByteReader& r) {
-  const std::uint64_t n = r.u64();
-  // An element is at least one byte; a count past the remaining bytes is
-  // corruption, caught here instead of in a giant allocation.
-  if (n > r.remaining()) malformed("implausible element count");
-  return n;
-}
-
-}  // namespace
 
 std::string serialize_run_result(const RunResult& r) {
-  ByteWriter w;
-  w.u32(kRunRecordVersion);
-  w.u8(static_cast<std::uint8_t>(r.scenario));
-  w.u8(static_cast<std::uint8_t>(r.mode));
-  put_fault_plan(w, r.fault);
-  w.u64(r.run_seed);
-  w.u8(static_cast<std::uint8_t>(r.outcome));
-  w.u8(r.fault_activated ? 1 : 0);
-  w.u8(r.collision ? 1 : 0);
-  w.f64(r.collision_time);
-  w.u8(r.flags.collision ? 1 : 0);
-  w.u8(r.flags.red_light_violation ? 1 : 0);
-  w.u8(r.flags.speeding ? 1 : 0);
-  w.u8(r.flags.off_road ? 1 : 0);
-  put_vec(w, r.trajectory.points(), [](ByteWriter& o, const Vec2& p) {
-    o.f64(p.x);
-    o.f64(p.y);
-  });
-  w.f64(r.duration);
-  w.f64(r.scheduled_duration);
-  w.f64(r.dt);
-  w.i32(r.steps);
-  w.u8(r.due ? 1 : 0);
-  w.f64(r.due_time);
-  w.u8(static_cast<std::uint8_t>(r.due_source));
-  w.u8(r.online_alarmed ? 1 : 0);
-  w.f64(r.online_alarm_time);
-  w.i32(r.recovery.attempts);
-  w.i32(r.recovery.completed);
-  w.u8(r.recovery.escalated ? 1 : 0);
-  w.f64(r.recovery.first_detector_alarm_time);
-  put_vec(w, r.recovery.events, [](ByteWriter& o, const RecoveryEvent& e) {
-    o.i32(e.suspect);
-    o.u8(static_cast<std::uint8_t>(e.trigger));
-    o.f64(e.alarm_time);
-    o.f64(e.restart_time);
-    o.f64(e.rejoin_time);
-    o.i32(e.alarm_tick);
-    o.i32(e.restart_tick);
-    o.i32(e.rejoin_tick);
-  });
-  w.i32(r.recovery.nominal_ticks);
-  w.i32(r.recovery.probe_ticks);
-  w.i32(r.recovery.degraded_ticks);
-  w.i32(r.recovery.failback_ticks);
-  put_vec(w, r.observations, [](ByteWriter& o, const StepObservation& s) {
-    o.f64(s.time);
-    put_vehicle_state(o, s.state);
-    o.f64(s.delta.throttle);
-    o.f64(s.delta.brake);
-    o.f64(s.delta.steer);
-  });
-  const auto put_f64_vec = [&w](const std::vector<double>& v) {
-    put_vec(w, v, [](ByteWriter& o, double d) { o.f64(d); });
-  };
-  put_f64_vec(r.time_trace);
-  put_f64_vec(r.throttle_trace);
-  put_f64_vec(r.brake_trace);
-  put_f64_vec(r.steer_trace);
-  put_f64_vec(r.cvip_trace);
-  put_vec(w, r.acting_agent_trace,
-          [](ByteWriter& o, int v) { o.i32(v); });
-  w.u64(r.gpu_instructions);
-  w.u64(r.cpu_instructions);
-  w.u64(r.agent_state_bytes);
-  w.u64(r.sensor_frame_bytes);
-  if (r.sensor_fault.active() || r.sensor_corruptions != 0 ||
-      r.recovery.sensor_degraded_ticks != 0 ||
-      !r.recovery.sensor_events.empty()) {
-    put_sensor_plan(w, r.sensor_fault);
-    w.u64(r.sensor_corruptions);
-    w.i32(r.recovery.sensor_degraded_ticks);
-    put_vec(w, r.recovery.sensor_events,
-            [](ByteWriter& o, const SensorDegradeEvent& e) {
-              o.i32(e.channel);
-              o.i32(e.onset_tick);
-              o.f64(e.onset_time);
-              o.i32(e.rejoin_tick);
-              o.f64(e.rejoin_time);
-              o.u8(e.dropped ? 1 : 0);
-              o.u8(e.escalated ? 1 : 0);
-            });
-  }
-  return w.take();
+  return encode_fields(r);
 }
 
 RunResult deserialize_run_result(const std::string& bytes) {
-  ByteReader r(bytes);
-  if (r.u32() != kRunRecordVersion) malformed("version mismatch");
-  RunResult out;
-  out.scenario = static_cast<ScenarioId>(r.u8());
-  out.mode = static_cast<AgentMode>(r.u8());
-  out.fault = get_fault_plan(r);
-  out.run_seed = r.u64();
-  out.outcome = static_cast<FaultOutcome>(r.u8());
-  out.fault_activated = r.u8() != 0;
-  out.collision = r.u8() != 0;
-  out.collision_time = r.f64();
-  out.flags.collision = r.u8() != 0;
-  out.flags.red_light_violation = r.u8() != 0;
-  out.flags.speeding = r.u8() != 0;
-  out.flags.off_road = r.u8() != 0;
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    const double x = r.f64();
-    const double y = r.f64();
-    out.trajectory.push({x, y});
-  }
-  out.duration = r.f64();
-  out.scheduled_duration = r.f64();
-  out.dt = r.f64();
-  out.steps = r.i32();
-  out.due = r.u8() != 0;
-  out.due_time = r.f64();
-  out.due_source = static_cast<DueSource>(r.u8());
-  out.online_alarmed = r.u8() != 0;
-  out.online_alarm_time = r.f64();
-  out.recovery.attempts = r.i32();
-  out.recovery.completed = r.i32();
-  out.recovery.escalated = r.u8() != 0;
-  out.recovery.first_detector_alarm_time = r.f64();
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    RecoveryEvent e;
-    e.suspect = r.i32();
-    e.trigger = static_cast<DueSource>(r.u8());
-    e.alarm_time = r.f64();
-    e.restart_time = r.f64();
-    e.rejoin_time = r.f64();
-    e.alarm_tick = r.i32();
-    e.restart_tick = r.i32();
-    e.rejoin_tick = r.i32();
-    out.recovery.events.push_back(e);
-  }
-  out.recovery.nominal_ticks = r.i32();
-  out.recovery.probe_ticks = r.i32();
-  out.recovery.degraded_ticks = r.i32();
-  out.recovery.failback_ticks = r.i32();
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    StepObservation s;
-    s.time = r.f64();
-    s.state = get_vehicle_state(r);
-    s.delta.throttle = r.f64();
-    s.delta.brake = r.f64();
-    s.delta.steer = r.f64();
-    out.observations.push_back(s);
-  }
-  const auto get_f64_vec = [&r]() {
-    std::vector<double> v;
-    for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) v.push_back(r.f64());
-    return v;
-  };
-  out.time_trace = get_f64_vec();
-  out.throttle_trace = get_f64_vec();
-  out.brake_trace = get_f64_vec();
-  out.steer_trace = get_f64_vec();
-  out.cvip_trace = get_f64_vec();
-  for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-    out.acting_agent_trace.push_back(r.i32());
-  }
-  out.gpu_instructions = r.u64();
-  out.cpu_instructions = r.u64();
-  out.agent_state_bytes = r.u64();
-  out.sensor_frame_bytes = r.u64();
-  if (!r.done()) {  // sensor extension (absent in pre-extension records)
-    out.sensor_fault = get_sensor_plan(r);
-    out.sensor_corruptions = r.u64();
-    out.recovery.sensor_degraded_ticks = r.i32();
-    for (std::uint64_t i = 0, n = get_count(r); i < n; ++i) {
-      SensorDegradeEvent e;
-      e.channel = r.i32();
-      e.onset_tick = r.i32();
-      e.onset_time = r.f64();
-      e.rejoin_tick = r.i32();
-      e.rejoin_time = r.f64();
-      e.dropped = r.u8() != 0;
-      e.escalated = r.u8() != 0;
-      out.recovery.sensor_events.push_back(e);
-    }
-  }
-  if (!r.done()) malformed("trailing bytes");
-  return out;
+  return decode_fields<RunResult>(bytes, "run record");
 }
 
 std::string frame_message(const std::string& payload) {
@@ -433,168 +232,161 @@ FrameSplit try_unframe(const std::string& buf) {
   return out;
 }
 
+namespace {
+
+// A config's online LUT crosses the wire as its text, printed at
+// max_digits10 so every threshold round-trips bit-exactly (the worker's
+// reconstructed thresholds match the supervisor's to the last ULP); that same
+// text is part of run_config_digest, so two LUTs that differ anywhere key
+// different runs.
+
+class ConfigWriter : public WireWriter {
+ public:
+  using WireWriter::WireWriter;
+  void lut(const ThresholdLut* table) {
+    std::ostringstream text;
+    text.precision(std::numeric_limits<double>::max_digits10);
+    table->save(text);
+    str(text.str());
+  }
+};
+
+class ConfigReader : public WireReader {
+ public:
+  using WireReader::WireReader;
+  void lut(const ThresholdLut*& table) {
+    std::string text;
+    str(text);
+    std::istringstream in(text);
+    storage = std::make_unique<ThresholdLut>(ThresholdLut::load(in));
+    table = storage.get();
+  }
+  std::unique_ptr<ThresholdLut> storage;
+};
+
+bool config_has_sensor_extension(const RunConfig& cfg) {
+  return cfg.sensor_fault.active() || cfg.fusion.enabled;
+}
+
+}  // namespace
+
+/// Every RunConfig field that determines the outcome of run_experiment — the
+/// one list behind serialize_run_config and both digests.
+template <class A>
+void io_outcome(A& a, RunConfig& cfg) {
+  a.u8(cfg.scenario);
+  a.u64(cfg.scenario_seed);
+  a.f64(cfg.scenario_opts.long_route_duration_sec);
+  a.f64(cfg.scenario_opts.safety_duration_sec);
+  a.u8(cfg.mode);
+  a.f64(cfg.overlap_ratio);
+  io(a, cfg.fault);
+  a.u64(cfg.run_seed);
+  a.f64(cfg.dt);
+  a.i32(cfg.cam_width);
+  a.i32(cfg.cam_height);
+  a.f64(cfg.camera_noise_sigma);
+  a.u8(cfg.record_traces);
+  a.f64(cfg.watchdog_sec);
+  a.f64(cfg.stuck_watchdog_sec);
+  a.u8(cfg.mitigation);
+  a.i32(cfg.recovery.probe_ticks);
+  a.i32(cfg.recovery.rewarm_ticks);
+  a.i32(cfg.recovery.max_recoveries);
+  a.i32(cfg.recovery.recovery_window_ticks);
+  bool has_lut = cfg.online_lut != nullptr;
+  a.u8(has_lut);
+  if (has_lut) {
+    a.u64(cfg.online_detector.rw);
+    a.f64(cfg.online_detector.min_eval_speed);
+    a.i32(cfg.online_detector.debounce);
+    a.lut(cfg.online_lut);
+  }
+}
+
+template <class A>
+void io_sensor_extension(A& a, RunConfig& cfg) {
+  a.u8(cfg.fusion.enabled);
+  io(a, cfg.sensor_fault);
+  io(a, cfg.fusion);
+}
+
+// Second trailing section (checkpoint routing). Trailing sections carry no
+// tags, so a config that needs the checkpoint section also writes the sensor
+// section in front of it. A default CheckpointOptions writes nothing, keeping
+// checkpoint-off configs byte-identical to the encoding that predates
+// checkpoints.
+template <class A>
+void io(A& a, RunConfig& cfg) {
+  a.version(kRunConfigVersion);
+  io_outcome(a, cfg);
+  a.str(cfg.trace.dir);
+  a.u64(cfg.trace.capacity);
+  a.i32(cfg.trace.pid);
+  a.str(cfg.trace.label);
+  const bool ckpt_ext =
+      cfg.checkpoint.enabled || cfg.checkpoint.capture_tick >= 0;
+  if (a.extension(config_has_sensor_extension(cfg) || ckpt_ext)) {
+    io_sensor_extension(a, cfg);
+  }
+  if (a.extension(ckpt_ext)) {
+    a.u8(cfg.checkpoint.enabled);
+    a.i32(cfg.checkpoint.capture_tick);
+  }
+}
+
 std::string serialize_run_config(const RunConfig& cfg) {
   ByteWriter w;
-  w.u32(kRunConfigVersion);
-  w.u8(static_cast<std::uint8_t>(cfg.scenario));
-  w.u64(cfg.scenario_seed);
-  w.f64(cfg.scenario_opts.long_route_duration_sec);
-  w.f64(cfg.scenario_opts.safety_duration_sec);
-  w.u8(static_cast<std::uint8_t>(cfg.mode));
-  w.f64(cfg.overlap_ratio);
-  put_fault_plan(w, cfg.fault);
-  w.u64(cfg.run_seed);
-  w.f64(cfg.dt);
-  w.i32(cfg.cam_width);
-  w.i32(cfg.cam_height);
-  w.f64(cfg.camera_noise_sigma);
-  w.u8(cfg.record_traces ? 1 : 0);
-  w.f64(cfg.watchdog_sec);
-  w.f64(cfg.stuck_watchdog_sec);
-  w.u8(static_cast<std::uint8_t>(cfg.mitigation));
-  w.i32(cfg.recovery.probe_ticks);
-  w.i32(cfg.recovery.rewarm_ticks);
-  w.i32(cfg.recovery.max_recoveries);
-  w.i32(cfg.recovery.recovery_window_ticks);
-  w.u8(cfg.online_lut != nullptr ? 1 : 0);
-  if (cfg.online_lut != nullptr) {
-    w.u64(cfg.online_detector.rw);
-    w.f64(cfg.online_detector.min_eval_speed);
-    w.i32(cfg.online_detector.debounce);
-    // max_digits10 precision makes the text round-trip bit-exact: the
-    // worker's reconstructed thresholds match the supervisor's to the last
-    // ULP, so the bit-identity invariant survives the request codec.
-    std::ostringstream lut_text;
-    lut_text.precision(std::numeric_limits<double>::max_digits10);
-    cfg.online_lut->save(lut_text);
-    w.str(lut_text.str());
-  }
-  w.str(cfg.trace.dir);
-  w.u64(cfg.trace.capacity);
-  w.i32(cfg.trace.pid);
-  w.str(cfg.trace.label);
-  const bool ckpt_ext = config_has_checkpoint_extension(cfg);
-  if (config_has_sensor_extension(cfg) || ckpt_ext) {
-    put_config_sensor_extension(w, cfg);
-  }
-  if (ckpt_ext) {
-    w.u8(cfg.checkpoint.enabled ? 1 : 0);
-    w.i32(cfg.checkpoint.capture_tick);
-  }
+  ConfigWriter a(w);
+  io(a, const_cast<RunConfig&>(cfg));  // ConfigWriter only reads through it
   return w.take();
 }
 
 RunConfigRecord deserialize_run_config(const std::string& bytes) {
   ByteReader r(bytes);
-  if (r.u32() != kRunConfigVersion) malformed("config version mismatch");
+  ConfigReader a(r, "run config");
   RunConfigRecord out;
-  RunConfig& cfg = out.cfg;
-  cfg.scenario = static_cast<ScenarioId>(r.u8());
-  cfg.scenario_seed = r.u64();
-  cfg.scenario_opts.long_route_duration_sec = r.f64();
-  cfg.scenario_opts.safety_duration_sec = r.f64();
-  cfg.mode = static_cast<AgentMode>(r.u8());
-  cfg.overlap_ratio = r.f64();
-  cfg.fault = get_fault_plan(r);
-  cfg.run_seed = r.u64();
-  cfg.dt = r.f64();
-  cfg.cam_width = r.i32();
-  cfg.cam_height = r.i32();
-  cfg.camera_noise_sigma = r.f64();
-  cfg.record_traces = r.u8() != 0;
-  cfg.watchdog_sec = r.f64();
-  cfg.stuck_watchdog_sec = r.f64();
-  cfg.mitigation = static_cast<MitigationPolicy>(r.u8());
-  cfg.recovery.probe_ticks = r.i32();
-  cfg.recovery.rewarm_ticks = r.i32();
-  cfg.recovery.max_recoveries = r.i32();
-  cfg.recovery.recovery_window_ticks = r.i32();
-  if (r.u8() != 0) {
-    cfg.online_detector.rw = static_cast<std::size_t>(r.u64());
-    cfg.online_detector.min_eval_speed = r.f64();
-    cfg.online_detector.debounce = r.i32();
-    std::istringstream lut_text(r.str());
-    out.lut = std::make_unique<ThresholdLut>(ThresholdLut::load(lut_text));
-    cfg.online_lut = out.lut.get();
-  }
-  cfg.trace.dir = r.str();
-  cfg.trace.capacity = static_cast<std::size_t>(r.u64());
-  cfg.trace.pid = r.i32();
-  cfg.trace.label = r.str();
-  if (!r.done()) {  // sensor extension (absent in pre-extension records)
-    cfg.fusion.enabled = r.u8() != 0;
-    cfg.sensor_fault = get_sensor_plan(r);
-    const FusionConfig wire = get_fusion_config(r);
-    const bool enabled = cfg.fusion.enabled;
-    cfg.fusion = wire;
-    cfg.fusion.enabled = enabled;
-  }
-  if (!r.done()) {  // checkpoint extension (absent unless checkpointing)
-    cfg.checkpoint.enabled = r.u8() != 0;
-    cfg.checkpoint.capture_tick = r.i32();
-  }
-  if (!r.done()) malformed("trailing bytes");
+  io(a, out.cfg);
+  a.finish();
+  out.lut = std::move(a.storage);
   return out;
+}
+
+template <class A>
+void io_payload(A& a, bool& ok, std::string& what, RunResult& r) {
+  a.u8(ok);
+  if (!ok) a.str(what);
+  io(a, r);
 }
 
 std::string make_result_payload(bool ok, const std::string& what,
                                 const RunResult& r) {
   ByteWriter w;
-  w.u8(ok ? 1 : 0);
-  if (!ok) w.str(what);
-  w.raw(serialize_run_result(r));
+  WireWriter a(w);
+  io_payload(a, ok, const_cast<std::string&>(what),
+             const_cast<RunResult&>(r));  // WireWriter only reads through them
   return w.take();
 }
 
 ResultPayload parse_result_payload(const std::string& bytes) {
   ByteReader r(bytes);
+  WireReader a(r, "run record");
   ResultPayload p;
-  p.ok = r.u8() != 0;
-  if (!p.ok) p.what = r.str();
-  std::string rest(bytes.data() + (bytes.size() - r.remaining()),
-                   r.remaining());
-  p.result = deserialize_run_result(rest);
+  io_payload(a, p.ok, p.what, p.result);
+  a.finish();
   return p;
 }
 
 std::uint64_t run_config_digest(const RunConfig& cfg) {
   ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(cfg.scenario));
-  w.u64(cfg.scenario_seed);
-  w.f64(cfg.scenario_opts.long_route_duration_sec);
-  w.f64(cfg.scenario_opts.safety_duration_sec);
-  w.u8(static_cast<std::uint8_t>(cfg.mode));
-  w.f64(cfg.overlap_ratio);
-  put_fault_plan(w, cfg.fault);
-  w.u64(cfg.run_seed);
-  w.f64(cfg.dt);
-  w.i32(cfg.cam_width);
-  w.i32(cfg.cam_height);
-  w.f64(cfg.camera_noise_sigma);
-  w.u8(cfg.record_traces ? 1 : 0);
-  w.f64(cfg.watchdog_sec);
-  w.f64(cfg.stuck_watchdog_sec);
-  w.u8(static_cast<std::uint8_t>(cfg.mitigation));
-  w.i32(cfg.recovery.probe_ticks);
-  w.i32(cfg.recovery.rewarm_ticks);
-  w.i32(cfg.recovery.max_recoveries);
-  w.i32(cfg.recovery.recovery_window_ticks);
-  w.u8(cfg.online_lut != nullptr ? 1 : 0);
-  if (cfg.online_lut != nullptr) {
-    w.u64(cfg.online_detector.rw);
-    w.f64(cfg.online_detector.min_eval_speed);
-    w.i32(cfg.online_detector.debounce);
-    // The trained table is part of the run's identity: the same sweep with a
-    // differently trained LUT produces different alarms.
-    std::ostringstream lut_text;
-    cfg.online_lut->save(lut_text);
-    w.str(lut_text.str());
-  }
+  ConfigWriter a(w);
+  RunConfig& c = const_cast<RunConfig&>(cfg);  // ConfigWriter only reads
+  io_outcome(a, c);
   // Same only-when-active discipline as serialize_run_config: plan-free,
   // fusion-free configs keep their pre-extension digest (journals, warm
   // caches and resume keyed on it stay valid). CheckpointOptions are
   // excluded entirely, like TraceOptions: neither changes the run outcome.
-  if (config_has_sensor_extension(cfg)) put_config_sensor_extension(w, cfg);
+  if (config_has_sensor_extension(cfg)) io_sensor_extension(a, c);
   const std::string& b = w.bytes();
   return fnv1a64(b.data(), b.size());
 }
@@ -617,54 +409,24 @@ std::uint64_t checkpoint_setup_digest(const RunConfig& cfg) {
 }
 
 std::uint64_t run_config_prefix_digest(const RunConfig& cfg, int tick) {
+  // The run digest with every fault plan that has not acted before `tick`
+  // cleared. A permanent register fault can fire from the first opcode
+  // instance, so it acts once any instruction has run; a sensor plan acts at
+  // its onset tick. A transient register fault is a single strike at one
+  // dynamic instruction index: the store gates eligibility on the captured
+  // instruction totals instead, so it never enters and sweep variants share
+  // a prefix.
+  RunConfig masked = cfg;
+  if (cfg.fault.kind != FaultModelKind::kPermanent || tick <= 0) {
+    masked.fault = FaultPlan{};
+  }
+  if (!cfg.sensor_fault.active() || cfg.sensor_fault.onset_tick >= tick) {
+    masked.sensor_fault = SensorFaultPlan{};
+  }
   ByteWriter w;
   w.u64(0x6461762d70667831ULL);  // domain separation: "dav-pfx1"
   w.i32(tick);
-  w.u8(static_cast<std::uint8_t>(cfg.scenario));
-  w.u64(cfg.scenario_seed);
-  w.f64(cfg.scenario_opts.long_route_duration_sec);
-  w.f64(cfg.scenario_opts.safety_duration_sec);
-  w.u8(static_cast<std::uint8_t>(cfg.mode));
-  w.f64(cfg.overlap_ratio);
-  // Register fault plan: a permanent fault can fire from the first opcode
-  // instance, so it is part of the prefix the moment any instruction has
-  // run. A transient fault is a single strike at one dynamic instruction
-  // index — the store gates eligibility on the captured instruction totals,
-  // so the plan stays OUT of the digest and sweep variants share a prefix.
-  const bool fault_in_prefix =
-      cfg.fault.kind == FaultModelKind::kPermanent && tick > 0;
-  w.u8(fault_in_prefix ? 1 : 0);
-  if (fault_in_prefix) put_fault_plan(w, cfg.fault);
-  w.u64(cfg.run_seed);
-  w.f64(cfg.dt);
-  w.i32(cfg.cam_width);
-  w.i32(cfg.cam_height);
-  w.f64(cfg.camera_noise_sigma);
-  w.u8(cfg.record_traces ? 1 : 0);
-  w.f64(cfg.watchdog_sec);
-  w.f64(cfg.stuck_watchdog_sec);
-  w.u8(static_cast<std::uint8_t>(cfg.mitigation));
-  w.i32(cfg.recovery.probe_ticks);
-  w.i32(cfg.recovery.rewarm_ticks);
-  w.i32(cfg.recovery.max_recoveries);
-  w.i32(cfg.recovery.recovery_window_ticks);
-  w.u8(cfg.online_lut != nullptr ? 1 : 0);
-  if (cfg.online_lut != nullptr) {
-    w.u64(cfg.online_detector.rw);
-    w.f64(cfg.online_detector.min_eval_speed);
-    w.i32(cfg.online_detector.debounce);
-    std::ostringstream lut_text;
-    cfg.online_lut->save(lut_text);
-    w.str(lut_text.str());
-  }
-  // Sensor plan: invisible until its onset tick has actually been stepped
-  // through; the fusion wiring shapes the agent from tick 0 when enabled.
-  const bool sensor_in_prefix =
-      cfg.sensor_fault.active() && cfg.sensor_fault.onset_tick < tick;
-  w.u8(sensor_in_prefix ? 1 : 0);
-  if (sensor_in_prefix) put_sensor_plan(w, cfg.sensor_fault);
-  w.u8(cfg.fusion.enabled ? 1 : 0);
-  if (cfg.fusion.enabled) put_fusion_config(w, cfg.fusion);
+  w.u64(run_config_digest(masked));
   const std::string& b = w.bytes();
   return fnv1a64(b.data(), b.size());
 }

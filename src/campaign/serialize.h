@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "campaign/driver.h"
 
@@ -63,6 +64,14 @@ class ByteReader {
   double f64();
   float f32();
   std::string str();
+  /// The next `n` bytes, verbatim.
+  std::string raw(std::size_t n);
+  /// A u64 element count. Every element takes at least one byte, so a count
+  /// past the bytes left is corruption — caught here instead of in a giant
+  /// allocation.
+  std::uint64_t count();
+  /// The same for a u32 count.
+  std::uint32_t count32();
 
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }
@@ -74,6 +83,213 @@ class ByteReader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
+
+// --- field walks -------------------------------------------------------------
+//
+// Each wire type is described once, by a field walk
+//
+//   template <class A> void io(A& a, T& v);
+//
+// that lists every field of T in wire order with its wire width. WireWriter
+// drives a walk to encode a value and WireReader to decode one, so an encoder
+// cannot drift from its decoder: adding a field is one line in one walk, plus
+// a byte pin in the tests. encode_fields/decode_fields find walks by
+// argument-dependent lookup, so each lives in namespace dav or beside its
+// type. A walk writes fields only through the adapter, so encoding a const
+// value never modifies it.
+
+/// Encoding adapter: each accessor appends its field to a ByteWriter.
+class WireWriter {
+ public:
+  explicit WireWriter(ByteWriter& w) : w_(w) {}
+
+  template <class T>
+  void u8(const T& v) { w_.u8(static_cast<std::uint8_t>(v)); }
+  template <class T>
+  void i32(const T& v) { w_.i32(static_cast<std::int32_t>(v)); }
+  template <class T>
+  void u32(const T& v) { w_.u32(static_cast<std::uint32_t>(v)); }
+  template <class T>
+  void u64(const T& v) { w_.u64(static_cast<std::uint64_t>(v)); }
+  void f32(float v) { w_.f32(v); }
+  void f64(double v) { w_.f64(v); }
+  void str(const std::string& s) { w_.str(s); }
+  /// A byte vector, laid out like a string.
+  void bytes(const std::vector<std::uint8_t>& v) {
+    w_.u64(v.size());
+    w_.raw(std::string(v.begin(), v.end()));
+  }
+  /// An embedded payload that runs to the end of the message.
+  void rest(const std::string& s) { w_.raw(s); }
+  /// The u32 layout version the reader must find.
+  void version(std::uint32_t v) { w_.u32(v); }
+  /// u64 element count, then `each(element)` in order.
+  template <class V, class F>
+  void vec(V& v, F each) {
+    w_.u64(v.size());
+    for (auto& e : v) each(e);
+  }
+  /// The same with a u32 count.
+  template <class V, class F>
+  void vec32(V& v, F each) {
+    w_.u32(static_cast<std::uint32_t>(v.size()));
+    for (auto& e : v) each(e);
+  }
+  /// A trailing optional section, written only when `present`. Sections
+  /// carry no tag, so a later section forces the earlier ones.
+  bool extension(bool present) { return present; }
+
+ private:
+  ByteWriter& w_;
+};
+
+/// Decoding adapter: each accessor fills its field from a ByteReader.
+/// Truncation throws std::runtime_error, so a torn buffer never yields a
+/// half-filled value.
+class WireReader {
+ public:
+  /// `context` prefixes this reader's own errors ("run checkpoint").
+  WireReader(ByteReader& r, const char* context) : r_(r), context_(context) {}
+
+  template <class T>
+  void u8(T& v) { v = static_cast<T>(r_.u8()); }
+  template <class T>
+  void i32(T& v) { v = static_cast<T>(r_.i32()); }
+  template <class T>
+  void u32(T& v) { v = static_cast<T>(r_.u32()); }
+  template <class T>
+  void u64(T& v) { v = static_cast<T>(r_.u64()); }
+  void f32(float& v) { v = r_.f32(); }
+  void f64(double& v) { v = r_.f64(); }
+  void str(std::string& s) { s = r_.str(); }
+  void bytes(std::vector<std::uint8_t>& v) {
+    const std::string s = r_.str();
+    v.assign(s.begin(), s.end());
+  }
+  void rest(std::string& s) { s = r_.raw(r_.remaining()); }
+  void version(std::uint32_t v) {
+    if (r_.u32() != v) fail("version mismatch");
+  }
+  template <class V, class F>
+  void vec(V& v, F each) {
+    v.clear();
+    for (std::uint64_t i = 0, n = r_.count(); i < n; ++i) {
+      each(v.emplace_back());
+    }
+  }
+  template <class V, class F>
+  void vec32(V& v, F each) {
+    v.clear();
+    for (std::uint32_t i = 0, n = r_.count32(); i < n; ++i) {
+      each(v.emplace_back());
+    }
+  }
+  /// A trailing section is present when bytes remain.
+  bool extension(bool) { return !r_.done(); }
+  /// Throws unless the whole buffer was consumed.
+  void finish() {
+    if (!r_.done()) fail("trailing bytes");
+  }
+
+ private:
+  [[noreturn]] void fail(const char* what) const;
+
+  ByteReader& r_;
+  const char* context_;
+};
+
+/// Encode `v` through its field walk.
+template <class T>
+std::string encode_fields(const T& v) {
+  ByteWriter w;
+  WireWriter a(w);
+  io(a, const_cast<T&>(v));  // WireWriter only reads through it
+  return w.take();
+}
+
+/// Decode a whole buffer through T's field walk. Throws std::runtime_error
+/// on truncation or trailing bytes.
+template <class T>
+T decode_fields(const std::string& bytes, const char* context) {
+  ByteReader r(bytes);
+  WireReader a(r, context);
+  T v;
+  io(a, v);
+  a.finish();
+  return v;
+}
+
+// Walks shared by the run record (serialize.cpp) and the run checkpoint
+// (checkpoint.cpp).
+
+template <class A>
+void io(A& a, Vec2& p) {
+  a.f64(p.x);
+  a.f64(p.y);
+}
+
+template <class A>
+void io(A& a, SafetyFlags& f) {
+  a.u8(f.collision);
+  a.u8(f.red_light_violation);
+  a.u8(f.speeding);
+  a.u8(f.off_road);
+}
+
+template <class A>
+void io(A& a, VehicleState& s) {
+  a.f64(s.pose.pos.x);
+  a.f64(s.pose.pos.y);
+  a.f64(s.pose.yaw);
+  a.f64(s.v);
+  a.f64(s.a);
+  a.f64(s.omega);
+  a.f64(s.alpha);
+}
+
+template <class A>
+void io(A& a, RecoveryEvent& e) {
+  a.i32(e.suspect);
+  a.u8(e.trigger);
+  a.f64(e.alarm_time);
+  a.f64(e.restart_time);
+  a.f64(e.rejoin_time);
+  a.i32(e.alarm_tick);
+  a.i32(e.restart_tick);
+  a.i32(e.rejoin_tick);
+}
+
+template <class A>
+void io(A& a, SensorDegradeEvent& e) {
+  a.i32(e.channel);
+  a.i32(e.onset_tick);
+  a.f64(e.onset_time);
+  a.i32(e.rejoin_tick);
+  a.f64(e.rejoin_time);
+  a.u8(e.dropped);
+  a.u8(e.escalated);
+}
+
+/// MitigationStats in two parts: a run record carries the sensor part in
+/// its trailing sensor extension, a checkpoint carries both back to back.
+template <class A>
+void io_recovery_counts(A& a, MitigationStats& m) {
+  a.i32(m.attempts);
+  a.i32(m.completed);
+  a.u8(m.escalated);
+  a.f64(m.first_detector_alarm_time);
+  a.vec(m.events, [&](RecoveryEvent& e) { io(a, e); });
+  a.i32(m.nominal_ticks);
+  a.i32(m.probe_ticks);
+  a.i32(m.degraded_ticks);
+  a.i32(m.failback_ticks);
+}
+
+template <class A>
+void io_sensor_recovery(A& a, MitigationStats& m) {
+  a.i32(m.sensor_degraded_ticks);
+  a.vec(m.sensor_events, [&](SensorDegradeEvent& e) { io(a, e); });
+}
 
 /// Complete, versioned encoding of a RunResult (every field, including
 /// observation and trace vectors).

@@ -29,150 +29,143 @@
 
 namespace dav {
 
-namespace {
-
 // ---- message codec --------------------------------------------------------
 
-std::string with_type(TransportMsgType type, const std::string& body) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.raw(body);
-  return w.take();
-}
-
-}  // namespace
-
-std::string msg_hello(std::uint64_t fingerprint, std::uint64_t clock_ns) {
-  ByteWriter w;
-  w.u32(kTransportProtocolVersion);
-  w.u64(fingerprint);
-  w.u64(clock_ns);
-  return with_type(TransportMsgType::kHello, w.bytes());
-}
-
-std::string msg_hello_ack(std::uint32_t slots, std::uint64_t clock_ns) {
-  ByteWriter w;
-  w.u32(kTransportProtocolVersion);
-  w.u32(slots);
-  w.u64(clock_ns);
-  return with_type(TransportMsgType::kHelloAck, w.bytes());
-}
-
-std::string msg_hello_reject(const std::string& reason) {
-  ByteWriter w;
-  w.str(reason);
-  return with_type(TransportMsgType::kHelloReject, w.bytes());
-}
-
-std::string msg_run_request(std::uint64_t index,
-                            const std::string& cfg_bytes) {
-  ByteWriter w;
-  w.u64(index);
-  w.raw(cfg_bytes);
-  return with_type(TransportMsgType::kRunRequest, w.bytes());
-}
-
-std::string msg_run_result(std::uint64_t index,
-                           const std::string& result_payload) {
-  ByteWriter w;
-  w.u64(index);
-  w.raw(result_payload);
-  return with_type(TransportMsgType::kRunResult, w.bytes());
-}
-
-std::string msg_heartbeat() {
-  return with_type(TransportMsgType::kHeartbeat, std::string());
-}
-
-TransportMsg parse_transport_msg(const std::string& payload) {
-  ByteReader r(payload);
-  TransportMsg msg;
-  msg.type = static_cast<TransportMsgType>(r.u8());
-  switch (msg.type) {
+template <class A>
+void io(A& a, TransportMsg& m) {
+  a.u8(m.type);
+  switch (m.type) {
     case TransportMsgType::kHello:
-      msg.proto_version = r.u32();
-      msg.fingerprint = r.u64();
-      msg.clock_ns = r.u64();
+      a.u32(m.proto_version);
+      a.u64(m.fingerprint);
+      a.u64(m.clock_ns);
       break;
     case TransportMsgType::kHelloAck:
-      msg.proto_version = r.u32();
-      msg.slots = r.u32();
-      msg.clock_ns = r.u64();
+      a.u32(m.proto_version);
+      a.u32(m.slots);
+      a.u64(m.clock_ns);
       break;
     case TransportMsgType::kHelloReject:
-      msg.reason = r.str();
+      a.str(m.reason);
       break;
     case TransportMsgType::kRunRequest:
     case TransportMsgType::kRunResult:
-      msg.index = r.u64();
-      msg.body = payload.substr(payload.size() - r.remaining());
-      return msg;  // body consumes the rest; skip the done() check below
-    case TransportMsgType::kTelemetry:
-      msg.body = payload.substr(payload.size() - r.remaining());
-      return msg;  // sub-typed body consumes the rest
+      a.u64(m.index);
+      a.rest(m.body);
+      break;
+    case TransportMsgType::kTelemetry:  // a sub-typed body
+      a.rest(m.body);
+      break;
     case TransportMsgType::kHeartbeat:
       break;
     default:
       throw std::runtime_error("transport: unknown message type " +
-                               std::to_string(static_cast<int>(msg.type)));
+                               std::to_string(static_cast<int>(m.type)));
   }
-  if (!r.done()) {
-    throw std::runtime_error("transport: trailing bytes after message");
-  }
-  return msg;
+}
+
+std::string msg_hello(std::uint64_t fingerprint, std::uint64_t clock_ns) {
+  return encode_fields(TransportMsg{.type = TransportMsgType::kHello,
+                                    .proto_version = kTransportProtocolVersion,
+                                    .fingerprint = fingerprint,
+                                    .clock_ns = clock_ns});
+}
+
+std::string msg_hello_ack(std::uint32_t slots, std::uint64_t clock_ns) {
+  return encode_fields(TransportMsg{.type = TransportMsgType::kHelloAck,
+                                    .proto_version = kTransportProtocolVersion,
+                                    .slots = slots,
+                                    .clock_ns = clock_ns});
+}
+
+std::string msg_hello_reject(const std::string& reason) {
+  return encode_fields(
+      TransportMsg{.type = TransportMsgType::kHelloReject, .reason = reason});
+}
+
+std::string msg_run_request(std::uint64_t index,
+                            const std::string& cfg_bytes) {
+  return encode_fields(TransportMsg{.type = TransportMsgType::kRunRequest,
+                                    .index = index,
+                                    .body = cfg_bytes});
+}
+
+std::string msg_run_result(std::uint64_t index,
+                           const std::string& result_payload) {
+  return encode_fields(TransportMsg{.type = TransportMsgType::kRunResult,
+                                    .index = index,
+                                    .body = result_payload});
+}
+
+std::string msg_heartbeat() {
+  return encode_fields(TransportMsg{.type = TransportMsgType::kHeartbeat});
+}
+
+TransportMsg parse_transport_msg(const std::string& payload) {
+  return decode_fields<TransportMsg>(payload, "transport");
 }
 
 // ---- telemetry codec ------------------------------------------------------
 
-namespace {
-
-// Histograms go on the wire sparsely: per stage, only the non-empty buckets
-// (u8 bucket index, u64 count). A traced run touches a handful of buckets
-// per stage, so this keeps a capture blob in the low hundreds of bytes.
-void put_histograms(ByteWriter& w, const obs::StageHistogramSet& hist) {
-  for (const obs::StageHistogram& h : hist.stages) {
-    std::uint8_t nonzero = 0;
-    for (std::uint64_t b : h.buckets) {
-      if (b != 0) ++nonzero;
-    }
-    w.u8(nonzero);
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (h.buckets[i] == 0) continue;
-      w.u8(static_cast<std::uint8_t>(i));
-      w.u64(h.buckets[i]);
-    }
-  }
-}
-
-void get_histograms(ByteReader& r, obs::StageHistogramSet& hist) {
+// Histograms go on the wire sparsely: per stage, the number of non-empty
+// buckets, then (u8 bucket index, u64 count) for each. A traced run touches a
+// handful of buckets per stage, so this keeps a capture blob in the low
+// hundreds of bytes. Encoding walks the non-empty buckets in order; decoding
+// starts from empty histograms and takes both numbers from the wire.
+template <class A>
+void io(A& a, obs::StageHistogramSet& hist) {
   for (obs::StageHistogram& h : hist.stages) {
-    const std::uint8_t nonzero = r.u8();
-    for (std::uint8_t i = 0; i < nonzero; ++i) {
-      const std::uint8_t bucket = r.u8();
+    auto nonzero = static_cast<std::uint8_t>(std::count_if(
+        h.buckets.begin(), h.buckets.end(),
+        [](std::uint64_t b) { return b != 0; }));
+    a.u8(nonzero);
+    std::size_t next = 0;
+    for (std::uint8_t k = 0; k < nonzero; ++k, ++next) {
+      while (next < h.buckets.size() && h.buckets[next] == 0) ++next;
+      auto bucket = static_cast<std::uint8_t>(next);
+      a.u8(bucket);
       if (bucket >= h.buckets.size()) {
         throw std::runtime_error("telemetry: histogram bucket out of range");
       }
-      h.buckets[bucket] = r.u64();
+      a.u64(h.buckets[bucket]);
     }
   }
 }
 
-/// A u32 element count read off the wire. Each element takes at least
-/// `elem_bytes`, so a count past the remaining bytes is corruption — caught
-/// here instead of in a giant reserve().
-std::uint32_t get_count(ByteReader& r, std::size_t elem_bytes) {
-  const std::uint32_t n = r.u32();
-  if (n > r.remaining() / elem_bytes) {
-    throw std::runtime_error("telemetry: implausible element count");
-  }
-  return n;
+template <class A>
+void io(A& a, RunTraceCapture& cap) {
+  a.u64(cap.plan_index);
+  a.u64(cap.capture.dropped);
+  a.f64(cap.capture.dt);
+  io(a, cap.capture.histograms);
+  a.vec32(cap.capture.instants, [&](obs::TraceEvent& ev) {
+    a.u32(ev.tick);
+    a.u32(ev.id);
+    a.u8(ev.track);
+    a.f64(ev.value);
+  });
 }
 
-// Wire sizes of one capture instant and one aggregate span (see encoders).
-constexpr std::size_t kInstantBytes = 4 + 4 + 1 + 8;
-constexpr std::size_t kSpanBytes = 8 + 4 + 4 + 8 + 8;
-
-}  // namespace
+template <class A>
+void io(A& a, TelemetryAggregate& agg) {
+  a.u64(agg.base_ns);
+  a.u64(agg.launched);
+  a.u64(agg.respawns);
+  a.u64(agg.timeouts);
+  a.u64(agg.signal_deaths);
+  a.u64(agg.checkpoint_hits);
+  a.u64(agg.checkpoint_misses);
+  a.u64(agg.checkpoint_evictions);
+  a.u64(agg.trace_dropped);
+  io(a, agg.histograms);
+  a.vec32(agg.spans, [&](WorkerSpan& s) {
+    a.u64(s.index);
+    a.u32(s.slot);
+    a.u32(s.attempt);
+    a.f64(s.start_sec);
+    a.f64(s.dur_sec);
+  });
+}
 
 std::uint8_t telemetry_subtype(const std::string& body) {
   if (body.empty()) {
@@ -182,108 +175,37 @@ std::uint8_t telemetry_subtype(const std::string& body) {
 }
 
 std::string encode_run_capture(const RunTraceCapture& cap) {
-  ByteWriter w;
-  w.u64(cap.plan_index);
-  w.u64(cap.capture.dropped);
-  w.f64(cap.capture.dt);
-  put_histograms(w, cap.capture.histograms);
-  w.u32(static_cast<std::uint32_t>(cap.capture.instants.size()));
-  for (const obs::TraceEvent& ev : cap.capture.instants) {
-    w.u32(ev.tick);
-    w.u32(ev.id);
-    w.u8(static_cast<std::uint8_t>(ev.track));
-    w.f64(ev.value);
-  }
-  return w.take();
+  return encode_fields(cap);
 }
 
 RunTraceCapture decode_run_capture(const std::string& blob) {
-  ByteReader r(blob);
-  RunTraceCapture cap;
+  RunTraceCapture cap = decode_fields<RunTraceCapture>(blob, "telemetry");
   cap.capture.valid = true;
-  cap.plan_index = r.u64();
-  cap.capture.dropped = r.u64();
-  cap.capture.dt = r.f64();
-  get_histograms(r, cap.capture.histograms);
-  const std::uint32_t n = get_count(r, kInstantBytes);
-  cap.capture.instants.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    obs::TraceEvent ev;
-    ev.tick = r.u32();
-    ev.id = static_cast<std::uint16_t>(r.u32());
+  for (obs::TraceEvent& ev : cap.capture.instants) {
     ev.kind = obs::EventKind::kInstant;
-    ev.track = static_cast<std::int8_t>(r.u8());
-    ev.value = r.f64();
-    cap.capture.instants.push_back(ev);
-  }
-  if (!r.done()) {
-    throw std::runtime_error("telemetry: trailing bytes after run capture");
   }
   return cap;
 }
 
 std::string msg_telemetry_capture(const std::string& capture_blob) {
-  ByteWriter w;
-  w.u8(kTelemetryRunCapture);
-  w.raw(capture_blob);
-  return with_type(TransportMsgType::kTelemetry, w.bytes());
+  return encode_fields(
+      TransportMsg{.type = TransportMsgType::kTelemetry,
+                   .body = static_cast<char>(kTelemetryRunCapture) +
+                           capture_blob});
 }
 
 std::string msg_telemetry_aggregate(const TelemetryAggregate& agg) {
-  ByteWriter w;
-  w.u8(kTelemetryAggregate);
-  w.u64(agg.base_ns);
-  w.u64(agg.launched);
-  w.u64(agg.respawns);
-  w.u64(agg.timeouts);
-  w.u64(agg.signal_deaths);
-  w.u64(agg.checkpoint_hits);
-  w.u64(agg.checkpoint_misses);
-  w.u64(agg.checkpoint_evictions);
-  w.u64(agg.trace_dropped);
-  put_histograms(w, agg.histograms);
-  w.u32(static_cast<std::uint32_t>(agg.spans.size()));
-  for (const WorkerSpan& s : agg.spans) {
-    w.u64(static_cast<std::uint64_t>(s.index));
-    w.u32(static_cast<std::uint32_t>(s.slot));
-    w.u32(static_cast<std::uint32_t>(s.attempt));
-    w.f64(s.start_sec);
-    w.f64(s.dur_sec);
-  }
-  return with_type(TransportMsgType::kTelemetry, w.bytes());
+  return encode_fields(
+      TransportMsg{.type = TransportMsgType::kTelemetry,
+                   .body = static_cast<char>(kTelemetryAggregate) +
+                           encode_fields(agg)});
 }
 
 TelemetryAggregate decode_telemetry_aggregate(const std::string& body) {
-  ByteReader r(body);
-  if (r.u8() != kTelemetryAggregate) {
+  if (telemetry_subtype(body) != kTelemetryAggregate) {
     throw std::runtime_error("telemetry: not an aggregate body");
   }
-  TelemetryAggregate agg;
-  agg.base_ns = r.u64();
-  agg.launched = r.u64();
-  agg.respawns = r.u64();
-  agg.timeouts = r.u64();
-  agg.signal_deaths = r.u64();
-  agg.checkpoint_hits = r.u64();
-  agg.checkpoint_misses = r.u64();
-  agg.checkpoint_evictions = r.u64();
-  agg.trace_dropped = r.u64();
-  get_histograms(r, agg.histograms);
-  const std::uint32_t n = get_count(r, kSpanBytes);
-  agg.spans.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    WorkerSpan s;
-    s.index = static_cast<std::size_t>(r.u64());
-    s.slot = static_cast<int>(r.u32());
-    s.attempt = static_cast<int>(r.u32());
-    s.start_sec = r.f64();
-    s.dur_sec = r.f64();
-    agg.spans.push_back(s);
-  }
-  if (!r.done()) {
-    throw std::runtime_error("telemetry: trailing bytes after aggregate");
-  }
-  return agg;
+  return decode_fields<TelemetryAggregate>(body.substr(1), "telemetry");
 }
 
 RunTraceCapture decode_telemetry_capture(const std::string& body) {

@@ -62,9 +62,9 @@ struct TransportMsg {
   std::uint64_t fingerprint = 0;    ///< kHello
   std::uint32_t slots = 0;          ///< kHelloAck
   std::uint64_t clock_ns = 0;       ///< kHello / kHelloAck: sender steady ns
-  std::string reason;               ///< kHelloReject
+  std::string reason{};             ///< kHelloReject
   std::uint64_t index = 0;          ///< kRunRequest / kRunResult
-  std::string body;                 ///< config / result / telemetry payload
+  std::string body{};               ///< config / result / telemetry payload
 };
 
 // Message encoders; wrap the returned payload in frame_message() to put it

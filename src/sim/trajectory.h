@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "util/vec2.h"
@@ -21,8 +20,8 @@ class Trajectory {
   bool empty() const { return points_.empty(); }
   const Vec2& at(std::size_t i) const { return points_[i]; }
   const std::vector<Vec2>& points() const { return points_; }
-  /// Replace the recorded samples wholesale (checkpoint adopt).
-  void assign(std::vector<Vec2> points) { points_ = std::move(points); }
+  /// Mutable samples, for checkpoint adopt and the run-record decoder.
+  std::vector<Vec2>& points() { return points_; }
 
  private:
   std::vector<Vec2> points_;

@@ -176,7 +176,7 @@ void World::adopt(const WorldState& st) {
   step_count_ = st.step_count;
   cvip_ = st.cvip;
   flags_ = st.flags;
-  traj_.assign(st.trajectory);
+  traj_.points() = st.trajectory;
   collision_time_ = st.collision_time;
   prev_ego_s_ = st.prev_ego_s;
   for (std::size_t i = 0; i < scenario_.npcs.size(); ++i) {

@@ -173,6 +173,25 @@ TEST(RunConfigDigest, LutContentsArePartOfTheIdentity) {
   EXPECT_NE(run_config_digest(ca), run_config_digest(none));
 }
 
+TEST(RunConfigDigest, LutThresholdsAreHashedAtFullPrecision) {
+  // Tables that agree to six significant digits still alarm at different
+  // divergences: a journal must not replay one table's record for the other,
+  // and a checkpoint captured under one must not resume the other.
+  ThresholdLut a;
+  ThresholdLut b;
+  VehicleState s;
+  s.v = 10.0;
+  a.observe(s, ActuationDelta{0.52, 0.3, 0.2});
+  b.observe(s, ActuationDelta{0.5200000013, 0.3, 0.2});
+  ASSERT_NE(a.thresholds(s).throttle, b.thresholds(s).throttle);
+  RunConfig ca;
+  ca.online_lut = &a;
+  RunConfig cb;
+  cb.online_lut = &b;
+  EXPECT_NE(run_config_digest(ca), run_config_digest(cb));
+  EXPECT_NE(run_config_prefix_digest(ca, 40), run_config_prefix_digest(cb, 40));
+}
+
 TEST(Journal, MissingFileIsAFreshStart) {
   const JournalLoad load = load_journal(temp_path("jrnl_missing.bin"), 42);
   EXPECT_FALSE(load.existed);
