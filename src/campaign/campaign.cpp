@@ -70,10 +70,6 @@ void CampaignManager::accumulate_executor_stats(const ExecutorStats& s) {
   t.checkpoint_hits += s.checkpoint_hits;
   t.checkpoint_misses += s.checkpoint_misses;
   t.checkpoint_evictions += s.checkpoint_evictions;
-  t.remote_endpoints = std::max(t.remote_endpoints, s.remote_endpoints);
-  t.reconnects += s.reconnects;
-  t.redispatches += s.redispatches;
-  t.duplicate_discards += s.duplicate_discards;
   t.jobs = std::max(t.jobs, s.jobs);
   t.wall_sec += s.wall_sec;
   t.journal_appends += s.journal_appends;
@@ -96,35 +92,6 @@ void CampaignManager::accumulate_executor_stats(const ExecutorStats& s) {
   // not accumulated — they are per-batch trace inputs, not totals.
   t.trace_dropped += s.trace_dropped;
   t.stage_hist.merge(s.stage_hist);
-  for (const EndpointTelemetry& ep : s.endpoints) {
-    EndpointTelemetry* mine = nullptr;
-    for (EndpointTelemetry& cand : t.endpoints) {
-      if (cand.index == ep.index) {
-        mine = &cand;
-        break;
-      }
-    }
-    if (mine == nullptr) {
-      t.endpoints.push_back(ep);
-      t.endpoints.back().spans.clear();  // batch-local timeline, not a total
-      continue;
-    }
-    mine->spec = ep.spec;
-    mine->state = ep.state;
-    mine->slots = ep.slots;
-    mine->runs_done += ep.runs_done;
-    mine->reconnects += ep.reconnects;
-    mine->clock_offset_sec = ep.clock_offset_sec;
-    mine->launched += ep.launched;
-    mine->respawns += ep.respawns;
-    mine->timeouts += ep.timeouts;
-    mine->signal_deaths += ep.signal_deaths;
-    mine->checkpoint_hits += ep.checkpoint_hits;
-    mine->checkpoint_misses += ep.checkpoint_misses;
-    mine->checkpoint_evictions += ep.checkpoint_evictions;
-    mine->trace_dropped += ep.trace_dropped;
-    mine->histograms.merge(ep.histograms);
-  }
 }
 
 namespace {
@@ -201,36 +168,6 @@ void CampaignManager::export_campaign_trace(const ExecutorStats& s) {
     e.ts_us = w.start_sec * 1e6;
     e.dur_us = w.dur_sec * 1e6;
     trace.events.push_back(std::move(e));
-  }
-  // Distributed fleet view: one process group per endpoint. The coordinator's
-  // own spans above already use pid = endpoint index + 1 (slot == endpoint id
-  // in distributed mode, tid 0); each daemon's pool-slot spans land in the
-  // same group on tid = slot + 1, placed on the coordinator timeline via the
-  // handshake clock offset. Pid assignment follows opts.workers order, so the
-  // merged layout is stable for a given campaign regardless of completion
-  // interleaving.
-  for (const EndpointTelemetry& et : s.endpoints) {
-    const std::string prefix = "endpoint." + std::to_string(et.index);
-    char summary[192];
-    std::snprintf(summary, sizeof(summary),
-                  "%s state=%s slots=%u runs=%llu reconnects=%d "
-                  "clock_offset_sec=%.6f",
-                  et.spec.c_str(), et.state.c_str(), et.slots,
-                  static_cast<unsigned long long>(et.runs_done), et.reconnects,
-                  et.clock_offset_sec);
-    trace.other_data.emplace_back(prefix, summary);
-    for (const WorkerSpan& w : et.spans) {
-      obs::ChromeEvent e;
-      e.name = "run " + std::to_string(w.index);
-      if (w.attempt > 0) e.name += " retry" + std::to_string(w.attempt);
-      e.cat = "endpoint";
-      e.ph = 'X';
-      e.pid = et.index + 1;
-      e.tid = w.slot + 1;
-      e.ts_us = (et.base_sec + w.start_sec) * 1e6;
-      e.dur_us = w.dur_sec * 1e6;
-      trace.events.push_back(std::move(e));
-    }
   }
   obs::ensure_dir(topts.dir);
   const std::string stem = topts.dir + "/campaign_" + fp + "_batch" +

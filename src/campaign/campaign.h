@@ -88,9 +88,8 @@ class CampaignManager {
   /// Supervised batch through CampaignExecutor: one result per config, in
   /// order (quarantined runs included as kHarnessError placeholders, never
   /// dropped). The injected EnvOptions pick where runs execute — jobs = 0
-  /// in this process, N in a pool of N sandboxed workers, or the DAV_WORKERS
-  /// daemons — and whether they are journaled; every choice yields
-  /// bit-identical batches.
+  /// in this process, N in a pool of N sandboxed workers — and whether they
+  /// are journaled; every choice yields bit-identical batches.
   std::vector<RunResult> run_all(const std::vector<RunConfig>& cfgs);
 
   /// A run the executor had to give up on, with the offending config (seed
@@ -154,13 +153,11 @@ class CampaignManager {
 
   void accumulate_executor_stats(const ExecutorStats& s);
   /// Writes two Chrome-trace JSON files for one executor batch into the
-  /// DAV_TRACE directory. "campaign_<fp>_batch<n>.trace.json" is the fleet
-  /// timeline — one pid per worker slot locally, one process group per
-  /// endpoint in distributed mode (daemon pool slots on tids, clock-aligned
-  /// onto the coordinator timeline), plus per-stage histogram summaries in
-  /// otherData. "..._batch<n>.runs.trace.json" is the merged per-run semantic
-  /// trace (instant events, pid = plan index + 1, simulated time) and is
-  /// byte-identical across identical campaigns.
+  /// DAV_TRACE directory. "campaign_<fp>_batch<n>.trace.json" is the worker
+  /// timeline — one pid per worker slot, plus per-stage histogram summaries
+  /// in otherData. "..._batch<n>.runs.trace.json" is the merged per-run
+  /// semantic trace (instant events, pid = plan index + 1, simulated time)
+  /// and is byte-identical across identical campaigns.
   void export_campaign_trace(const ExecutorStats& s);
 
   CampaignScale scale_;
@@ -175,7 +172,7 @@ class CampaignManager {
 /// trace-event JSON: every captured run's instant events, one Perfetto pid
 /// per plan index (plan_index + 1), simulated-time timestamps. Byte-identical
 /// across identical campaigns regardless of execution strategy or completion
-/// order — the distributed-determinism tests and the CI trace gate diff it.
+/// order — the executor tests and the CI trace gate diff it.
 std::string campaign_runs_trace_json(const ExecutorStats& s,
                                      const std::string& fingerprint_hex);
 

@@ -12,7 +12,7 @@
 //
 // The contract is byte-identity, not approximation: a restored run's
 // RunResult equals the straight-through run's byte for byte (pinned across
-// serial/fork/pool/distributed by test_checkpoint / test_executor). That is
+// in-process and pool execution by test_checkpoint / test_executor). That is
 // why checkpoints carry order-dependent float accumulators verbatim and why
 // nothing config-derived (maps, LUTs, plans, models) is ever serialized —
 // restored runs rebuild those from their own RunConfig.

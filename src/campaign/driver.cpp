@@ -685,7 +685,7 @@ RunResult run_experiment(const RunConfig& cfg, CheckpointStore* store) {
          {"outcome", to_string(result.outcome)}});
     // Stash the deterministic residue (instants + histograms + drop count)
     // for the campaign executor to harvest — this is how per-run telemetry
-    // reaches the merged fleet trace without touching the RunResult.
+    // reaches the merged campaign trace without touching the RunResult.
     obs::RunCapture cap;
     cap.valid = true;
     cap.dropped = trace_rec->dropped();

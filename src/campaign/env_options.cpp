@@ -13,7 +13,6 @@
 #include <stdexcept>
 
 #include "campaign/campaign.h"
-#include "campaign/transport.h"
 
 namespace dav {
 
@@ -119,35 +118,6 @@ EnvOptions EnvOptions::from_env() {
   if (const char* v = get("DAV_RUN_AS_MB")) {
     o.run_as_mb = parse_mib("DAV_RUN_AS_MB", v);
   }
-  // An empty value disables distribution, mirroring DAV_JOURNAL's empty =
-  // off (so `DAV_WORKERS= davcamp serve` works under a coordinator's env).
-  if (const char* v = get("DAV_WORKERS"); v != nullptr && *v != '\0') {
-    try {
-      o.workers = split_worker_list(v);
-      for (const std::string& spec : o.workers) parse_endpoint(spec);
-    } catch (const std::exception& e) {
-      reject("DAV_WORKERS", v,
-             std::string("a comma-separated list of host:port or unix:/path "
-                         "endpoints (") +
-                 e.what() + ")");
-    }
-  }
-  if (const char* v = get("DAV_SERVE"); v != nullptr && *v != '\0') {
-    try {
-      parse_endpoint(v);
-    } catch (const std::exception& e) {
-      reject("DAV_SERVE", v,
-             std::string("a host:port or unix:/path listen address (") +
-                 e.what() + ")");
-    }
-    o.serve = v;
-  }
-  if (const char* v = get("DAV_HEARTBEAT_SEC")) {
-    o.heartbeat_sec = parse_seconds("DAV_HEARTBEAT_SEC", v, false);
-  }
-  if (const char* v = get("DAV_STRAGGLER_SEC")) {
-    o.straggler_sec = parse_seconds("DAV_STRAGGLER_SEC", v, true);
-  }
   if (const char* v = get("DAV_SENSOR_FAULTS"); v != nullptr && *v != '\0') {
     std::string list = v;
     if (list == "all") {
@@ -180,8 +150,7 @@ EnvOptions EnvOptions::from_env() {
     o.sensor_duration_ticks = static_cast<int>(parse_int(
         "DAV_SENSOR_DURATION_TICKS", v, 1, kIntMax, "a tick count"));
   }
-  // Mirror DAV_JOURNAL: empty = off, so a coordinator's env can be inherited
-  // with the snapshot disabled.
+  // Mirror DAV_JOURNAL: an empty value disables the snapshot.
   if (const char* v = get("DAV_METRICS")) o.metrics_path = v;
   if (const char* v = get("DAV_METRICS_INTERVAL_SEC")) {
     o.metrics_interval_sec =
@@ -204,16 +173,9 @@ void EnvOptions::validate() const {
   if (!(scale > 0.0) || !std::isfinite(scale)) {
     bad("scale must be positive and finite, got " + std::to_string(scale));
   }
-  // Every executor knob (jobs, retries, rlimits, timeouts, endpoints,
-  // metrics cadence) is checked by the struct that consumes it.
+  // Every executor knob (jobs, retries, rlimits, timeouts, metrics cadence)
+  // is checked by the struct that consumes it.
   executor_options().validate();
-  if (!serve.empty()) {
-    try {
-      parse_endpoint(serve);
-    } catch (const std::exception& e) {
-      bad(std::string("serve is not a listen address: ") + e.what());
-    }
-  }
   for (const SensorFaultModel m : sensor_faults) {
     if (m == SensorFaultModel::kNone) {
       bad("sensor_faults must name injectable models (kNone is not one)");
@@ -252,9 +214,6 @@ ExecutorOptions EnvOptions::executor_options() const {
   o.max_retries = run_retries;
   o.cpu_limit_sec = run_cpu_sec;
   o.address_space_mb = run_as_mb;
-  o.workers = workers;
-  o.heartbeat_sec = heartbeat_sec;
-  o.straggler_sec = straggler_sec;
   o.metrics_path = metrics_path;
   o.metrics_interval_sec = metrics_interval_sec;
   return o;
@@ -289,18 +248,6 @@ const std::vector<EnvOptions::VarDoc>& EnvOptions::docs() {
        "RLIMIT_CPU per worker in seconds; 0 disables"},
       {"DAV_RUN_AS_MB", "0",
        "RLIMIT_AS per worker in MiB; 0 disables (keep 0 under ASan)"},
-      {"DAV_WORKERS", "(unset)",
-       "comma-separated worker endpoints (host:port or unix:/path); runs "
-       "campaigns on those daemons"},
-      {"DAV_SERVE", "(unset)",
-       "listen address for `davcamp serve`; runs this process as a worker "
-       "daemon"},
-      {"DAV_HEARTBEAT_SEC", "5",
-       "distributed liveness: daemon idle-beacon cadence; endpoints silent "
-       "for ~3x are declared dead"},
-      {"DAV_STRAGGLER_SEC", "0",
-       "re-dispatch a remote run still in flight after this long; first "
-       "result wins, duplicates are discarded; 0 disables"},
       {"DAV_METRICS", "(unset)",
        "live metrics snapshot path: key=value campaign progress rewritten "
        "atomically while a campaign runs"},

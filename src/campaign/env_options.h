@@ -53,23 +53,6 @@ struct EnvOptions {
   /// RLIMIT_AS per worker, MiB; 0 disables (DAV_RUN_AS_MB).
   std::size_t run_as_mb = 0;
 
-  // --- distributed campaign service (transport.h) --------------------------
-  /// Remote worker endpoints (DAV_WORKERS, comma-separated "host:port" or
-  /// "unix:/path"). Non-empty routes the campaign through the distributed
-  /// coordinator.
-  std::vector<std::string> workers;
-  /// Worker-daemon listen address (DAV_SERVE); empty means "not a daemon".
-  /// Consumed by `davcamp serve`, ignored by campaign runs.
-  std::string serve;
-  /// Distributed heartbeat cadence, seconds (DAV_HEARTBEAT_SEC): daemons
-  /// beacon when idle this long; the coordinator declares an endpoint dead
-  /// after ~3x of silence.
-  double heartbeat_sec = 5.0;
-  /// Straggler deadline, seconds (DAV_STRAGGLER_SEC): a remote run in flight
-  /// longer than this is re-dispatched to another endpoint; first result
-  /// wins. 0 disables re-dispatch.
-  double straggler_sec = 0.0;
-
   // --- live campaign metrics (executor.h) ----------------------------------
   /// Metrics snapshot path (DAV_METRICS, or davcamp --metrics): the executor
   /// periodically rewrites this file with a key=value progress snapshot via
@@ -111,7 +94,7 @@ struct EnvOptions {
   /// Campaign sizing with `scale` applied (same floors as the historic
   /// DAV_SCALE handling, so existing campaigns reproduce exactly).
   CampaignScale campaign_scale() const;
-  /// Executor routing: jobs/checkpointing/journal/rlimits/endpoints. The
+  /// Executor routing: jobs/checkpointing/journal/rlimits/metrics. The
   /// caller stamps campaign_fingerprint before use.
   ExecutorOptions executor_options() const;
   /// Flight-recorder opt-in for RunConfig::trace.

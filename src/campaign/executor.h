@@ -5,23 +5,21 @@
 // treat this as first-class infrastructure). CampaignExecutor::run_all is the
 // one dispatch loop every campaign goes through: it owns the plan queue,
 // attempts with capped backoff, retry-or-quarantine, the write-ahead journal
-// (journal.h), first-result-wins dedup by plan index, telemetry folding and
-// the live metrics snapshot. Where a run executes is a *slot source*:
+// (journal.h), telemetry folding and the live metrics snapshot. Where a run
+// executes is a *slot source*:
 //
 //  - jobs == 0 (and every non-POSIX host): one slot in this process. A run
 //    that throws becomes a failed attempt; no watchdog or rlimits.
-//  - jobs == N: a persistent prefork pool of N sandboxed workers
-//    (PoolSupervisor). Each worker streams RunConfigs in and checksummed
-//    result records out, keeps a CheckpointStore (campaign/checkpoint.h) so
-//    runs sharing a scenario skip setup replay, and is replaced when it dies
-//    by signal, rlimit or the wall-clock watchdog.
-//  - workers non-empty: remote worker daemons (transport.h) with handshake,
-//    heartbeat, reconnect and straggler copies.
+//  - jobs == N: a persistent prefork pool of up to N sandboxed workers. Each
+//    worker streams RunConfigs in and checksummed result records out, keeps a
+//    CheckpointStore (campaign/checkpoint.h) so runs sharing a scenario skip
+//    setup replay, and is replaced when it dies by signal, rlimit or the
+//    wall-clock watchdog.
 //
-// Every source yields the same result bytes, merged by plan index, so a
-// pooled, resumed, distributed or in-process sweep of the same configs is
-// bit-identical; quarantined runs still complete the sweep as kHarnessError
-// records naming the offending seed and FaultPlan.
+// Both sources yield the same result bytes, merged by plan index, so a
+// pooled, resumed or in-process sweep of the same configs is bit-identical;
+// quarantined runs still complete the sweep as kHarnessError records naming
+// the offending seed and FaultPlan.
 #pragma once
 
 #include <chrono>
@@ -29,12 +27,12 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "campaign/driver.h"
+#include "campaign/serialize.h"
 #include "util/trace.h"
 
 namespace dav {
@@ -48,7 +46,7 @@ struct ExecutorOptions {
       std::numeric_limits<std::size_t>::max() >> 20;
 
   /// Worker processes: 0 runs every attempt in this process, N forks a pool
-  /// of N sandboxed workers.
+  /// of up to N sandboxed workers (never more than the batch has runs).
   int jobs = 1;
   /// Fork-point checkpoint sharing (DAV_CHECKPOINT / davcamp --checkpoint):
   /// force cfg.checkpoint.enabled for every dispatched run, so workers
@@ -77,21 +75,10 @@ struct ExecutorOptions {
   std::string journal_path;
   /// Binds the journal to one campaign configuration (see journal.h).
   std::uint64_t campaign_fingerprint = 0;
-  /// Remote worker endpoints ("host:port" or "unix:/path", see transport.h).
-  /// Non-empty runs the plan on those daemons with work-stealing, straggler
-  /// copies and reconnect; `jobs` then sizes nothing on this host.
-  std::vector<std::string> workers;
-  /// Distributed liveness: a daemon beacons when idle for this long, and the
-  /// coordinator declares an endpoint dead after ~3x of silence. Seconds.
-  double heartbeat_sec = 5.0;
-  /// Straggler deadline: a remote run still in flight after this long is
-  /// re-dispatched to another endpoint; the first completed result wins and
-  /// duplicates are discarded by plan index. 0 disables re-dispatch.
-  double straggler_sec = 0.0;
   /// Live metrics snapshot path (DAV_METRICS / davcamp --metrics): the
   /// executor periodically rewrites this file with a key=value progress
-  /// snapshot (runs done/total, runs/sec, ETA, quarantines, endpoint health)
-  /// via temp-file + atomic rename, so a reader never sees a torn snapshot.
+  /// snapshot (runs done/total, runs/sec, ETA, quarantines) via temp-file +
+  /// atomic rename, so a reader never sees a torn snapshot.
   /// Empty disables. Observability only — never read back, never part of the
   /// deterministic summary.
   std::string metrics_path;
@@ -123,46 +110,6 @@ struct WorkerSpan {
   double dur_sec = 0.0;
 };
 
-/// The observability residue of one completed run (util/trace.h RunCapture)
-/// tagged with its plan index. Harvested by the in-process slot from the
-/// driver's stash, shipped by pool workers inside their response frame, and
-/// forwarded by daemons as kTelemetry capture messages — one record per
-/// traced, non-replayed run, first arrival wins on re-dispatch duplicates.
-struct RunTraceCapture {
-  std::uint64_t plan_index = 0;
-  obs::RunCapture capture;
-};
-
-/// One remote endpoint's merged observability picture, accumulated by the
-/// distributed coordinator from kTelemetry aggregates. Wall-clock telemetry
-/// only; pid assignment in the fleet trace is by `index` (plan order of
-/// opts.workers), so the merged trace layout is stable for a given campaign.
-struct EndpointTelemetry {
-  std::string spec;            ///< endpoint text, for labeling
-  int index = 0;               ///< position in opts.workers (pid = index + 1)
-  std::string state;           ///< last known: connecting/ready/failed/...
-  std::uint32_t slots = 0;     ///< pool slots advertised in kHelloAck
-  std::uint64_t runs_done = 0; ///< results accepted from this endpoint
-  int reconnects = 0;
-  /// Daemon steady clock minus coordinator steady clock, from the handshake
-  /// timestamp exchange (NTP-style midpoint estimate). Seconds.
-  double clock_offset_sec = 0.0;
-  /// Daemon pool epoch mapped onto the coordinator timeline, relative to
-  /// run_all entry: add to a daemon span's start_sec to place it.
-  double base_sec = 0.0;
-  // Cumulative daemon-side pool counters (latest aggregate wins).
-  std::uint64_t launched = 0;
-  std::uint64_t respawns = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t signal_deaths = 0;
-  std::uint64_t checkpoint_hits = 0;
-  std::uint64_t checkpoint_misses = 0;
-  std::uint64_t checkpoint_evictions = 0;
-  std::uint64_t trace_dropped = 0;
-  obs::StageHistogramSet histograms;  ///< cumulative across runs served
-  std::vector<WorkerSpan> spans;      ///< daemon slot spans, daemon-relative
-};
-
 struct ExecutorStats {
   int launched = 0;       ///< worker processes forked
   int journal_hits = 0;   ///< runs skipped because the journal had them
@@ -172,7 +119,7 @@ struct ExecutorStats {
   int quarantined = 0;    ///< runs recorded as final kHarnessError
   std::uint64_t torn_bytes_discarded = 0;  ///< from the journal's torn tail
 
-  // Pool lifecycle (zero in-process and distributed).
+  // Pool lifecycle (zero in-process).
   int pool_workers = 0;   ///< persistent workers forked at batch start
   int respawns = 0;       ///< replacement workers forked after a death
   /// CheckpointStore reuse counters, summed across workers: hits/misses over
@@ -181,13 +128,6 @@ struct ExecutorStats {
   std::uint64_t checkpoint_hits = 0;
   std::uint64_t checkpoint_misses = 0;
   std::uint64_t checkpoint_evictions = 0;
-
-  // Distributed-coordinator lifecycle (zero otherwise). In distributed mode
-  // the per-slot vectors below are per-endpoint instead of per-process.
-  int remote_endpoints = 0;    ///< worker endpoints this batch dispatched to
-  int reconnects = 0;          ///< re-handshakes after a connection drop
-  int redispatches = 0;        ///< straggler copies sent to another endpoint
-  int duplicate_discards = 0;  ///< redundant results dropped by plan index
 
   // Telemetry (wall-clock; surfaced on stderr by davcamp, exported as the
   // campaign trace — deliberately absent from the deterministic summary).
@@ -203,13 +143,21 @@ struct ExecutorStats {
   std::uint64_t trace_dropped = 0;    ///< ring evictions across all runs
   obs::StageHistogramSet stage_hist;  ///< merged per-stage span histograms
   std::vector<RunTraceCapture> captures;  ///< per-run residue, arrival order
-  std::vector<EndpointTelemetry> endpoints;  ///< distributed mode only
 };
 
 /// The kHarnessError placeholder for a run that could not produce a result:
 /// carries the identity (scenario, mode, fault plan, seed, dt) so summaries
 /// and quarantine reports still name the offending run.
 RunResult harness_error_result(const RunConfig& cfg);
+
+/// Capped exponential backoff with deterministic seeded jitter, the delay
+/// before a retry: base * 2^min(attempt,16), capped at cap_sec, scaled by a
+/// jitter factor in [0.75, 1.25) derived from fnv1a64(salt, attempt). Pure —
+/// the same (base, attempt, salt) always yields the same delay — so retry
+/// schedules are replayable, yet retries keyed by different salts (run
+/// digests) never synchronize into thundering herds.
+double backoff_delay_sec(double base_sec, int attempt, std::uint64_t salt,
+                         double cap_sec = 60.0);
 
 class CampaignExecutor {
  public:
@@ -240,12 +188,11 @@ class CampaignExecutor {
 
  private:
   /// Fold one run's trace residue into stats_ (first arrival wins per plan
-  /// index — re-dispatch duplicates and retries are discarded, mirroring the
-  /// result dedup).
+  /// index: a retry of a run whose failed attempt already left a capture is
+  /// discarded).
   void fold_capture(RunTraceCapture cap);
   /// Live metrics snapshot (opts_.metrics_path, atomic rename). Rate-limited
   /// by metrics_interval_sec unless `force` (batch end / final state).
-  /// Per-endpoint lines derive from stats_.endpoints in distributed mode.
   void write_metrics_snapshot(std::size_t total, std::size_t done, bool force);
 
   ExecutorOptions opts_;
@@ -258,87 +205,6 @@ class CampaignExecutor {
   std::unordered_set<std::uint64_t> capture_seen_;
   /// Last metrics snapshot write, for interval rate limiting.
   std::chrono::steady_clock::time_point last_metrics_{};
-};
-
-/// Event-driven supervisor over the persistent prefork worker pool: the
-/// executor's local slot source, and what the socket worker daemon
-/// (transport.h) hosts. Lazily forked long-lived workers, checksummed
-/// request/response framing, per-run CPU-budget re-arm, a wall-clock
-/// watchdog, death diagnosis and respawn accounting. Policy stays with the
-/// caller: retries, backoff, journaling and result merging all consume the
-/// Completion records this class emits. POSIX only — constructing one on a
-/// non-POSIX host throws.
-class PoolSupervisor {
- public:
-  /// One finished dispatch. `ok` means a complete, checksummed response
-  /// frame arrived; `result_payload` then holds the embedded result payload
-  /// (parse_result_payload — which may itself carry a workload failure).
-  /// !ok is a worker death — crash, watchdog timeout, corrupt stream — with
-  /// the diagnosis in `what`.
-  struct Completion {
-    std::size_t index = 0;
-    int attempt = 0;
-    int slot = 0;
-    bool ok = false;
-    std::string what;
-    std::string result_payload;
-    /// Encoded RunTraceCapture blob (transport.h encode_run_capture), empty
-    /// when the run was untraced. Rides the response frame OUTSIDE the
-    /// result payload, so journal bytes are unchanged by tracing.
-    std::string capture_payload;
-    double start_sec = 0.0;  ///< relative to the epoch; telemetry only
-    double dur_sec = 0.0;
-  };
-  /// Lifecycle + checkpoint counters, folded into ExecutorStats by callers.
-  struct Telemetry {
-    int launched = 0;
-    int pool_workers = 0;  ///< first-wave spawns (before any worker death)
-    int respawns = 0;      ///< replacement spawns (after a death)
-    int timeouts = 0;
-    int signal_deaths = 0;
-    std::uint64_t checkpoint_hits = 0;
-    std::uint64_t checkpoint_misses = 0;
-    std::uint64_t checkpoint_evictions = 0;
-  };
-
-  /// `epoch` anchors Completion::start_sec (run_all entry, or daemon session
-  /// start). Validates `opts`.
-  PoolSupervisor(const ExecutorOptions& opts,
-                 CampaignExecutor::CheckpointRunFn fn,
-                 std::chrono::steady_clock::time_point epoch);
-  /// SIGKILLs and reaps any still-live workers; in-flight runs are dropped
-  /// (the daemon relies on this when its coordinator disconnects — the
-  /// coordinator requeues them).
-  ~PoolSupervisor();
-  PoolSupervisor(const PoolSupervisor&) = delete;
-  PoolSupervisor& operator=(const PoolSupervisor&) = delete;
-
-  int slots() const;  ///< max concurrent workers (max(1, opts.jobs))
-  int busy() const;   ///< dispatches currently in flight
-  /// An idle live worker exists, or a replacement can still be forked.
-  bool can_dispatch() const;
-  /// Send one run to an idle worker (forking one if needed). Only valid when
-  /// can_dispatch(); `attempt` is echoed back on the Completion. `affinity`
-  /// is an opaque grouping key (the run's prefix digest under checkpointing):
-  /// an idle worker that last ran the same key is preferred, so variants of
-  /// one fault-free prefix land on the worker that holds its checkpoint.
-  void dispatch(std::size_t index, int attempt, const RunConfig& cfg,
-                std::uint64_t affinity = 0);
-  /// Pump the event loop once: wait up to `max_wait_ms` for response bytes,
-  /// drain complete frames, enforce watchdog deadlines, reap deaths, and
-  /// append finished dispatches to `out`. When `extra_fd` >= 0 it joins the
-  /// poll set and *extra_readable reports whether it has data (or EOF)
-  /// pending — the daemon multiplexes its coordinator socket this way.
-  void pump(int max_wait_ms, std::vector<Completion>& out, int extra_fd = -1,
-            bool* extra_readable = nullptr);
-  /// Clean shutdown: close request pipes (workers read EOF and exit), reap.
-  /// Call with busy() == 0; any dispatch still in flight is dropped.
-  void shutdown();
-  const Telemetry& telemetry() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace dav

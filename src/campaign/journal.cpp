@@ -65,8 +65,11 @@ void truncate_file(const std::string& path, std::uint64_t size) {
 #endif
 }
 
-}  // namespace
-
+/// fsync the directory containing `path`, making a file creation in it
+/// durable (fsync of the file itself only persists the file's bytes, not the
+/// directory entry pointing at them). No-op on non-POSIX hosts; I/O errors
+/// are swallowed (the data writes already succeeded, and EINVAL is normal on
+/// filesystems that reject directory fsync).
 void fsync_parent_dir(const std::string& path) {
 #if DAV_JOURNAL_POSIX
   const std::size_t slash = path.find_last_of('/');
@@ -80,6 +83,8 @@ void fsync_parent_dir(const std::string& path) {
   (void)path;
 #endif
 }
+
+}  // namespace
 
 JournalLoad load_journal(const std::string& path, std::uint64_t fingerprint) {
   JournalLoad load;

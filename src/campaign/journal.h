@@ -46,13 +46,6 @@ struct JournalLoad {
 /// (`fingerprint` mismatch).
 JournalLoad load_journal(const std::string& path, std::uint64_t fingerprint);
 
-/// fsync the directory containing `path`, making a file creation, rename, or
-/// unlink in it durable (fsync of the file itself only persists the file's
-/// bytes, not the directory entry pointing at them). No-op on non-POSIX
-/// hosts; I/O errors are swallowed (the data writes already succeeded, and
-/// EINVAL is normal on filesystems that reject directory fsync).
-void fsync_parent_dir(const std::string& path);
-
 /// Appender. Opening with the JournalLoad from load_journal() truncates the
 /// torn tail (if any) so the file ends on a record boundary, then appends.
 /// Every append is flushed to the OS (and fsync'd where available) before

@@ -1,5 +1,6 @@
 #include "campaign/serialize.h"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -375,6 +376,55 @@ ResultPayload parse_result_payload(const std::string& bytes) {
   io_payload(a, p.ok, p.what, p.result);
   a.finish();
   return p;
+}
+
+// Encoding walks the non-empty buckets in order; decoding starts from empty
+// histograms and takes both numbers from the wire.
+template <class A>
+void io(A& a, obs::StageHistogramSet& hist) {
+  for (obs::StageHistogram& h : hist.stages) {
+    auto nonzero = static_cast<std::uint8_t>(std::count_if(
+        h.buckets.begin(), h.buckets.end(),
+        [](std::uint64_t b) { return b != 0; }));
+    a.u8(nonzero);
+    std::size_t next = 0;
+    for (std::uint8_t k = 0; k < nonzero; ++k, ++next) {
+      while (next < h.buckets.size() && h.buckets[next] == 0) ++next;
+      auto bucket = static_cast<std::uint8_t>(next);
+      a.u8(bucket);
+      if (bucket >= h.buckets.size()) {
+        throw std::runtime_error("telemetry: histogram bucket out of range");
+      }
+      a.u64(h.buckets[bucket]);
+    }
+  }
+}
+
+template <class A>
+void io(A& a, RunTraceCapture& cap) {
+  a.u64(cap.plan_index);
+  a.u64(cap.capture.dropped);
+  a.f64(cap.capture.dt);
+  io(a, cap.capture.histograms);
+  a.vec32(cap.capture.instants, [&](obs::TraceEvent& ev) {
+    a.u32(ev.tick);
+    a.u32(ev.id);
+    a.u8(ev.track);
+    a.f64(ev.value);
+  });
+}
+
+std::string encode_run_capture(const RunTraceCapture& cap) {
+  return encode_fields(cap);
+}
+
+RunTraceCapture decode_run_capture(const std::string& blob) {
+  RunTraceCapture cap = decode_fields<RunTraceCapture>(blob, "telemetry");
+  cap.capture.valid = true;
+  for (obs::TraceEvent& ev : cap.capture.instants) {
+    ev.kind = obs::EventKind::kInstant;
+  }
+  return cap;
 }
 
 std::uint64_t run_config_digest(const RunConfig& cfg) {

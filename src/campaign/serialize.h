@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "campaign/driver.h"
+#include "util/trace.h"
 
 namespace dav {
 
@@ -303,11 +304,10 @@ RunResult deserialize_run_result(const std::string& bytes);
 //
 // result payload = u8 ok | [str what, when !ok] | serialized RunResult
 //
-// The unit every executor strategy journals and every worker ships: ok=1
-// wraps a completed RunResult, ok=0 wraps the quarantine diagnosis plus the
-// kHarnessError placeholder. Pool responses and the socket transport embed
-// this payload verbatim, so a journal record is byte-compatible across
-// in-process, pool and distributed runs.
+// The unit every executor slot journals and every worker ships: ok=1 wraps a
+// completed RunResult, ok=0 wraps the quarantine diagnosis plus the
+// kHarnessError placeholder. Pool responses embed this payload verbatim, so a
+// journal record is byte-compatible across in-process and pool runs.
 
 struct ResultPayload {
   bool ok = false;
@@ -316,7 +316,7 @@ struct ResultPayload {
 };
 
 /// Encode a worker verdict. Bit-exact: two calls with equal inputs produce
-/// identical bytes (the distributed journal merge relies on this).
+/// identical bytes.
 std::string make_result_payload(bool ok, const std::string& what,
                                 const RunResult& r);
 
@@ -324,15 +324,40 @@ std::string make_result_payload(bool ok, const std::string& what,
 /// version-mismatched bytes.
 ResultPayload parse_result_payload(const std::string& bytes);
 
+// --- run trace capture (worker -> executor) --------------------------------
+//
+// capture = u64 plan_index | u64 dropped | f64 dt | histograms
+//           | u32 n | n x (u32 tick | u32 id | u8 track | f64 value)
+//
+// Histograms go on the wire sparsely: per stage, the number of non-empty
+// buckets, then (u8 bucket index, u64 count) for each. A traced run touches
+// a handful of buckets per stage, so a capture stays in the low hundreds of
+// bytes.
+
+/// The observability residue of one completed run (util/trace.h RunCapture)
+/// tagged with its plan index. Harvested by the in-process slot from the
+/// driver's stash, and shipped by pool workers inside their response frame
+/// beside (never inside) the result payload, so journal bytes do not depend
+/// on tracing. One record per traced, non-replayed run.
+struct RunTraceCapture {
+  std::uint64_t plan_index = 0;
+  obs::RunCapture capture;
+};
+
+std::string encode_run_capture(const RunTraceCapture& cap);
+
+/// Inverse of encode_run_capture: the capture comes back valid, its events
+/// instant. Throws std::runtime_error on truncated or trailing bytes.
+RunTraceCapture decode_run_capture(const std::string& blob);
+
 // --- pipe framing (executor <-> worker) ------------------------------------
 //
 // frame = u32 payload_len | u64 fnv1a64(payload) | payload
 //
-// Both directions of the executor protocol use this frame: pool workers
-// stream request frames in and result frames out over long-lived pipes, and
-// the socket transport carries the same frames. A process that dies
-// mid-write leaves a frame that fails the length or checksum test, which the
-// supervisor treats exactly like a signal death.
+// Both directions of the pool protocol use this frame: workers stream
+// request frames in and result frames out over long-lived pipes. A process
+// that dies mid-write leaves a frame that fails the length or checksum test,
+// which the supervisor treats exactly like a signal death.
 
 /// Wrap a payload in a checksummed, length-prefixed frame.
 std::string frame_message(const std::string& payload);
@@ -350,8 +375,8 @@ struct FrameSplit {
 };
 
 /// Scan the front of a streaming receive buffer for one complete frame. A
-/// persistent worker pipe or socket carries many frames back to back, so
-/// extraction is incremental.
+/// persistent worker pipe carries many frames back to back, so extraction is
+/// incremental.
 FrameSplit try_unframe(const std::string& buf);
 
 /// Complete, versioned encoding of a RunConfig — every outcome-determining

@@ -51,8 +51,8 @@ SensorFaultModel parse_sensor_fault_model(const std::string& name);
 const std::vector<SensorFaultModel>& all_sensor_fault_models();
 
 /// One planned sensor-path injection. Serialized into RunConfig/RunResult
-/// records and folded into run_config_digest when active, so pool and
-/// distributed workers inherit the exact plan.
+/// records and folded into run_config_digest when active, so pool workers
+/// inherit the exact plan.
 struct SensorFaultPlan {
   SensorFaultModel model = SensorFaultModel::kNone;
   /// Camera models: rig camera index (0 = left, 1 = center, 2 = right).

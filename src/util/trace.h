@@ -241,8 +241,8 @@ struct TraceOptions {
 /// reference to the (stack-local) recorder. Contains ONLY semantic data —
 /// instant events (whose tick/id/track/value are functions of the run seed)
 /// and the per-stage histograms + drop count (wall-clock summaries that never
-/// feed back into results) — so shipping it over the campaign transport
-/// cannot perturb journal or summary byte-determinism.
+/// feed back into results) — so shipping it back from a pool worker cannot
+/// perturb journal or summary byte-determinism.
 struct RunCapture {
   bool valid = false;
   std::uint64_t dropped = 0;

@@ -2,8 +2,8 @@
 // byte-identity contract — a run restored from a RunCheckpoint produces a
 // RunResult byte-for-byte equal to the straight-through run — plus the
 // prefix-digest field rules, the RunCheckpoint codec (bit-exact floats,
-// NaN / -0.0 included), deep-tier eviction, and the executor strategies
-// (in-process, pool, distributed) with checkpointing folded in.
+// NaN / -0.0 included), deep-tier eviction, and both executor slot sources
+// (in-process, pool) with checkpointing folded in.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,14 +22,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define DAV_TEST_POSIX 1
-#include <csignal>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <thread>
-
-#include "campaign/transport.h"
 #endif
 
 namespace dav {
@@ -464,49 +456,6 @@ TEST(CheckpointExecutor, TwoWorkerPoolMatchesSerialByteForByte) {
     EXPECT_EQ(serialize_run_result(results[i]), bytes_of(cfgs[i]))
         << "index " << i;
   }
-}
-
-TEST(CheckpointExecutor, DistributedMatchesSerialByteForByte) {
-  const std::string sock = ::testing::TempDir() + "/ckpt_dist.sock";
-  std::remove(sock.c_str());
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ServeOptions sopts;
-    sopts.listen_spec = "unix:" + sock;
-    sopts.heartbeat_sec = 0.2;
-    ExecutorOptions eopts;
-    eopts.jobs = 1;
-    eopts.run_timeout_sec = 120.0;
-    try {
-      serve_campaign(sopts, eopts);  // default fn: the real run_experiment
-    } catch (...) {
-    }
-    ::_exit(0);
-  }
-  for (int i = 0; i < 200 && ::access(sock.c_str(), F_OK) != 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  const auto cfgs = sweep_configs();
-  ExecutorOptions o;
-  o.workers = {"unix:" + sock};
-  o.heartbeat_sec = 0.2;
-  o.checkpoint = true;  // coordinator folds it into each shipped config
-  o.run_timeout_sec = 120.0;
-  CampaignExecutor exec(o);
-  const auto results = exec.run_all(cfgs);
-  ::kill(pid, SIGTERM);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  std::remove(sock.c_str());
-
-  ASSERT_EQ(results.size(), cfgs.size());
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    EXPECT_EQ(serialize_run_result(results[i]), bytes_of(cfgs[i]))
-        << "index " << i;
-  }
-  EXPECT_GE(exec.stats().checkpoint_hits, 3u);
 }
 
 #endif  // DAV_TEST_POSIX

@@ -559,8 +559,8 @@ TEST_F(DavlintTest, ForkChildWriteOnlyIsClean) {
 }
 
 TEST_F(DavlintTest, ForkChildSocketSyscallsAreClean) {
-  // The transport daemon forks protocol workers that speak over sockets;
-  // the raw socket syscalls are async-signal-safe and must stay allowlisted.
+  // A forked child may speak over sockets; the raw socket syscalls are
+  // async-signal-safe and must stay allowlisted.
   const auto p = write_fixture(
       "fk.cpp",
       "#include <sys/socket.h>\n"

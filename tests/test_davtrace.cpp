@@ -60,7 +60,7 @@ class DavtraceTest : public ::testing::Test {
   fs::path dir_;
 };
 
-/// A campaign-style fleet trace: no span events, percentiles carried in the
+/// A campaign-style worker trace: no span events, percentiles carried in the
 /// "hist.<stage>" otherData rows (count,p50_ns,p95_ns,p99_ns).
 std::string hist_trace(const std::string& control_row,
                        const std::string& planner_row) {

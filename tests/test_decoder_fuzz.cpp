@@ -1,12 +1,11 @@
-// Seeded mutation fuzzer over every decoder a pipe or socket can reach:
-// framing, transport messages, run configs, result payloads, telemetry
-// captures and aggregates, and run checkpoints. Each decoder starts from
-// valid encodings, which are then truncated, bit-flipped, spliced together
-// and given hostile length fields. A decoder must return or throw a
-// std::exception — never crash, read out of bounds or allocate without
-// bound. The seed is fixed, so a failure replays exactly; the ASan/UBSan
-// build runs the same cases. The seed encodings themselves are pinned by
-// FNV-1a (WirePins.*).
+// Seeded mutation fuzzer over every decoder a pool pipe can reach: framing,
+// run configs, result payloads, run trace captures, and run checkpoints.
+// Each decoder starts from valid encodings, which are then truncated,
+// bit-flipped, spliced together and given hostile length fields. A decoder
+// must return or throw a std::exception — never crash, read out of bounds or
+// allocate without bound. The seed is fixed, so a failure replays exactly;
+// the ASan/UBSan build runs the same cases. The seed encodings themselves
+// are pinned by FNV-1a (WirePins.*).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,8 +18,8 @@
 #include <vector>
 
 #include "campaign/checkpoint.h"
+#include "campaign/executor.h"
 #include "campaign/serialize.h"
-#include "campaign/transport.h"
 #include "core/threshold_lut.h"
 #include "util/bits.h"
 #include "util/rng.h"
@@ -178,23 +177,6 @@ RunTraceCapture sample_capture() {
   return cap;
 }
 
-TelemetryAggregate sample_aggregate() {
-  TelemetryAggregate agg;
-  agg.base_ns = 123456789;
-  agg.launched = 4;
-  agg.checkpoint_hits = 2;
-  agg.histograms.at(obs::Stage::kPerception).add(1 << 20);
-  for (int i = 0; i < 3; ++i) {
-    WorkerSpan w;
-    w.index = static_cast<std::size_t>(i);
-    w.slot = i % 2;
-    w.start_sec = 0.25 * i;
-    w.dur_sec = 0.125;
-    agg.spans.push_back(w);
-  }
-  return agg;
-}
-
 std::vector<std::string> checkpoint_seeds() {
   RunCheckpoint bare;
   RunCheckpoint full;
@@ -211,10 +193,12 @@ std::vector<std::string> checkpoint_seeds() {
 }
 
 TEST(DecoderFuzz, FrameSplitter) {
+  // Pool-shaped frames: a request's config, a response's result payload,
+  // and two frames back to back on one stream.
   const ThresholdLut lut = trained_lut();
-  const std::string request = msg_run_request(7, config_seeds(lut)[1]);
-  fuzz(1, {frame_message("hello pool"), frame_message(request),
-           frame_message(msg_heartbeat()) + frame_message(request)},
+  const std::string config = frame_message(config_seeds(lut)[1]);
+  const std::string payload = frame_message(payload_seeds()[0]);
+  fuzz(1, {config, payload, config + payload},
        [](const std::string& bytes) {
          const FrameSplit fs = try_unframe(bytes);
          if (fs.status == FrameSplit::Status::kOk) {
@@ -224,19 +208,6 @@ TEST(DecoderFuzz, FrameSplitter) {
            throw std::runtime_error("no frame");  // counted as rejected
          }
        });
-}
-
-TEST(DecoderFuzz, TransportMessages) {
-  const ThresholdLut lut = trained_lut();
-  const std::string blob = encode_run_capture(sample_capture());
-  fuzz(2,
-       {msg_hello(0xDEADBEEFull, 42), msg_hello_ack(4, 43),
-        msg_hello_reject("fingerprint mismatch"),
-        msg_run_request(3, config_seeds(lut)[1]),
-        msg_run_result(3, payload_seeds()[0]), msg_heartbeat(),
-        msg_telemetry_capture(blob),
-        msg_telemetry_aggregate(sample_aggregate())},
-       [](const std::string& bytes) { parse_transport_msg(bytes); });
 }
 
 TEST(DecoderFuzz, RunConfigs) {
@@ -254,16 +225,6 @@ TEST(DecoderFuzz, TelemetryCaptures) {
   const std::string blob = encode_run_capture(sample_capture());
   fuzz(5, {blob, encode_run_capture(RunTraceCapture{})},
        [](const std::string& bytes) { decode_run_capture(bytes); });
-  fuzz(6, {parse_transport_msg(msg_telemetry_capture(blob)).body},
-       [](const std::string& bytes) { decode_telemetry_capture(bytes); });
-}
-
-TEST(DecoderFuzz, TelemetryAggregates) {
-  fuzz(7,
-       {parse_transport_msg(msg_telemetry_aggregate(sample_aggregate())).body,
-        parse_transport_msg(msg_telemetry_aggregate(TelemetryAggregate{}))
-            .body},
-       [](const std::string& bytes) { decode_telemetry_aggregate(bytes); });
 }
 
 TEST(DecoderFuzz, RunCheckpoints) {
@@ -305,32 +266,12 @@ TEST(WirePins, Telemetry) {
             0xc7e7fb5da5990fd2ULL);
   EXPECT_EQ(fnv_of(encode_run_capture(RunTraceCapture{})),
             0x6a83ca37bf434fbdULL);
-  EXPECT_EQ(fnv_of(msg_telemetry_aggregate(sample_aggregate())),
-            0x67deae6c000131f1ULL);
-  EXPECT_EQ(fnv_of(msg_telemetry_aggregate(TelemetryAggregate{})),
-            0x0946a90d3d47ecacULL);
 }
 
 TEST(WirePins, RunCheckpoints) {
   const std::vector<std::string> seeds = checkpoint_seeds();
   EXPECT_EQ(fnv_of(seeds[0]), 0x0b0545c97a7a4856ULL);  // bare
   EXPECT_EQ(fnv_of(seeds[1]), 0xf5946db36c16ecd6ULL);  // every section
-}
-
-TEST(WirePins, TransportMessages) {
-  const ThresholdLut lut = trained_lut();
-  EXPECT_EQ(fnv_of(msg_hello(0xDEADBEEFull, 42)), 0x0fb2cfff0603ac9bULL);
-  EXPECT_EQ(fnv_of(msg_hello_ack(4, 43)), 0x1dcd2e97fdf88509ULL);
-  EXPECT_EQ(fnv_of(msg_hello_reject("fingerprint mismatch")),
-            0x76337d7c163d87aeULL);
-  EXPECT_EQ(fnv_of(msg_run_request(3, config_seeds(lut)[1])),
-            0xe4801fe1da15dec8ULL);
-  EXPECT_EQ(fnv_of(msg_run_result(3, payload_seeds()[0])),
-            0x6fb93c7d6db72a31ULL);
-  EXPECT_EQ(fnv_of(msg_heartbeat()), 0xaf63bb4c8601b479ULL);
-  EXPECT_EQ(
-      fnv_of(msg_telemetry_capture(encode_run_capture(sample_capture()))),
-      0x1d5e3f9bc48ca6d2ULL);
 }
 
 TEST(DecoderFuzz, ThresholdLutRejectsImplausibleBinCounts) {

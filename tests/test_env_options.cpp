@@ -73,10 +73,6 @@ TEST(EnvOptions, DefaultsWhenNothingIsSet) {
   EXPECT_EQ(o.run_as_mb, 0u);
   EXPECT_TRUE(o.trace_dir.empty());
   EXPECT_EQ(o.trace_capacity, 65536u);
-  EXPECT_TRUE(o.workers.empty());
-  EXPECT_TRUE(o.serve.empty());
-  EXPECT_DOUBLE_EQ(o.heartbeat_sec, 5.0);
-  EXPECT_DOUBLE_EQ(o.straggler_sec, 0.0);
   EXPECT_TRUE(o.metrics_path.empty());
   EXPECT_DOUBLE_EQ(o.metrics_interval_sec, 2.0);
   // Unset DAV_JOBS runs campaigns in this process.
@@ -94,9 +90,6 @@ TEST(EnvOptions, ParsesEveryKnob) {
   ScopedEnv e9("DAV_RUN_AS_MB", "2048");
   ScopedEnv e10("DAV_TRACE", "/tmp/traces");
   ScopedEnv e11("DAV_TRACE_CAPACITY", "1024");
-  ScopedEnv e12("DAV_WORKERS", "host:9000, unix:/tmp/w.sock");
-  ScopedEnv e13("DAV_HEARTBEAT_SEC", "0.5");
-  ScopedEnv e14("DAV_STRAGGLER_SEC", "30");
   ScopedEnv e15("DAV_METRICS", "/tmp/dav.metrics");
   ScopedEnv e16("DAV_METRICS_INTERVAL_SEC", "0.25");
 
@@ -110,19 +103,8 @@ TEST(EnvOptions, ParsesEveryKnob) {
   EXPECT_EQ(o.run_as_mb, 2048u);
   EXPECT_EQ(o.trace_dir, "/tmp/traces");
   EXPECT_EQ(o.trace_capacity, 1024u);
-  ASSERT_EQ(o.workers.size(), 2u);
-  EXPECT_EQ(o.workers[0], "host:9000");
-  EXPECT_EQ(o.workers[1], "unix:/tmp/w.sock");
-  EXPECT_DOUBLE_EQ(o.heartbeat_sec, 0.5);
-  EXPECT_DOUBLE_EQ(o.straggler_sec, 30.0);
   EXPECT_EQ(o.metrics_path, "/tmp/dav.metrics");
   EXPECT_DOUBLE_EQ(o.metrics_interval_sec, 0.25);
-}
-
-TEST(EnvOptions, ServeAddressParses) {
-  CleanEnv clean;
-  ScopedEnv e("DAV_SERVE", "unix:/tmp/daemon.sock");
-  EXPECT_EQ(EnvOptions::from_env().serve, "unix:/tmp/daemon.sock");
 }
 
 TEST(EnvOptions, BooleanSpellings) {
@@ -171,15 +153,6 @@ TEST(EnvOptions, RejectsMalformedValuesWithActionableErrors) {
   expect_rejects("DAV_RUN_CPU_SEC", "-0.1");
   expect_rejects("DAV_RUN_AS_MB", "lots");
   expect_rejects("DAV_TRACE_CAPACITY", "0");
-  expect_rejects("DAV_WORKERS", "nohost");
-  expect_rejects("DAV_WORKERS", "a:1,,b:2");
-  expect_rejects("DAV_WORKERS", "host:0");
-  expect_rejects("DAV_SERVE", "not-an-endpoint");
-  expect_rejects("DAV_HEARTBEAT_SEC", "0");
-  expect_rejects("DAV_HEARTBEAT_SEC", "-1");
-  expect_rejects("DAV_HEARTBEAT_SEC", "often");
-  expect_rejects("DAV_STRAGGLER_SEC", "-2");
-  expect_rejects("DAV_STRAGGLER_SEC", "late");
   expect_rejects("DAV_METRICS_INTERVAL_SEC", "0");
   expect_rejects("DAV_METRICS_INTERVAL_SEC", "-1");
   expect_rejects("DAV_METRICS_INTERVAL_SEC", "slow");
@@ -192,8 +165,6 @@ TEST(EnvOptions, RejectsMalformedValuesWithActionableErrors) {
   expect_rejects("DAV_RUN_AS_MB", "17592186044417");    // bytes wrap to 1 MiB
   expect_rejects("DAV_CHECKPOINT_MAX_MB", "17592186044417");
   expect_rejects("DAV_RUN_TIMEOUT_SEC", "1e10");        // past steady_clock
-  expect_rejects("DAV_HEARTBEAT_SEC", "1e10");
-  expect_rejects("DAV_STRAGGLER_SEC", "1e10");
   expect_rejects("DAV_RUN_CPU_SEC", "1e10");
   expect_rejects("DAV_METRICS_INTERVAL_SEC", "1e10");
 }
@@ -207,15 +178,6 @@ TEST(EnvOptions, ValidateRejectsNonsenseOnHandBuiltValues) {
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = EnvOptions::defaults();
   o.trace_capacity = 0;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-  o = EnvOptions::defaults();
-  o.workers = {"not an endpoint"};
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-  o = EnvOptions::defaults();
-  o.heartbeat_sec = 0.0;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-  o = EnvOptions::defaults();
-  o.straggler_sec = -1.0;
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = EnvOptions::defaults();
   o.metrics_interval_sec = 0.0;
@@ -257,9 +219,6 @@ TEST(EnvOptions, ExecutorAndTraceProjections) {
   o.run_as_mb = 128;
   o.trace_dir = "/tmp/t";
   o.trace_capacity = 99;
-  o.workers = {"unix:/tmp/w.sock"};
-  o.heartbeat_sec = 0.25;
-  o.straggler_sec = 15.0;
   o.metrics_path = "/tmp/m.metrics";
   o.metrics_interval_sec = 0.5;
 
@@ -270,10 +229,6 @@ TEST(EnvOptions, ExecutorAndTraceProjections) {
   EXPECT_EQ(x.max_retries, 2);
   EXPECT_DOUBLE_EQ(x.cpu_limit_sec, 9.0);
   EXPECT_EQ(x.address_space_mb, 128u);
-  ASSERT_EQ(x.workers.size(), 1u);
-  EXPECT_EQ(x.workers[0], "unix:/tmp/w.sock");
-  EXPECT_DOUBLE_EQ(x.heartbeat_sec, 0.25);
-  EXPECT_DOUBLE_EQ(x.straggler_sec, 15.0);
   EXPECT_EQ(x.metrics_path, "/tmp/m.metrics");
   EXPECT_DOUBLE_EQ(x.metrics_interval_sec, 0.5);
   EXPECT_NO_THROW(x.validate());
@@ -344,8 +299,7 @@ TEST(EnvOptions, DocsCoverEveryParsedVariable) {
       "DAV_CHECKPOINT_MAX_MB",                "DAV_JOURNAL",
       "DAV_RUN_TIMEOUT_SEC", "DAV_RUN_RETRIES", "DAV_RUN_CPU_SEC",
       "DAV_RUN_AS_MB",
-      "DAV_TRACE",       "DAV_TRACE_CAPACITY", "DAV_WORKERS",
-      "DAV_SERVE",       "DAV_HEARTBEAT_SEC", "DAV_STRAGGLER_SEC",
+      "DAV_TRACE",       "DAV_TRACE_CAPACITY",
       "DAV_METRICS",     "DAV_METRICS_INTERVAL_SEC",
       "DAV_SENSOR_FAULTS", "DAV_SENSOR_ONSET_TICK",
       "DAV_SENSOR_DURATION_TICKS"};

@@ -1,10 +1,13 @@
 // Campaign executor: the in-process slot, the sandboxed prefork pool
-// (watchdog, rlimits, respawn), retry, and journal resume. The fork/pipe
+// (watchdog, rlimits, respawn, slot sizing), retry and its backoff, journal
+// resume, stream framing, and the run trace capture codec. The fork/pipe
 // machinery is POSIX-only, matching the executor itself (non-POSIX hosts run
 // every campaign in-process).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -19,6 +22,7 @@
 #include "campaign/journal.h"
 #include "campaign/serialize.h"
 #include "core/threshold_lut.h"
+#include "util/trace.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define DAV_TEST_POSIX 1
@@ -67,6 +71,26 @@ std::vector<RunConfig> make_configs(std::size_t n) {
   return cfgs;
 }
 
+/// A deterministic trace residue keyed on the run seed — stands in for what
+/// the driver stashes after a real traced run.
+obs::RunCapture synthetic_capture(std::uint64_t seed) {
+  obs::RunCapture cap;
+  cap.valid = true;
+  cap.dropped = seed % 5;
+  cap.dt = 0.025;
+  cap.histograms.at(obs::Stage::kControl)
+      .add(std::uint64_t{1} << (10 + seed % 3));
+  cap.histograms.at(obs::Stage::kPlanner).add(4096);
+  obs::TraceEvent ev;
+  ev.tick = static_cast<std::uint32_t>(40 + seed % 7);
+  ev.id = static_cast<std::uint16_t>(obs::Instant::kDetectorAlarm);
+  ev.kind = obs::EventKind::kInstant;
+  ev.track = static_cast<std::int8_t>(seed % 3);
+  ev.value = 0.5 * static_cast<double>(seed % 11);
+  cap.instants.push_back(ev);
+  return cap;
+}
+
 /// A two-worker pool with no retries: the worker-lifecycle tests below pin
 /// its isolation semantics (crash, abort, hang, rlimit, resume).
 ExecutorOptions fast_options() {
@@ -107,8 +131,7 @@ TEST(ExecutorOptions, ValidationRejectsNonsense) {
   // Durations steady_clock cannot hold, and MiB counts whose byte count
   // wraps, are rejected instead of overflowing a cast downstream.
   for (double ExecutorOptions::*field :
-       {&ExecutorOptions::run_timeout_sec, &ExecutorOptions::heartbeat_sec,
-        &ExecutorOptions::straggler_sec, &ExecutorOptions::cpu_limit_sec,
+       {&ExecutorOptions::run_timeout_sec, &ExecutorOptions::cpu_limit_sec,
         &ExecutorOptions::retry_backoff_sec,
         &ExecutorOptions::metrics_interval_sec}) {
     o = ExecutorOptions{};
@@ -625,6 +648,41 @@ TEST(ExecutorPool, KillMidFlightThenResumeIsBitIdentical) {
   std::remove(journal.c_str());
 }
 
+TEST(ExecutorPool, MergedRunsTraceByteIdenticalAcrossIdenticalCampaigns) {
+  // The workload stashes a deterministic capture per run, exactly as the
+  // driver does for real traced runs, and sleeps a seed-dependent while so
+  // pool completions arrive out of plan order. Two 2-worker pool campaigns
+  // and an in-process one must merge to byte-identical runs-trace JSON.
+  const auto traced_stub = [](const RunConfig& cfg) {
+    ::usleep(static_cast<useconds_t>(cfg.run_seed % 3) * 5000);
+    obs::set_last_run_capture(synthetic_capture(cfg.run_seed));
+    return stub_result(cfg);
+  };
+  const auto cfgs = make_configs(10);
+  const auto runs_trace = [&](int jobs) {
+    CampaignExecutor exec(pool_options(jobs), traced_stub);
+    EXPECT_EQ(exec.run_all(cfgs).size(), cfgs.size());
+    EXPECT_EQ(exec.stats().captures.size(), cfgs.size());
+    return campaign_runs_trace_json(exec.stats(), "00000000deadbeef");
+  };
+  const std::string first = runs_trace(2);
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(runs_trace(2), first);
+  EXPECT_EQ(runs_trace(0), first);
+}
+
+TEST(ExecutorPool, SlotsNeverExceedTheBatch) {
+  // A worker count far past the batch sizes the slot table by the batch:
+  // three runs need three slots, whatever `jobs` allows.
+  CampaignExecutor exec(pool_options(/*jobs=*/1 << 20), stub_result);
+  const auto cfgs = make_configs(3);
+  ASSERT_EQ(exec.run_all(cfgs).size(), cfgs.size());
+  EXPECT_EQ(exec.stats().jobs, 3);
+  EXPECT_EQ(exec.stats().slot_busy_sec.size(), 3u);
+  EXPECT_EQ(exec.stats().slot_runs_served.size(), 3u);
+  EXPECT_LE(exec.stats().launched, 3);
+}
+
 // ---- live metrics snapshot ----
 
 /// Strict key=value parse: one '=' split per line, non-empty keys. A torn or
@@ -676,8 +734,6 @@ TEST(ExecutorMetrics, FinalSnapshotIsCompleteAndParseable) {
   EXPECT_EQ(metrics_value(kv, "runs_remaining"), "0");
   EXPECT_EQ(metrics_value(kv, "eta_sec"), "0.000");
   EXPECT_EQ(metrics_value(kv, "quarantined"), "0");
-  // Local pool: no remote endpoints in the snapshot.
-  EXPECT_EQ(metrics_value(kv, "endpoints"), "0");
   std::remove(o.metrics_path.c_str());
 }
 
@@ -848,6 +904,125 @@ TEST(CampaignManagerRouting, LegacyConstructorIgnoresEnvironment) {
 }
 
 #endif  // DAV_TEST_POSIX
+
+// ---- stream framing ----
+
+TEST(StreamFraming, FrameSurvivesEveryByteBoundarySplit) {
+  const std::string payload = "config-bytes-go-here";
+  const std::string frame = frame_message(payload);
+  // Deliver the frame 1 byte at a time: kNeedMore at every prefix, then one
+  // clean kOk at the final byte — no spurious corrupt verdicts mid-frame.
+  std::string buf;
+  for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
+    buf.push_back(frame[i]);
+    const FrameSplit fs = try_unframe(buf);
+    EXPECT_EQ(fs.status, FrameSplit::Status::kNeedMore) << "byte " << i;
+  }
+  buf.push_back(frame.back());
+  const FrameSplit fs = try_unframe(buf);
+  ASSERT_EQ(fs.status, FrameSplit::Status::kOk);
+  EXPECT_EQ(fs.payload, payload);
+  EXPECT_EQ(fs.consumed, frame.size());
+}
+
+TEST(StreamFraming, TwoFramesInOneChunkSplitCleanly) {
+  const std::string p1 = "x";
+  const std::string p2 = std::string("res\0ult", 7);
+  std::string buf = frame_message(p1) + frame_message(p2);
+  FrameSplit fs = try_unframe(buf);
+  ASSERT_EQ(fs.status, FrameSplit::Status::kOk);
+  EXPECT_EQ(fs.payload, p1);
+  buf.erase(0, fs.consumed);
+  fs = try_unframe(buf);
+  ASSERT_EQ(fs.status, FrameSplit::Status::kOk);
+  EXPECT_EQ(fs.payload, p2);
+  EXPECT_EQ(fs.consumed, buf.size());
+}
+
+TEST(StreamFraming, CorruptedByteIsDetected) {
+  std::string frame = frame_message("config-bytes-go-here");
+  frame[frame.size() - 3] ^= 0x40;  // flip a payload bit
+  EXPECT_EQ(try_unframe(frame).status, FrameSplit::Status::kCorrupt);
+}
+
+// ---- retry backoff ----
+
+TEST(RetryBackoff, DeterministicJitteredAndBounded) {
+  const double base = 0.25;
+  // Pure: same inputs, same delay.
+  EXPECT_EQ(backoff_delay_sec(base, 3, 42), backoff_delay_sec(base, 3, 42));
+  // Jitter stays in [0.75, 1.25) of the capped exponential.
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    for (std::uint64_t salt : {0ull, 7ull, 0xFFFFFFFFFFFFull}) {
+      const double d = backoff_delay_sec(base, attempt, salt, 60.0);
+      const double nominal =
+          std::min(base * static_cast<double>(1 << std::min(attempt, 16)),
+                   60.0);
+      EXPECT_GE(d, 0.75 * nominal);
+      EXPECT_LT(d, 1.25 * nominal);
+    }
+  }
+  // Different salts de-synchronize (thundering-herd defense): at least one
+  // pair of salts must disagree for the same attempt.
+  EXPECT_NE(backoff_delay_sec(base, 4, 1), backoff_delay_sec(base, 4, 2));
+  // Growth: a later attempt waits longer than the first despite jitter.
+  EXPECT_GT(backoff_delay_sec(base, 3, 9), backoff_delay_sec(base, 0, 9));
+}
+
+TEST(RetryBackoff, HugeAttemptCountsDoNotOverflow) {
+  // Regression: the executor used to compute `1 << attempt`, which is
+  // undefined behavior past 30 retries. The clamped version must stay
+  // finite and capped for any attempt count.
+  for (int attempt : {31, 32, 40, 62, 1000, 1 << 30}) {
+    const double d = backoff_delay_sec(0.25, attempt, 123, 60.0);
+    EXPECT_TRUE(std::isfinite(d)) << "attempt " << attempt;
+    EXPECT_GT(d, 0.0);
+    EXPECT_LT(d, 1.25 * 60.0);
+  }
+  // Negative attempts clamp to the base delay instead of shifting by a
+  // negative count (also UB).
+  const double d = backoff_delay_sec(0.25, -5, 123, 60.0);
+  EXPECT_GE(d, 0.75 * 0.25);
+  EXPECT_LT(d, 1.25 * 0.25);
+}
+
+// ---- run trace capture codec ----
+
+TEST(TelemetryCodec, RunCaptureRoundTripsIncludingTickLength) {
+  RunTraceCapture cap;
+  cap.plan_index = 17;
+  cap.capture = synthetic_capture(9);
+  const std::string blob = encode_run_capture(cap);
+  const RunTraceCapture back = decode_run_capture(blob);
+  EXPECT_EQ(back.plan_index, 17u);
+  EXPECT_TRUE(back.capture.valid);
+  EXPECT_EQ(back.capture.dropped, cap.capture.dropped);
+  EXPECT_DOUBLE_EQ(back.capture.dt, 0.025);
+  EXPECT_EQ(back.capture.histograms.total_count(), 2u);
+  EXPECT_EQ(
+      back.capture.histograms.at(obs::Stage::kPlanner).percentile_ns(50.0),
+      4096u);
+  ASSERT_EQ(back.capture.instants.size(), 1u);
+  EXPECT_EQ(back.capture.instants[0].tick, cap.capture.instants[0].tick);
+  EXPECT_EQ(back.capture.instants[0].id, cap.capture.instants[0].id);
+  EXPECT_EQ(back.capture.instants[0].track, cap.capture.instants[0].track);
+  EXPECT_DOUBLE_EQ(back.capture.instants[0].value,
+                   cap.capture.instants[0].value);
+
+  EXPECT_THROW(decode_run_capture(blob.substr(0, blob.size() - 1)),
+               std::runtime_error);
+  EXPECT_THROW(decode_run_capture(blob + "x"), std::runtime_error);
+}
+
+TEST(TelemetryCodec, HugeElementCountIsRejectedBeforeAllocating) {
+  // A 38-byte capture (empty histograms) whose instant count reads
+  // 0xFFFFFFFF would size a ~100 GB reserve(); the decoder must check the
+  // count against the bytes that remain first.
+  std::string capture = encode_run_capture(RunTraceCapture{});
+  ASSERT_EQ(capture.size(), 38u);
+  capture.replace(capture.size() - 4, 4, std::string(4, '\xFF'));
+  EXPECT_THROW(decode_run_capture(capture), std::runtime_error);
+}
 
 }  // namespace
 }  // namespace dav

@@ -10,9 +10,8 @@
 //   davcamp [--scenario=lead|cutin|front] [--mode=single|rr|dup]
 //           [--domain=gpu|cpu] [--kind=transient|permanent]
 //           [--faults=register|sensor|both]
-//           [--td=<meters>] [--out=<path>] [--workers=EP,...] [--checkpoint]
+//           [--td=<meters>] [--out=<path>] [--metrics=<path>] [--checkpoint]
 //           [--env-help]
-//   davcamp serve [--listen=host:port|unix:/path]
 //
 // --faults selects the injection surface: "register" (default) is the
 // classic compute-fault sweep and prints byte-identical output to earlier
@@ -25,9 +24,6 @@
 // DAV_SCALE scales run counts; DAV_JOBS picks in-process (0, the default) or
 // a pool of N sandboxed workers, and DAV_JOURNAL makes the campaign
 // resumable (DESIGN.md §9/§11).
-// DAV_WORKERS / --workers route the campaign through the distributed
-// coordinator, and `davcamp serve` (listen address from --listen or
-// DAV_SERVE) runs this process as a worker daemon (DESIGN.md §13).
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -42,7 +38,6 @@
 #include "campaign/campaign.h"
 #include "campaign/env_options.h"
 #include "campaign/metrics.h"
-#include "campaign/transport.h"
 #include "util/trace.h"
 
 namespace {
@@ -58,12 +53,9 @@ struct Args {
   Faults faults = Faults::kRegister;
   double td = 2.0;
   std::string out;      // empty = stdout
-  std::string workers;  // --workers override of DAV_WORKERS
   std::string metrics;  // --metrics override of DAV_METRICS
   bool checkpoint = false;  // --checkpoint: fork-point prefix sharing
   bool env_help = false;
-  bool serve = false;    // `davcamp serve`: run as a worker daemon
-  std::string listen;    // --listen override of DAV_SERVE
 };
 
 [[noreturn]] void usage_error(const std::string& what) {
@@ -72,19 +64,13 @@ struct Args {
       "\nusage: davcamp [--scenario=lead|cutin|front] [--mode=single|rr|dup]"
       " [--domain=gpu|cpu] [--kind=transient|permanent]"
       " [--faults=register|sensor|both] [--td=<meters>]"
-      " [--out=<path>] [--workers=EP,...] [--metrics=<path>] [--checkpoint]"
-      " [--env-help]"
-      "\n       davcamp serve [--listen=host:port|unix:/path]");
+      " [--out=<path>] [--metrics=<path>] [--checkpoint] [--env-help]");
 }
 
 Args parse_args(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "serve" && i == 1) {
-      a.serve = true;
-      continue;
-    }
     if (arg == "--env-help") {
       a.env_help = true;
       continue;
@@ -131,12 +117,8 @@ Args parse_args(int argc, char** argv) {
       }
     } else if (key == "out") {
       a.out = val;
-    } else if (key == "workers") {
-      a.workers = val;
     } else if (key == "metrics") {
       a.metrics = val;
-    } else if (key == "listen") {
-      a.listen = val;
     } else {
       usage_error("unrecognized option '--" + key + "'");
     }
@@ -237,13 +219,6 @@ void print_telemetry(const CampaignManager& mgr) {
                static_cast<unsigned long long>(s.journal_bytes),
                static_cast<unsigned long long>(s.torn_bytes_discarded),
                s.wall_sec);
-  if (s.remote_endpoints > 0) {
-    std::fprintf(stderr,
-                 "  distributed: endpoints=%d reconnects=%d redispatches=%d "
-                 "duplicate_discards=%d\n",
-                 s.remote_endpoints, s.reconnects, s.redispatches,
-                 s.duplicate_discards);
-  }
   if (s.pool_workers > 0) {
     const std::uint64_t lookups = s.checkpoint_hits + s.checkpoint_misses;
     std::fprintf(
@@ -267,14 +242,6 @@ void print_telemetry(const CampaignManager& mgr) {
     std::fprintf(stderr,
                  "  worker %zu: busy=%.2fs utilization=%.0f%% served=%d\n",
                  i, s.slot_busy_sec[i], util, served);
-  }
-  for (const EndpointTelemetry& et : s.endpoints) {
-    std::fprintf(stderr,
-                 "  endpoint %d (%s): state=%s slots=%u runs=%llu "
-                 "reconnects=%d clock_offset=%.3fms\n",
-                 et.index, et.spec.c_str(), et.state.c_str(), et.slots,
-                 static_cast<unsigned long long>(et.runs_done), et.reconnects,
-                 et.clock_offset_sec * 1e3);
   }
   // Flight-recorder health + per-stage latency (eviction-proof histograms).
   // The drop count is load-bearing for CI: trace smoke fails when any run's
@@ -330,19 +297,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     EnvOptions env = EnvOptions::from_env();
-    if (a.serve) {
-      ServeOptions sopts;
-      sopts.listen_spec = a.listen.empty() ? env.serve : a.listen;
-      if (sopts.listen_spec.empty()) {
-        usage_error("serve needs a listen address (--listen or DAV_SERVE)");
-      }
-      sopts.heartbeat_sec = env.heartbeat_sec;
-      return serve_campaign(sopts, env.executor_options());
-    }
-    if (!a.workers.empty()) {
-      env.workers = split_worker_list(a.workers);
-      env.validate();
-    }
     if (!a.metrics.empty()) env.metrics_path = a.metrics;
     if (a.checkpoint) env.checkpoint = true;
     CampaignManager mgr(env, /*seed=*/2022);

@@ -150,7 +150,6 @@ class LineScanner {
                         path.rfind("obs/", 0) == 0 ||
                         path.find("util/trace") != std::string::npos ||
                         path.find("campaign/executor") != std::string::npos ||
-                        path.find("campaign/transport") != std::string::npos ||
                         wall_clock_exempt_;
     // The EnvOptions facade is the single sanctioned env-reading TU; every
     // other layer takes a validated EnvOptions value instead of peeking at

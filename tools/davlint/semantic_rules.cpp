@@ -27,8 +27,8 @@ const std::set<std::string>& sigsafe_allowlist() {
       "execl",    "execle",   "execlp",      "fork",       "unlink",
       "fsync",    "fdatasync", "ftruncate",  "lseek",      "chdir",
       "umask",
-      // sockets (async-signal-safe per POSIX; used by the fork-safety walk
-      // over the transport/daemon TUs)
+      // sockets (async-signal-safe per POSIX, so a forked child or a signal
+      // handler may use them)
       "socket",   "socketpair", "bind",      "listen",     "accept",
       "accept4",  "connect",  "send",        "recv",       "sendto",
       "recvfrom", "shutdown", "setsockopt",  "getsockopt", "getsockname",

@@ -19,7 +19,7 @@
 // campaign telemetry trace): nothing here depends on which process wrote the
 // file, so traces from forked campaign workers summarize identically.
 // compare consumes span events when present and falls back to the
-// "hist.<stage>" summary rows the campaign fleet trace carries, so it gates
+// "hist.<stage>" summary rows the campaign worker trace carries, so it gates
 // both per-run and campaign-level traces.
 #include <algorithm>
 #include <cctype>
