@@ -165,19 +165,6 @@ void io(A& a, WorldState& s) {
 }
 
 template <class A>
-void io(A& a, SensorFaultInjector::State& s) {
-  a.u64(s.corruptions);
-  a.i32(s.patch_x);
-  a.i32(s.patch_y);
-  a.i32(s.patch_w);
-  a.i32(s.patch_h);
-  a.u8(s.patch_drawn);
-  a.f64(s.drift_cos);
-  a.f64(s.drift_sin);
-  a.bytes(s.frozen);
-}
-
-template <class A>
 void io(A& a, RecoveryState& s) {
   a.i32(s.state);
   io(a, s.last_applied);
@@ -200,11 +187,6 @@ template <class A>
 void io(A& a, RunCheckpoint& c) {
   a.version(kRunCheckpointVersion);
   a.i32(c.tick);
-  a.u8(c.clean);
-  a.u64(c.full_digest);
-  a.u64(c.prefix_digest);
-  a.u64(c.gpu0_total);
-  a.u64(c.cpu0_total);
   io(a, c.world);
   io(a, c.rig);
   io(a, c.gpu0);
@@ -212,17 +194,12 @@ void io(A& a, RunCheckpoint& c) {
   io(a, c.gpu1);
   io(a, c.cpu1);
   io(a, c.ads);
-  a.u8(c.has_injector);
-  if (c.has_injector) io(a, c.injector);
   a.u8(c.has_detector);
   if (c.has_detector) io(a, c.detector);
   a.u8(c.has_recovery);
   if (c.has_recovery) io(a, c.recovery);
   io(a, c.last_applied);
-  a.u8(c.failing_back);
   a.f64(c.stationary_sec);
-  a.i32(c.failback_ticks);
-  a.u64(c.traced_corruptions);
   a.str(c.partial_result);
   a.u8(c.has_cameras);
   if (c.has_cameras) {
@@ -238,39 +215,22 @@ RunCheckpoint deserialize_run_checkpoint(const std::string& bytes) {
   return decode_fields<RunCheckpoint>(bytes, "run checkpoint");
 }
 
-CheckpointStore::SetupLease CheckpointStore::acquire_setup(
-    const RunConfig& cfg) {
-  const std::uint64_t key = checkpoint_setup_digest(cfg);
-  const auto it = setup_.find(key);
-  if (it != setup_.end()) {
-    ++hits_;
-    return SetupLease{it->second, true};
-  }
-  ++misses_;
-  return SetupLease{setup_[key], false};
-}
-
 const CheckpointStore::DeepEntry* CheckpointStore::find_deep(
     const RunConfig& cfg) {
-  const std::uint64_t full = run_config_digest(cfg);
   const DeepEntry* best = nullptr;
   for (const DeepEntry& e : deep_) {
-    bool eligible = e.full_digest == full;
-    if (!eligible && e.clean &&
-        run_config_prefix_digest(cfg, e.tick) == e.prefix_digest) {
-      // A transient strike below the captured instruction totals would have
-      // landed inside the prefix — the straight-through run diverges there.
-      if (cfg.fault.kind == FaultModelKind::kTransient) {
-        const std::uint64_t executed = cfg.fault.domain == FaultDomain::kGpu
-                                           ? e.gpu0_total
-                                           : e.cpu0_total;
-        eligible = cfg.fault.target_dyn_index >= executed;
-      } else {
-        eligible = true;
-      }
-    }
     // Deepest wins; FIFO order breaks ties deterministically (first stored).
-    if (eligible && (best == nullptr || e.tick > best->tick)) best = &e;
+    if (best != nullptr && e.tick <= best->tick) continue;
+    if (run_config_prefix_digest(cfg, e.tick) != e.prefix_digest) continue;
+    // A transient strike below the captured instruction totals would have
+    // landed inside the prefix — the straight-through run diverges there.
+    if (cfg.fault.kind == FaultModelKind::kTransient &&
+        cfg.fault.target_dyn_index < (cfg.fault.domain == FaultDomain::kGpu
+                                          ? e.gpu0_total
+                                          : e.cpu0_total)) {
+      continue;
+    }
+    best = &e;
   }
   if (best != nullptr) {
     ++deep_hits_;

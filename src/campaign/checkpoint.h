@@ -3,12 +3,11 @@
 //
 // A fault-injection sweep varies ONLY the fault plan: every variant simulates
 // the same world, the same noise streams and the same agents up to the
-// injection tick, then diverges. PR-5's warm cache memoized the tick-0 slice
-// of that prefix (scenario construction + initial agent state); RunCheckpoint
-// generalizes it to ANY tick. A pool worker simulates the prefix once,
+// injection tick, then diverges. A pool worker simulates the prefix once,
 // captures the complete dynamic state — world actors, both agents, detector,
 // recovery FSM, every RNG stream — and restores it per variant, running only
-// the post-injection suffix.
+// the post-injection suffix. Only clean prefixes are kept: a checkpoint that
+// no sibling can restore is never stored.
 //
 // The contract is byte-identity, not approximation: a restored run's
 // RunResult equals the straight-through run's byte for byte (pinned across
@@ -22,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -34,26 +32,17 @@ namespace dav {
 /// Bumped whenever the RunCheckpoint encoding changes. Checkpoints live in
 /// one worker's memory and never cross a process or version boundary, but
 /// the version check turns a stale blob into a loud error, not a misparse.
-inline constexpr std::uint32_t kRunCheckpointVersion = 1;
+inline constexpr std::uint32_t kRunCheckpointVersion = 2;
 
-/// Complete dynamic state of run_experiment at the top of one tick — the one
-/// versioned value type behind the checkpoint API (replaces the fragmented
-/// AgentSnapshot / WarmStateCache::Entry surface). Every field a variant
-/// could observe is here; configuration is deliberately absent.
+/// Complete dynamic state of a clean run_experiment prefix at the top of one
+/// tick: no DUE, no failback, no activated or corrupting fault, recovery FSM
+/// nominal and detector quiet. Every field a variant could observe is here.
+/// Configuration is deliberately absent, and so is the sensor-fault
+/// injector: a clean prefix corrupted nothing, so the restoring variant's
+/// fresh injector behaves identically (the one frame it never saw rides in
+/// `cameras`).
 struct RunCheckpoint {
-  // --- identity ------------------------------------------------------------
   int tick = 0;
-  /// No DUE, no failback, no activated or corrupting fault, recovery FSM
-  /// nominal: the prefix is provably shared by every config with the same
-  /// prefix digest. Non-clean checkpoints are still stored — they resume
-  /// the EXACT same config (full-digest match), e.g. mid-recovery replay.
-  bool clean = false;
-  std::uint64_t full_digest = 0;    ///< run_config_digest of the capturing run
-  std::uint64_t prefix_digest = 0;  ///< run_config_prefix_digest at `tick`
-  /// Dynamic instruction totals of engine set 0 at capture: gates transient
-  /// variants (a strike below these totals would already have landed).
-  std::uint64_t gpu0_total = 0;
-  std::uint64_t cpu0_total = 0;
 
   // --- subsystem state -----------------------------------------------------
   WorldState world;
@@ -63,19 +52,16 @@ struct RunCheckpoint {
   EngineState gpu1;
   EngineState cpu1;
   AdsState ads;
-  bool has_injector = false;
-  SensorFaultInjector::State injector;
   bool has_detector = false;
   DetectorState detector;
   bool has_recovery = false;
   RecoveryState recovery;
 
   // --- driver loop locals --------------------------------------------------
+  // The failback and corruption-trace locals still hold their initial values
+  // in a clean prefix, so they are not carried.
   Actuation last_applied;
-  bool failing_back = false;
   double stationary_sec = 0.0;
-  int failback_ticks = 0;
-  std::uint64_t traced_corruptions = 0;
 
   /// The RunResult as accumulated through tick-1 (observations, traces, DUE
   /// bookkeeping), in the canonical record encoding. A restored run swaps in
@@ -97,70 +83,39 @@ std::string serialize_run_checkpoint(const RunCheckpoint& c);
 /// version mismatch.
 RunCheckpoint deserialize_run_checkpoint(const std::string& bytes);
 
-/// Per-worker store of reusable run prefixes, two tiers:
+/// Per-worker store of clean fork-point checkpoints, keyed by (prefix
+/// digest, tick) and filled only by cfg.checkpoint.enabled runs. Variants
+/// that share the run_seed and differ only in their fault plan restore the
+/// deepest eligible entry and skip the whole prefix.
 ///
-///  - SETUP tier (tick 0): the constructed Scenario and the initial ADS
-///    state, keyed by checkpoint_setup_digest. This is PR-5's warm cache —
-///    always on when a store is supplied, byte-budget-free, and what every
-///    ordinary campaign (distinct run_seed per run) benefits from.
-///  - DEEP tier: serialized RunCheckpoints keyed by (prefix_digest, tick),
-///    populated only when cfg.checkpoint.enabled. Variants that share the
-///    run_seed and differ only in their fault plan restore the deepest
-///    eligible entry and skip the whole prefix.
-///
-/// Deep blobs are byte-bounded (set_max_deep_bytes): inserting past the
-/// budget evicts oldest-first (deterministic FIFO), counted in evictions().
+/// Blobs are byte-bounded by a fixed 64 MiB budget (set_max_deep_bytes is
+/// the test seam): inserting past it evicts oldest-first (deterministic
+/// FIFO), counted in evictions().
 class CheckpointStore {
  public:
-  // --- setup tier ----------------------------------------------------------
-  struct SetupEntry {
-    bool has_scenario = false;
-    Scenario scenario;
-    bool has_ads_state = false;
-    AdsState initial_ads;
-  };
-  /// A slot for one setup key: `hit` distinguishes reuse from first
-  /// population (the caller fills the entry on a miss).
-  struct SetupLease {
-    SetupEntry& entry;
-    bool hit = false;
-  };
-  /// The entry for cfg's setup key; creates an empty entry (hit == false)
-  /// the first time a key is seen.
-  SetupLease acquire_setup(const RunConfig& cfg);
-
-  // --- deep tier -----------------------------------------------------------
   struct DeepEntry {
-    std::uint64_t prefix_digest = 0;
-    std::uint64_t full_digest = 0;
+    std::uint64_t prefix_digest = 0;  ///< run_config_prefix_digest at `tick`
     int tick = 0;
-    bool clean = false;
+    /// Dynamic instruction totals of engine set 0 at capture: gates transient
+    /// variants (a strike below these totals would already have landed).
     std::uint64_t gpu0_total = 0;
     std::uint64_t cpu0_total = 0;
     std::string blob;  ///< serialize_run_checkpoint
   };
 
-  /// Deepest entry cfg may restore, or nullptr. Eligibility: an exact
-  /// full-digest match resumes any state; otherwise the entry must be clean,
-  /// cfg's prefix digest at the entry's tick must equal the entry's, and a
-  /// transient register plan must target a dynamic instruction at or past
-  /// the captured totals. Counts one deep hit or miss.
+  /// Deepest entry cfg may restore, or nullptr. Eligibility: cfg's prefix
+  /// digest at the entry's tick must equal the entry's, and a transient
+  /// register plan must target a dynamic instruction at or past the captured
+  /// totals. Counts one deep hit or miss.
   const DeepEntry* find_deep(const RunConfig& cfg);
   /// Store one checkpoint; evicts oldest entries past the byte budget.
   void insert_deep(DeepEntry e);
 
-  /// Deep-tier byte budget (default 64 MiB). Shrinking below the current
-  /// footprint evicts immediately.
+  /// Shrinking below the current footprint evicts immediately.
   void set_max_deep_bytes(std::size_t bytes);
-  std::size_t max_deep_bytes() const { return max_deep_bytes_; }
   std::size_t deep_bytes() const { return deep_bytes_; }
   std::size_t deep_count() const { return deep_.size(); }
 
-  // --- telemetry -----------------------------------------------------------
-  /// Setup-tier counters (the PR-5 warm hit/miss semantics).
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::size_t size() const { return setup_.size(); }
   std::uint64_t deep_hits() const { return deep_hits_; }
   std::uint64_t deep_misses() const { return deep_misses_; }
   std::uint64_t evictions() const { return evictions_; }
@@ -168,12 +123,9 @@ class CheckpointStore {
  private:
   void evict_to_budget();
 
-  std::map<std::uint64_t, SetupEntry> setup_;  // ordered: determinism hygiene
-  std::deque<DeepEntry> deep_;                 // FIFO for eviction
+  std::deque<DeepEntry> deep_;  // FIFO for eviction
   std::size_t deep_bytes_ = 0;
   std::size_t max_deep_bytes_ = 64u * 1024u * 1024u;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t deep_hits_ = 0;
   std::uint64_t deep_misses_ = 0;
   std::uint64_t evictions_ = 0;

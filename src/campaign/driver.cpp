@@ -213,39 +213,19 @@ RunResult run_experiment(const RunConfig& cfg, CheckpointStore* store) {
     trace_rec.emplace(cfg.trace.capacity);
     trace_scope.emplace(&*trace_rec);
   }
-  // Deep checkpoint tier: restore a stored prefix of this run if one is
-  // eligible. Mutually exclusive with tracing — a restored run would export
-  // a truncated trace, and trace is the debugging path anyway.
+  // Fork-point checkpoints: restore the deepest stored clean prefix this run
+  // shares, if any. Mutually exclusive with tracing — a restored run would
+  // export a truncated trace, and trace is the debugging path anyway.
   const bool deep_enabled =
       store != nullptr && cfg.checkpoint.enabled && !cfg.trace.enabled();
-  std::uint64_t full_digest = 0;
   std::optional<RunCheckpoint> ckpt;
-  bool ckpt_full_match = false;
   if (deep_enabled) {
-    full_digest = run_config_digest(cfg);
     if (const CheckpointStore::DeepEntry* e = store->find_deep(cfg)) {
       ckpt = deserialize_run_checkpoint(e->blob);
-      ckpt_full_match = e->full_digest == full_digest;
     }
   }
-  // Setup tier (the PR-5 warm cache): a pool worker replays a sweep that
-  // shares one scenario/mode across hundreds of runs; the Scenario and the
-  // initial ADS state are pure functions of the setup-key fields, so a cache
-  // hit copies them instead of rebuilding — bit-identical either way.
-  CheckpointStore::SetupEntry* setup = nullptr;
-  if (store != nullptr) setup = &store->acquire_setup(cfg).entry;
-  Scenario scenario;
-  if (setup != nullptr && setup->has_scenario) {
-    scenario = setup->scenario;
-  } else {
-    scenario = make_scenario(cfg.scenario, cfg.scenario_seed,
-                             cfg.scenario_opts);
-    if (setup != nullptr) {
-      setup->scenario = scenario;
-      setup->has_scenario = true;
-    }
-  }
-  World world(std::move(scenario));
+  World world(make_scenario(cfg.scenario, cfg.scenario_seed,
+                            cfg.scenario_opts));
 
   const auto rig_models =
       front_camera_rig(cfg.cam_width, cfg.cam_height, cfg.camera_noise_sigma);
@@ -271,13 +251,17 @@ RunResult run_experiment(const RunConfig& cfg, CheckpointStore* store) {
   GpuEngine gpu1;
   CpuEngine cpu1;
   const auto engine_seed = seeder.split(2)();
-  gpu0.configure(cfg.fault, engine_seed,
-                 CrashHangModel::for_model(FaultDomain::kGpu, cfg.fault.kind));
-  cpu0.configure(cfg.fault, engine_seed ^ 0xC0FFEE,
-                 CrashHangModel::for_model(FaultDomain::kCpu, cfg.fault.kind));
-  FaultPlan none;
-  gpu1.configure(none, 0);
-  cpu1.configure(none, 0);
+  const auto arm_engines = [&]() {
+    gpu0.configure(cfg.fault, engine_seed,
+                   CrashHangModel::for_model(FaultDomain::kGpu,
+                                             cfg.fault.kind));
+    cpu0.configure(cfg.fault, engine_seed ^ 0xC0FFEE,
+                   CrashHangModel::for_model(FaultDomain::kCpu,
+                                             cfg.fault.kind));
+    gpu1.configure(FaultPlan{}, 0);
+    cpu1.configure(FaultPlan{}, 0);
+  };
+  arm_engines();
 
   const bool duplicate = cfg.mode == AgentMode::kDuplicate;
   AdsSystem ads(cfg.mode,
@@ -285,18 +269,6 @@ RunResult run_experiment(const RunConfig& cfg, CheckpointStore* store) {
                 gpu0, cpu0, duplicate ? &gpu1 : nullptr,
                 duplicate ? &cpu1 : nullptr, &world.map(), cfg.overlap_ratio);
   if (sensor_inj) ads.attach_sensor_fault_injector(&*sensor_inj);
-
-  // Second half of the setup tier: the initial (pre-first-frame) ADS state.
-  // On a hit the system adopts the cached capture — which is exactly the
-  // state fresh construction yields, so the run is unchanged.
-  if (setup != nullptr) {
-    if (setup->has_ads_state) {
-      ads.adopt(setup->initial_ads);
-    } else {
-      setup->initial_ads = ads.capture();
-      setup->has_ads_state = true;
-    }
-  }
 
   // Online detection + mitigation (paper §I: detection is only useful if it
   // can invoke mitigation).
@@ -332,50 +304,32 @@ RunResult run_experiment(const RunConfig& cfg, CheckpointStore* store) {
   int restored_tick = -1;
 
   if (ckpt) {
-    // Deep restore: overwrite everything time evolved. Setup above already
-    // rebuilt all configuration (scenario, plans, LUT wiring), so only
-    // dynamic state transfers.
+    // Restore: overwrite everything time evolved. Setup above already rebuilt
+    // all configuration (scenario, plans, LUT wiring), so only dynamic state
+    // transfers. Then re-arm the engines for THIS config's plan
+    // (adopt-then-configure, see Engine::adopt): the clean state configure()
+    // clears is already default — no activation, no corruption, and the
+    // outcome RNG was never drawn, so Rng(seed) is the captured position.
     world.adopt(ckpt->world);
     rig.set_rng_state(ckpt->rig);
     gpu0.adopt(ckpt->gpu0);
     cpu0.adopt(ckpt->cpu0);
     gpu1.adopt(ckpt->gpu1);
     cpu1.adopt(ckpt->cpu1);
-    if (!ckpt_full_match) {
-      // Cross-variant restore of a clean prefix: re-arm the engines for THIS
-      // config's plan (adopt-then-configure, see Engine::adopt). The clean
-      // state configure() clears is already default — no activation, no
-      // corruption, and the outcome RNG was never drawn, so Rng(seed) is the
-      // captured position.
-      gpu0.configure(cfg.fault, engine_seed,
-                     CrashHangModel::for_model(FaultDomain::kGpu,
-                                               cfg.fault.kind));
-      cpu0.configure(cfg.fault, engine_seed ^ 0xC0FFEE,
-                     CrashHangModel::for_model(FaultDomain::kCpu,
-                                               cfg.fault.kind));
-      gpu1.configure(none, 0);
-      cpu1.configure(none, 0);
-    }
-    if (sensor_inj) {
-      if (ckpt_full_match && ckpt->has_injector) {
-        sensor_inj->adopt(ckpt->injector);
-      } else if (cfg.sensor_fault.model == SensorFaultModel::kCameraFrozen &&
-                 cfg.sensor_fault.onset_tick == ckpt->tick &&
-                 ckpt->has_cameras) {
-        // The variant freezes at the restore tick: its fresh injector never
-        // saw the pre-onset frames, so prime the cache from the checkpoint.
-        sensor_inj->prime_frozen(ckpt->cameras[static_cast<std::size_t>(
-            cfg.sensor_fault.sensor_index)]);
-      }
+    arm_engines();
+    if (sensor_inj &&
+        cfg.sensor_fault.model == SensorFaultModel::kCameraFrozen &&
+        cfg.sensor_fault.onset_tick == ckpt->tick && ckpt->has_cameras) {
+      // The variant freezes at the restore tick: its fresh injector never
+      // saw the pre-onset frames, so prime the cache from the checkpoint.
+      sensor_inj->prime_frozen(ckpt->cameras[static_cast<std::size_t>(
+          cfg.sensor_fault.sensor_index)]);
     }
     ads.adopt(ckpt->ads);
     if (online_det && ckpt->has_detector) online_det->adopt(ckpt->detector);
     if (rec && ckpt->has_recovery) rec->adopt(ckpt->recovery);
     last_applied = ckpt->last_applied;
-    failing_back = ckpt->failing_back;
     stationary_sec = ckpt->stationary_sec;
-    failback_ticks = ckpt->failback_ticks;
-    traced_corruptions = ckpt->traced_corruptions;
     step = ckpt->tick;
     restored_tick = ckpt->tick;
     // The accumulated record through tick-1, re-stamped with THIS run's
@@ -388,8 +342,8 @@ RunResult run_experiment(const RunConfig& cfg, CheckpointStore* store) {
 
   // Fork-point capture target: an explicit capture_tick wins; otherwise the
   // sensor-fault onset is the natural fork (register sweeps have no static
-  // onset tick — their sharing comes from the setup tier and the dyn-index
-  // gate on deeper entries captured by sensor variants of the same seed).
+  // onset tick — they share only through the dyn-index gate on entries
+  // captured by sensor variants of the same seed).
   const int capture_target =
       !deep_enabled ? -1
       : cfg.checkpoint.capture_tick >= 0
@@ -445,64 +399,49 @@ RunResult run_experiment(const RunConfig& cfg, CheckpointStore* store) {
     if (capture_target >= 0 && step == capture_target &&
         step > restored_tick) {
       // Fork-point capture, at the top of the tick so a restored run resumes
-      // exactly here. Stored regardless of cleanliness: a non-clean
-      // checkpoint (mid-recovery, post-DUE) still resumes its own config.
+      // exactly here. Only a clean prefix is stored — nothing detected,
+      // activated or corrupted, recovery FSM never left nominal — because
+      // only a clean prefix is shared by every config with the same prefix
+      // digest. (A restart clears transient faults and rewarms: that is
+      // fault-plan-coupled even when nothing activated.)
       RunCheckpoint c;
-      c.tick = step;
-      c.world = world.capture();
-      c.rig = rig.rng_state();
-      c.gpu0 = gpu0.capture();
-      c.cpu0 = cpu0.capture();
-      c.gpu1 = gpu1.capture();
-      c.cpu1 = cpu1.capture();
-      c.ads = ads.capture();
-      if (sensor_inj) {
-        c.has_injector = true;
-        c.injector = sensor_inj->capture();
-      }
-      if (online_det) {
-        c.has_detector = true;
-        c.detector = online_det->capture();
-      }
       if (rec) {
         c.has_recovery = true;
         c.recovery = rec->capture();
       }
-      c.last_applied = last_applied;
-      c.failing_back = failing_back;
-      c.stationary_sec = stationary_sec;
-      c.failback_ticks = failback_ticks;
-      c.traced_corruptions = traced_corruptions;
-      c.partial_result = serialize_run_result(result);
-      if (have_prev_cameras) {
-        c.has_cameras = true;
-        c.cameras = prev_cameras;
+      const bool clean =
+          !result.due && !failing_back && !gpu0.fault_activated() &&
+          !cpu0.fault_activated() &&
+          (!sensor_inj || sensor_inj->corruptions() == 0) &&
+          (!online_det || !online_det->alarmed()) &&
+          (!rec || (c.recovery.state == 0 && c.recovery.stats.attempts == 0));
+      if (clean) {
+        c.tick = step;
+        c.world = world.capture();
+        c.rig = rig.rng_state();
+        c.gpu0 = gpu0.capture();
+        c.cpu0 = cpu0.capture();
+        c.gpu1 = gpu1.capture();
+        c.cpu1 = cpu1.capture();
+        c.ads = ads.capture();
+        if (online_det) {
+          c.has_detector = true;
+          c.detector = online_det->capture();
+        }
+        c.last_applied = last_applied;
+        c.stationary_sec = stationary_sec;
+        c.partial_result = serialize_run_result(result);
+        if (have_prev_cameras) {
+          c.has_cameras = true;
+          c.cameras = prev_cameras;
+        }
+        store->insert_deep(
+            {.prefix_digest = run_config_prefix_digest(cfg, step),
+             .tick = step,
+             .gpu0_total = c.gpu0.total,
+             .cpu0_total = c.cpu0.total,
+             .blob = serialize_run_checkpoint(c)});
       }
-      const std::uint64_t sensor_corruptions =
-          sensor_inj ? sensor_inj->corruptions() : 0;
-      c.clean = !result.due && !failing_back && !gpu0.fault_activated() &&
-                !cpu0.fault_activated() && sensor_corruptions == 0;
-      if (rec) {
-        // A restart clears transient faults and rewarms — fault-plan-coupled
-        // even when nothing activated, so only a never-recovered prefix is
-        // shareable.
-        c.clean = c.clean && c.recovery.state == 0 &&
-                  c.recovery.stats.attempts == 0;
-      }
-      if (online_det) c.clean = c.clean && !c.detector.alarmed;
-      c.gpu0_total = gpu0.total_dyn_instructions();
-      c.cpu0_total = cpu0.total_dyn_instructions();
-      c.full_digest = full_digest;
-      c.prefix_digest = run_config_prefix_digest(cfg, step);
-      CheckpointStore::DeepEntry entry;
-      entry.prefix_digest = c.prefix_digest;
-      entry.full_digest = c.full_digest;
-      entry.tick = c.tick;
-      entry.clean = c.clean;
-      entry.gpu0_total = c.gpu0_total;
-      entry.cpu0_total = c.cpu0_total;
-      entry.blob = serialize_run_checkpoint(c);
-      store->insert_deep(std::move(entry));
     }
     obs::set_tick(static_cast<std::uint32_t>(step));
     obs::SpanScope tick_span(obs::Stage::kTick);

@@ -19,7 +19,7 @@ class CheckpointStore;  // campaign/checkpoint.h
 
 /// Fork-point checkpointing knobs (DESIGN.md §16). `capture_tick` pins the
 /// fork tick explicitly; -1 derives it from the sensor-fault onset (register
-/// sweeps with no natural onset tick fall back to the tick-0 setup memo).
+/// sweeps with no natural onset tick capture nothing).
 struct CheckpointOptions {
   bool enabled = false;
   int capture_tick = -1;
@@ -238,11 +238,11 @@ struct RunResult {
 RunResult run_experiment(const RunConfig& cfg);
 
 /// run_experiment with an optional checkpoint store (nullptr = always cold).
-/// Persistent pool workers pass their store: the tick-0 setup tier replays
-/// scenario construction and the initial ADS state; the deep tier (when
-/// cfg.checkpoint.enabled) restores a shared fault-free prefix at the fork
-/// tick and simulates only the post-injection suffix. Results are
-/// bit-identical either way (pinned by test_executor / test_checkpoint).
+/// Persistent pool workers pass their store: when cfg.checkpoint.enabled, a
+/// run restores a stored fault-free prefix it shares with an earlier sibling
+/// and simulates only the post-injection suffix, and stores its own clean
+/// prefix at the fork tick. Results are bit-identical either way (pinned by
+/// test_executor / test_checkpoint).
 RunResult run_experiment(const RunConfig& cfg, CheckpointStore* store);
 
 }  // namespace dav

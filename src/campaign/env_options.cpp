@@ -1,7 +1,7 @@
 // The ONLY translation unit allowed to read the process environment
 // (davlint rule env-read). Every DAV_* knob is parsed here, strictly: a
-// malformed or out-of-range value is an error naming the variable, never a
-// silent fallback or a wrapped integer.
+// malformed or out-of-range value, or a DAV_* name docs() does not list, is
+// an error naming the variable, never a silent fallback or a wrapped integer.
 #include "campaign/env_options.h"
 
 #include <algorithm>
@@ -11,6 +11,11 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+
+#if defined(__unix__) || defined(__APPLE__)
+#define DAV_ENV_POSIX 1
+extern char** environ;  // POSIX: the process environment block
+#endif
 
 #include "campaign/campaign.h"
 
@@ -77,6 +82,28 @@ std::size_t parse_mib(const char* var, const std::string& value) {
       "a whole number of MiB"));
 }
 
+/// A misspelt or retired DAV_* variable would otherwise be ignored without a
+/// word (DAV_JOB=4 ran in-process), so every DAV_-prefixed name must be one
+/// docs() lists. Only POSIX hosts expose the whole environment to scan.
+void reject_unknown_vars() {
+#if DAV_ENV_POSIX
+  const auto& docs = EnvOptions::docs();
+  for (char** e = environ; e != nullptr && *e != nullptr; ++e) {
+    const std::string entry = *e;
+    if (entry.rfind("DAV_", 0) != 0) continue;
+    const std::string name = entry.substr(0, entry.find('='));
+    const auto known = [&](const EnvOptions::VarDoc& d) {
+      return name == d.name;
+    };
+    if (std::none_of(docs.begin(), docs.end(), known)) {
+      throw std::invalid_argument("EnvOptions: unknown variable " + name +
+                                  "; `davcamp --env-help` lists every DAV_* "
+                                  "variable");
+    }
+  }
+#endif
+}
+
 bool parse_bool(const char* var, const std::string& value) {
   std::string s = value;
   std::transform(s.begin(), s.end(), s.begin(),
@@ -89,6 +116,7 @@ bool parse_bool(const char* var, const std::string& value) {
 }  // namespace
 
 EnvOptions EnvOptions::from_env() {
+  reject_unknown_vars();
   EnvOptions o;
   if (const char* v = get("DAV_SCALE")) {
     o.scale = parse_double("DAV_SCALE", v, "a positive number");
@@ -100,9 +128,6 @@ EnvOptions EnvOptions::from_env() {
   }
   if (const char* v = get("DAV_CHECKPOINT")) {
     o.checkpoint = parse_bool("DAV_CHECKPOINT", v);
-  }
-  if (const char* v = get("DAV_CHECKPOINT_MAX_MB")) {
-    o.checkpoint_max_mb = parse_mib("DAV_CHECKPOINT_MAX_MB", v);
   }
   if (const char* v = get("DAV_JOURNAL")) o.journal_path = v;
   if (const char* v = get("DAV_RUN_TIMEOUT_SEC")) {
@@ -208,7 +233,6 @@ ExecutorOptions EnvOptions::executor_options() const {
   ExecutorOptions o;
   o.jobs = jobs;
   o.checkpoint = checkpoint;
-  o.checkpoint_max_mb = checkpoint_max_mb;
   o.journal_path = journal_path;
   o.run_timeout_sec = run_timeout_sec;
   o.max_retries = run_retries;
@@ -235,9 +259,6 @@ const std::vector<EnvOptions::VarDoc>& EnvOptions::docs() {
       {"DAV_CHECKPOINT", "0",
        "fork-point checkpoint sharing: variants that share a fault-free "
        "prefix restore a mid-run snapshot instead of replaying it"},
-      {"DAV_CHECKPOINT_MAX_MB", "64",
-       "per-worker deep-checkpoint byte budget in MiB; oldest entries are "
-       "evicted past it"},
       {"DAV_JOURNAL", "(unset)",
        "write-ahead journal path; enables lossless campaign resume"},
       {"DAV_RUN_TIMEOUT_SEC", "600",

@@ -4,10 +4,10 @@
 // routing, trace opt-in); each parsed its variable with its own lenient
 // rules, so a typo like DAV_JOBS=fuor silently ran serial. EnvOptions is the
 // single place the process environment is read: from_env() parses and
-// validates ALL DAV_* variables with actionable errors, and everything
-// downstream (CampaignScale sizing, ExecutorOptions routing, TraceOptions
-// opt-in, CampaignManager construction) consumes the struct — never the
-// environment. A davlint rule (env-read) bans std::getenv outside
+// validates ALL DAV_* variables with actionable errors and rejects DAV_*
+// names it does not know, and everything downstream (CampaignScale sizing,
+// ExecutorOptions routing, TraceOptions opt-in, CampaignManager
+// construction) consumes the struct — never the environment. A davlint rule (env-read) bans std::getenv outside
 // env_options.cpp, so the façade cannot rot.
 #pragma once
 
@@ -38,9 +38,6 @@ struct EnvOptions {
   /// at each run's injection onset and restore it for fault variants sharing
   /// the fault-free prefix. Never changes results.
   bool checkpoint = false;
-  /// Per-worker deep-checkpoint byte budget, MiB (DAV_CHECKPOINT_MAX_MB);
-  /// oldest checkpoints are evicted past the budget.
-  std::size_t checkpoint_max_mb = 64;
   /// Write-ahead journal path (DAV_JOURNAL); empty disables journaling.
   std::string journal_path;
   /// Wall-clock watchdog per run attempt, seconds (DAV_RUN_TIMEOUT_SEC).
@@ -78,7 +75,8 @@ struct EnvOptions {
 
   /// THE env-reading entry point: parses and validates every DAV_* variable.
   /// Unset variables keep the defaults above. Throws std::invalid_argument
-  /// naming the variable and the offending value on malformed input.
+  /// naming the variable and the offending value on malformed input, and
+  /// naming the variable when a DAV_* name is not one docs() lists.
   static EnvOptions from_env();
 
   /// The compiled-in defaults, untouched by the environment (what a

@@ -96,14 +96,6 @@ void io(A& a, PoolResponse& r) {
   a.rest(r.result_payload);
 }
 
-/// A worker's CheckpointStore. The setup tier is always on; the deep tier
-/// fills only for checkpoint-enabled runs, within checkpoint_max_mb.
-std::unique_ptr<CheckpointStore> make_store(const ExecutorOptions& opts) {
-  auto store = std::make_unique<CheckpointStore>();
-  store->set_max_deep_bytes(opts.checkpoint_max_mb << 20);
-  return store;
-}
-
 /// Fold the executor-level checkpoint flag into the per-run config. The
 /// CheckpointOptions are digest-excluded, so journal keys and record bytes
 /// are unchanged by this.
@@ -172,7 +164,6 @@ void ExecutorOptions::validate() const {
   seconds("cpu_limit_sec", cpu_limit_sec, true);
   seconds("metrics_interval_sec", metrics_interval_sec, false);
   mib("address_space_mb", address_space_mb);
-  mib("checkpoint_max_mb", checkpoint_max_mb);
 }
 
 CampaignExecutor::CampaignExecutor(ExecutorOptions opts, RunFn fn)
@@ -192,10 +183,14 @@ CampaignExecutor::CampaignExecutor(ExecutorOptions opts, CheckpointRunFn fn)
   opts_.validate();
 }
 
-void CampaignExecutor::fold_capture(RunTraceCapture cap) {
-  if (!cap.capture.valid) return;
-  // First arrival wins: a retry of an already-folded plan index is discarded.
-  if (!capture_seen_.insert(cap.plan_index).second) return;
+void CampaignExecutor::fold_capture(const std::string& capture_payload) {
+  if (capture_payload.empty()) return;  // the run was untraced
+  RunTraceCapture cap;
+  try {
+    cap = decode_run_capture(capture_payload);
+  } catch (const std::exception&) {
+    return;  // malformed capture: observability loss only, the run still counts
+  }
   stats_.trace_dropped += cap.capture.dropped;
   stats_.stage_hist.merge(cap.capture.histograms);
   stats_.captures.push_back(std::move(cap));
@@ -302,13 +297,9 @@ class SlotSource {
 /// watchdog or rlimit: a crash or hang here takes the campaign with it.
 class InProcessSource final : public SlotSource {
  public:
-  InProcessSource(const ExecutorOptions& opts,
-                  CampaignExecutor::CheckpointRunFn fn,
+  InProcessSource(CampaignExecutor::CheckpointRunFn fn,
                   Clock::time_point epoch, ExecutorStats& stats)
-      : fn_(std::move(fn)),
-        epoch_(epoch),
-        stats_(stats),
-        store_(make_store(opts)) {}
+      : fn_(std::move(fn)), epoch_(epoch), stats_(stats) {}
 
   int slots() const override { return 1; }
   bool can_dispatch() const override { return !queued_; }
@@ -330,7 +321,7 @@ class InProcessSource final : public SlotSource {
     Completion& c = next_;
     try {
       c.result_payload =
-          make_result_payload(true, {}, fn_(cfg_, store_.get()));
+          make_result_payload(true, {}, fn_(cfg_, &store_));
     } catch (const std::exception& e) {
       c.result_payload =
           make_result_payload(false, e.what(), harness_error_result(cfg_));
@@ -348,16 +339,16 @@ class InProcessSource final : public SlotSource {
   }
   int busy() const override { return queued_ ? 1 : 0; }
   void finish() override {
-    stats_.checkpoint_hits += store_->hits() + store_->deep_hits();
-    stats_.checkpoint_misses += store_->misses() + store_->deep_misses();
-    stats_.checkpoint_evictions += store_->evictions();
+    stats_.checkpoint_hits += store_.deep_hits();
+    stats_.checkpoint_misses += store_.deep_misses();
+    stats_.checkpoint_evictions += store_.evictions();
   }
 
  private:
   CampaignExecutor::CheckpointRunFn fn_;
   Clock::time_point epoch_;
   ExecutorStats& stats_;
-  std::unique_ptr<CheckpointStore> store_;
+  CheckpointStore store_;
   bool queued_ = false;
   Completion next_;
   RunConfig cfg_;
@@ -450,7 +441,7 @@ void rearm_cpu_limit(const ExecutorOptions& opts) {
     rlimit lim{bytes, bytes};
     ::setrlimit(RLIMIT_AS, &lim);
   }
-  std::unique_ptr<CheckpointStore> store = make_store(opts);
+  CheckpointStore store;
   std::string buf;
   // The request/response codec below allocates, and may: the child is a
   // fresh single-threaded copy of a single-threaded supervisor, so the loop
@@ -480,7 +471,7 @@ void rearm_cpu_limit(const ExecutorOptions& opts) {
     try {
       const RunConfigRecord rec = deserialize_run_config(req.config);  // davlint: allow(fork-safety) sanctioned workload handoff
       resp.result_payload = make_result_payload(  // davlint: allow(fork-safety) sanctioned workload handoff
-          true, {}, fn(effective_config(rec.cfg, opts), store.get()));  // davlint: allow(fork-safety) sanctioned workload handoff
+          true, {}, fn(effective_config(rec.cfg, opts), &store));  // davlint: allow(fork-safety) sanctioned workload handoff
     } catch (const std::exception& e) {
       resp.result_payload =
           make_result_payload(false, e.what(), harness_error_result(RunConfig{}));  // davlint: allow(fork-safety) sanctioned workload handoff
@@ -497,9 +488,9 @@ void rearm_cpu_limit(const ExecutorOptions& opts) {
       rec.capture = std::move(cap);
       resp.capture = encode_run_capture(rec);  // davlint: allow(fork-safety) sanctioned response codec
     }
-    resp.checkpoint_hits = store->hits() + store->deep_hits();
-    resp.checkpoint_misses = store->misses() + store->deep_misses();
-    resp.checkpoint_evictions = store->evictions();
+    resp.checkpoint_hits = store.deep_hits();
+    resp.checkpoint_misses = store.deep_misses();
+    resp.checkpoint_evictions = store.evictions();
     write_all(resp_fd, frame_message(encode_fields(resp)));  // davlint: allow(fork-safety) sanctioned response codec
   }
 }
@@ -884,7 +875,7 @@ std::unique_ptr<SlotSource> make_source(
     return std::make_unique<PoolSource>(opts, fn, slots, epoch, stats);
   }
 #endif
-  return std::make_unique<InProcessSource>(opts, fn, epoch, stats);
+  return std::make_unique<InProcessSource>(fn, epoch, stats);
 }
 
 }  // namespace
@@ -913,7 +904,6 @@ std::vector<RunResult> CampaignExecutor::run_all(
     const std::vector<RunConfig>& cfgs) {
   quarantined_.clear();
   stats_ = ExecutorStats{};
-  capture_seen_.clear();
   last_metrics_ = Clock::time_point{};
   batch_start_ = Clock::now();
 
@@ -1020,13 +1010,6 @@ std::vector<RunResult> CampaignExecutor::run_all(
       stats_.spans.push_back(
           WorkerSpan{c.index, c.slot, c.attempt, c.start_sec, c.dur_sec});
       stats_.slot_busy_sec[slot] += c.dur_sec;
-      if (!c.capture_payload.empty()) {
-        try {
-          fold_capture(decode_run_capture(c.capture_payload));
-        } catch (const std::exception&) {
-          // Malformed capture: observability loss only, the run still counts.
-        }
-      }
       ResultPayload p;
       if (c.ok) {
         ++stats_.slot_runs_served[slot];
@@ -1040,6 +1023,7 @@ std::vector<RunResult> CampaignExecutor::run_all(
       }
       if (p.ok) {
         append(c.index, c.result_payload);
+        fold_capture(c.capture_payload);
         settle(c.index, std::move(p));
       } else if (c.attempt < opts_.max_retries) {
         ++stats_.retries;

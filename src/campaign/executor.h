@@ -12,9 +12,9 @@
 //    that throws becomes a failed attempt; no watchdog or rlimits.
 //  - jobs == N: a persistent prefork pool of up to N sandboxed workers. Each
 //    worker streams RunConfigs in and checksummed result records out, keeps a
-//    CheckpointStore (campaign/checkpoint.h) so runs sharing a scenario skip
-//    setup replay, and is replaced when it dies by signal, rlimit or the
-//    wall-clock watchdog.
+//    CheckpointStore (campaign/checkpoint.h) so checkpointed variants sharing
+//    a fault-free prefix skip it, and is replaced when it dies by signal,
+//    rlimit or the wall-clock watchdog.
 //
 // Both sources yield the same result bytes, merged by plan index, so a
 // pooled, resumed or in-process sweep of the same configs is bit-identical;
@@ -28,7 +28,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "campaign/driver.h"
@@ -55,9 +54,6 @@ struct ExecutorOptions {
   /// Also turns on prefix-affinity scheduling (variants of one prefix go to
   /// the same worker). Never changes results — byte-identity is test-pinned.
   bool checkpoint = false;
-  /// Per-worker deep-checkpoint byte budget, MiB (DAV_CHECKPOINT_MAX_MB).
-  /// Oldest entries are evicted past the budget. 0 disables the deep tier.
-  std::size_t checkpoint_max_mb = 64;
   /// Wall-clock watchdog per run attempt; a worker still alive past this is
   /// SIGKILLed and quarantined.
   double run_timeout_sec = 600.0;
@@ -122,9 +118,9 @@ struct ExecutorStats {
   // Pool lifecycle (zero in-process).
   int pool_workers = 0;   ///< persistent workers forked at batch start
   int respawns = 0;       ///< replacement workers forked after a death
-  /// CheckpointStore reuse counters, summed across workers: hits/misses over
-  /// both tiers (tick-0 setup + deep fork-point restores), plus deep-tier
-  /// budget evictions. In-process mode counts the executor-owned store.
+  /// CheckpointStore counters, summed across workers: fork-point lookups
+  /// that restored a prefix (hits) or found none (misses), plus byte-budget
+  /// evictions. In-process mode counts the executor-owned store.
   std::uint64_t checkpoint_hits = 0;
   std::uint64_t checkpoint_misses = 0;
   std::uint64_t checkpoint_evictions = 0;
@@ -187,10 +183,8 @@ class CampaignExecutor {
   const ExecutorStats& stats() const { return stats_; }
 
  private:
-  /// Fold one run's trace residue into stats_ (first arrival wins per plan
-  /// index: a retry of a run whose failed attempt already left a capture is
-  /// discarded).
-  void fold_capture(RunTraceCapture cap);
+  /// Fold the trace residue of the attempt that settled a run into stats_.
+  void fold_capture(const std::string& capture_payload);
   /// Live metrics snapshot (opts_.metrics_path, atomic rename). Rate-limited
   /// by metrics_interval_sec unless `force` (batch end / final state).
   void write_metrics_snapshot(std::size_t total, std::size_t done, bool force);
@@ -201,8 +195,6 @@ class CampaignExecutor {
   ExecutorStats stats_;
   /// run_all entry instant: the zero of the WorkerSpan timeline.
   std::chrono::steady_clock::time_point batch_start_{};
-  /// Plan indices whose capture was already folded (dedup).
-  std::unordered_set<std::uint64_t> capture_seen_;
   /// Last metrics snapshot write, for interval rate limiting.
   std::chrono::steady_clock::time_point last_metrics_{};
 };

@@ -433,27 +433,10 @@ std::uint64_t run_config_digest(const RunConfig& cfg) {
   RunConfig& c = const_cast<RunConfig&>(cfg);  // ConfigWriter only reads
   io_outcome(a, c);
   // Same only-when-active discipline as serialize_run_config: plan-free,
-  // fusion-free configs keep their pre-extension digest (journals, warm
-  // caches and resume keyed on it stay valid). CheckpointOptions are
-  // excluded entirely, like TraceOptions: neither changes the run outcome.
+  // fusion-free configs keep their pre-extension digest (journals and
+  // resume keyed on it stay valid). CheckpointOptions are excluded
+  // entirely, like TraceOptions: neither changes the run outcome.
   if (config_has_sensor_extension(cfg)) io_sensor_extension(a, c);
-  const std::string& b = w.bytes();
-  return fnv1a64(b.data(), b.size());
-}
-
-std::uint64_t checkpoint_setup_digest(const RunConfig& cfg) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(cfg.scenario));
-  w.u64(cfg.scenario_seed);
-  w.f64(cfg.scenario_opts.long_route_duration_sec);
-  w.f64(cfg.scenario_opts.safety_duration_sec);
-  w.u8(static_cast<std::uint8_t>(cfg.mode));
-  w.i32(cfg.cam_width);
-  w.i32(cfg.cam_height);
-  w.f64(cfg.camera_noise_sigma);
-  // Fusion changes the constructed agent (health monitor config) — a fused
-  // and an unfused run must not share a setup slot.
-  w.u8(cfg.fusion.enabled ? 1 : 0);
   const std::string& b = w.bytes();
   return fnv1a64(b.data(), b.size());
 }

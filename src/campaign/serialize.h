@@ -405,13 +405,6 @@ RunConfigRecord deserialize_run_config(const std::string& bytes);
 /// under the same key can be replayed instead of re-executed.
 std::uint64_t run_config_digest(const RunConfig& cfg);
 
-/// Digest over exactly the RunConfig fields that determine scenario
-/// construction and the initial (pre-first-frame) ADS state — run_seed and
-/// both fault plans are deliberately excluded (they only matter once the run
-/// loop starts). Keys the CheckpointStore's tick-0 setup tier (the PR-5 warm
-/// cache). In-memory key only: never persisted, free to evolve.
-std::uint64_t checkpoint_setup_digest(const RunConfig& cfg);
-
 /// Digest over every RunConfig field that can influence the run BEFORE
 /// `tick`. Two configs with equal prefix digests at tick T evolve
 /// bit-identically through the first T steps, so a clean checkpoint captured

@@ -140,11 +140,10 @@ class Engine {
   }
 
   /// Restore dynamic state; plan_/model_ keep whatever configure() set.
-  /// Ordering rule for restores: adopt-then-configure when re-targeting a
-  /// clean checkpoint at a different fault variant (configure re-arms for the
-  /// new plan; the clean state it clears is already default), and
-  /// configure-then-adopt when resuming the exact same run (adopt overwrites
-  /// with the mid-run arming/RNG position, e.g. a cleared transient).
+  /// Restores go adopt-then-configure: checkpoints are clean prefixes, so
+  /// configure() re-arms the engine for the restoring run's own plan, and
+  /// the activation state and outcome RNG it resets are still at their
+  /// defaults (nothing activated, nothing drawn).
   void adopt(const EngineState& st) {
     if (st.counts.size() != counts_.size()) {
       throw std::invalid_argument("Engine::adopt: opcode count mismatch");

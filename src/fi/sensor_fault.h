@@ -108,32 +108,6 @@ class SensorFaultInjector {
   /// means the fault activated (drives RunResult outcome classification).
   std::uint64_t corruptions() const { return corruptions_; }
 
-  /// Injector state for checkpoint capture/adopt. Patch geometry and drift
-  /// direction are lazily-drawn pure functions of the plan seed, but they
-  /// ride along so a restored injector never re-draws; the frozen-frame
-  /// cache is genuinely path-dependent (last pre-onset frame seen).
-  struct State {
-    std::uint64_t corruptions = 0;
-    int patch_x = 0, patch_y = 0, patch_w = 0, patch_h = 0;
-    bool patch_drawn = false;
-    double drift_cos = 1.0, drift_sin = 0.0;
-    std::vector<std::uint8_t> frozen;
-  };
-  State capture() const {
-    return {corruptions_, patch_x_, patch_y_,   patch_w_,   patch_h_,
-            patch_drawn_, drift_cos_, drift_sin_, frozen_};
-  }
-  void adopt(const State& st) {
-    corruptions_ = st.corruptions;
-    patch_x_ = st.patch_x;
-    patch_y_ = st.patch_y;
-    patch_w_ = st.patch_w;
-    patch_h_ = st.patch_h;
-    patch_drawn_ = st.patch_drawn;
-    drift_cos_ = st.drift_cos;
-    drift_sin_ = st.drift_sin;
-    frozen_ = st.frozen;
-  }
   /// Seed the frozen-frame cache from a checkpointed camera frame. Used when
   /// a clean-prefix checkpoint is re-targeted at a kCameraFrozen variant
   /// whose onset is the restore tick: the injector never saw the pre-onset

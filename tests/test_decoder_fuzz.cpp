@@ -181,8 +181,6 @@ std::vector<std::string> checkpoint_seeds() {
   RunCheckpoint bare;
   RunCheckpoint full;
   full.tick = 25;
-  full.clean = true;
-  full.has_injector = true;
   full.has_detector = true;
   full.has_recovery = true;
   full.recovery.restart_ticks = {3, 9};
@@ -269,9 +267,10 @@ TEST(WirePins, Telemetry) {
 }
 
 TEST(WirePins, RunCheckpoints) {
+  // Taken at kRunCheckpointVersion 2.
   const std::vector<std::string> seeds = checkpoint_seeds();
-  EXPECT_EQ(fnv_of(seeds[0]), 0x0b0545c97a7a4856ULL);  // bare
-  EXPECT_EQ(fnv_of(seeds[1]), 0xf5946db36c16ecd6ULL);  // every section
+  EXPECT_EQ(fnv_of(seeds[0]), 0xb227bd38e2973851ULL);  // bare
+  EXPECT_EQ(fnv_of(seeds[1]), 0xc39acb0a2299a6f0ULL);  // every section
 }
 
 TEST(DecoderFuzz, ThresholdLutRejectsImplausibleBinCounts) {

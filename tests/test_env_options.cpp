@@ -13,6 +13,8 @@
 #include "campaign/campaign.h"
 #include "campaign/env_options.h"
 
+extern char** environ;  // POSIX: the process environment block
+
 namespace dav {
 namespace {
 
@@ -46,12 +48,19 @@ class ScopedEnv {
   bool had_old_ = false;
 };
 
-/// Clears every documented DAV_* variable for the test's duration.
+/// Clears every DAV_* variable, documented or not, for the test's duration.
 class CleanEnv {
  public:
   CleanEnv() {
-    for (const auto& d : EnvOptions::docs()) {
-      scopes_.push_back(std::make_unique<ScopedEnv>(d.name, nullptr));
+    std::vector<std::string> names;
+    for (char** e = environ; *e != nullptr; ++e) {
+      const std::string entry = *e;
+      if (entry.rfind("DAV_", 0) == 0) {
+        names.push_back(entry.substr(0, entry.find('=')));
+      }
+    }
+    for (const std::string& name : names) {
+      scopes_.push_back(std::make_unique<ScopedEnv>(name.c_str(), nullptr));
     }
   }
 
@@ -65,7 +74,6 @@ TEST(EnvOptions, DefaultsWhenNothingIsSet) {
   EXPECT_DOUBLE_EQ(o.scale, 1.0);
   EXPECT_EQ(o.jobs, 0);
   EXPECT_FALSE(o.checkpoint);
-  EXPECT_EQ(o.checkpoint_max_mb, 64u);
   EXPECT_TRUE(o.journal_path.empty());
   EXPECT_DOUBLE_EQ(o.run_timeout_sec, 600.0);
   EXPECT_EQ(o.run_retries, 1);
@@ -146,9 +154,6 @@ TEST(EnvOptions, RejectsMalformedValuesWithActionableErrors) {
   expect_rejects("DAV_RUN_TIMEOUT_SEC", "soon");
   expect_rejects("DAV_CHECKPOINT", "maybe");
   expect_rejects("DAV_CHECKPOINT", "2");
-  expect_rejects("DAV_CHECKPOINT_MAX_MB", "-1");
-  expect_rejects("DAV_CHECKPOINT_MAX_MB", "lots");
-  expect_rejects("DAV_CHECKPOINT_MAX_MB", "64mb");
   expect_rejects("DAV_RUN_RETRIES", "-1");
   expect_rejects("DAV_RUN_CPU_SEC", "-0.1");
   expect_rejects("DAV_RUN_AS_MB", "lots");
@@ -163,7 +168,6 @@ TEST(EnvOptions, RejectsMalformedValuesWithActionableErrors) {
   expect_rejects("DAV_SENSOR_ONSET_TICK", "4294967336");
   expect_rejects("DAV_SENSOR_DURATION_TICKS", "4294967376");
   expect_rejects("DAV_RUN_AS_MB", "17592186044417");    // bytes wrap to 1 MiB
-  expect_rejects("DAV_CHECKPOINT_MAX_MB", "17592186044417");
   expect_rejects("DAV_RUN_TIMEOUT_SEC", "1e10");        // past steady_clock
   expect_rejects("DAV_RUN_CPU_SEC", "1e10");
   expect_rejects("DAV_METRICS_INTERVAL_SEC", "1e10");
@@ -241,14 +245,40 @@ TEST(EnvOptions, ExecutorAndTraceProjections) {
 TEST(EnvOptions, ParsesCheckpointKnobsIntoExecutorOptions) {
   CleanEnv clean;
   ScopedEnv e1("DAV_CHECKPOINT", "1");
-  ScopedEnv e2("DAV_CHECKPOINT_MAX_MB", "128");
-  ScopedEnv e3("DAV_JOBS", "2");
+  ScopedEnv e2("DAV_JOBS", "2");
   const EnvOptions o = EnvOptions::from_env();
   EXPECT_TRUE(o.checkpoint);
-  EXPECT_EQ(o.checkpoint_max_mb, 128u);
   const ExecutorOptions eo = o.executor_options();
   EXPECT_TRUE(eo.checkpoint);
-  EXPECT_EQ(eo.checkpoint_max_mb, 128u);
+  EXPECT_EQ(eo.jobs, 2);
+}
+
+TEST(EnvOptions, RejectsUnknownVariablesByName) {
+  // A misspelt or retired DAV_* name must not be ignored: DAV_JOB=4 would
+  // otherwise run the campaign in-process without a word.
+  for (const char* var :
+       {"DAV_JOB", "DAV_WORKERS", "DAV_CHECKPOINT_MAX_MB"}) {
+    CleanEnv clean;
+    ScopedEnv e(var, "4");
+    try {
+      EnvOptions::from_env();
+      FAIL() << var << " was accepted";
+    } catch (const std::invalid_argument& ex) {
+      const std::string what = ex.what();
+      EXPECT_NE(what.find(var), std::string::npos) << what;
+      EXPECT_NE(what.find("--env-help"), std::string::npos) << what;
+    }
+  }
+  // Every documented name is known: all of them set at once, each to its
+  // documented default (empty for the unset-by-default ones), still parse.
+  CleanEnv clean;
+  std::vector<std::unique_ptr<ScopedEnv>> scopes;
+  for (const auto& d : EnvOptions::docs()) {
+    const bool unset = std::string(d.fallback) == "(unset)";
+    scopes.push_back(
+        std::make_unique<ScopedEnv>(d.name, unset ? "" : d.fallback));
+  }
+  EXPECT_NO_THROW(EnvOptions::from_env());
 }
 
 TEST(EnvOptions, ParsesSensorFaultKnobs) {
@@ -296,7 +326,7 @@ TEST(EnvOptions, DocsCoverEveryParsedVariable) {
   // the parser understands must appear exactly once.
   const std::vector<const char*> expected = {
       "DAV_SCALE",       "DAV_JOBS",          "DAV_CHECKPOINT",
-      "DAV_CHECKPOINT_MAX_MB",                "DAV_JOURNAL",
+      "DAV_JOURNAL",
       "DAV_RUN_TIMEOUT_SEC", "DAV_RUN_RETRIES", "DAV_RUN_CPU_SEC",
       "DAV_RUN_AS_MB",
       "DAV_TRACE",       "DAV_TRACE_CAPACITY",

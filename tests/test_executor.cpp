@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "campaign/campaign.h"
-#include "campaign/checkpoint.h"
 #include "campaign/driver.h"
 #include "campaign/env_options.h"
 #include "campaign/executor.h"
@@ -138,15 +137,11 @@ TEST(ExecutorOptions, ValidationRejectsNonsense) {
     o.*field = 1e10;
     EXPECT_THROW(o.validate(), std::invalid_argument);
   }
-  for (std::size_t ExecutorOptions::*field :
-       {&ExecutorOptions::address_space_mb,
-        &ExecutorOptions::checkpoint_max_mb}) {
-    o = ExecutorOptions{};
-    o.*field = ExecutorOptions::kMaxMiB + 1;
-    EXPECT_THROW(o.validate(), std::invalid_argument);
-    o.*field = ExecutorOptions::kMaxMiB;
-    EXPECT_NO_THROW(o.validate());
-  }
+  o = ExecutorOptions{};
+  o.address_space_mb = ExecutorOptions::kMaxMiB + 1;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+  o.address_space_mb = ExecutorOptions::kMaxMiB;
+  EXPECT_NO_THROW(o.validate());
   o = ExecutorOptions{};
   o.jobs = 0;
   EXPECT_NO_THROW(o.validate());
@@ -198,6 +193,33 @@ TEST(Executor, InProcessRetriesAThrowingRunBeforeQuarantine) {
   ASSERT_EQ(exec.quarantined().size(), 1u);
   EXPECT_EQ(exec.quarantined()[0].index, 2u);
   EXPECT_EQ(exec.quarantined()[0].what, "always broken");
+}
+
+TEST(Executor, RetriedRunFoldsOnlyTheSettlingAttemptsCapture) {
+  // Both attempts of a traced run leave a capture; the first then throws.
+  // Only the attempt that settles the run contributes its trace residue.
+  int attempts = 0;
+  const auto fn = [&attempts](const RunConfig& cfg) -> RunResult {
+    const int n = attempts++;
+    obs::RunCapture cap = synthetic_capture(cfg.run_seed);
+    cap.dropped = n == 0 ? 100 : 7;  // tells the two attempts apart
+    obs::set_last_run_capture(std::move(cap));
+    if (n == 0) throw std::runtime_error("first attempt fails");
+    return stub_result(cfg);
+  };
+  ExecutorOptions o = pool_options(0);
+  o.max_retries = 1;
+  CampaignExecutor exec(o, fn);
+  const auto cfgs = make_configs(1);
+  const auto results = exec.run_all(cfgs);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(serialize_run_result(results[0]),
+            serialize_run_result(stub_result(cfgs[0])));
+  EXPECT_EQ(attempts, 2);
+  ASSERT_EQ(exec.stats().captures.size(), 1u);
+  EXPECT_EQ(exec.stats().captures[0].plan_index, 0u);
+  EXPECT_EQ(exec.stats().captures[0].capture.dropped, 7u);
+  EXPECT_EQ(exec.stats().trace_dropped, 7u);
 }
 
 #if DAV_TEST_POSIX
@@ -565,9 +587,8 @@ TEST(ExecutorPool, RetryRecoversATransientWorkerDeath) {
 TEST(ExecutorPool, RealRunsBitIdenticalWithFullConfigCodec) {
   // Real run_experiment through the pool's request/response codec, with the
   // full detector + mitigation + trace cluster riding in the request frame:
-  // byte-for-byte the serial results. Both runs share a warm key (same
-  // scenario, different run_seed), so with jobs=1 the second is a cache hit —
-  // the hit must not perturb a single byte.
+  // byte-for-byte the serial results. With jobs=1 both runs share one worker
+  // and its checkpoint store, which checkpoint-off runs never consult.
   ThresholdLut lut;
   VehicleState s;
   s.v = 10.0;
@@ -594,8 +615,8 @@ TEST(ExecutorPool, RealRunsBitIdenticalWithFullConfigCodec) {
               serialize_run_result(run_experiment(cfgs[i])))
         << "index " << i;
   }
-  EXPECT_EQ(pool_exec.stats().checkpoint_hits, 1u);
-  EXPECT_EQ(pool_exec.stats().checkpoint_misses, 1u);
+  EXPECT_EQ(pool_exec.stats().checkpoint_hits, 0u);
+  EXPECT_EQ(pool_exec.stats().checkpoint_misses, 0u);
 }
 
 TEST(ExecutorPool, KillMidFlightThenResumeIsBitIdentical) {
@@ -762,52 +783,6 @@ TEST(ExecutorMetrics, SnapshotTracksJournalReplayOnResume) {
   EXPECT_EQ(metrics_value(kv, "runs_done"), "4");
   std::remove(journal.c_str());
   std::remove(o.metrics_path.c_str());
-}
-
-// ---- checkpoint store: setup tier (the old warm-state cache) ----
-
-TEST(CheckpointSetup, HitEqualsColdRunByteForByte) {
-  CheckpointStore store;
-  RunConfig a = RunConfigBuilder()
-                    .scenario(ScenarioId::kLeadSlowdown)
-                    .mode(AgentMode::kRoundRobin)
-                    .run_seed(11)
-                    .record_traces()
-                    .build();
-  a.scenario_opts.safety_duration_sec = 2.0;
-  RunConfig b = a;
-  b.run_seed = 12;  // same setup key, different experiment
-
-  const RunResult cold_a = run_experiment(a);
-  const RunResult miss_a = run_experiment(a, &store);   // populates the store
-  const RunResult hit_b = run_experiment(b, &store);    // warm-start
-  const RunResult cold_b = run_experiment(b);
-
-  EXPECT_EQ(serialize_run_result(miss_a), serialize_run_result(cold_a));
-  EXPECT_EQ(serialize_run_result(hit_b), serialize_run_result(cold_b));
-  EXPECT_EQ(store.hits(), 1u);
-  EXPECT_EQ(store.misses(), 1u);
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(CheckpointSetup, DigestSeparatesWarmupRelevantFields) {
-  RunConfig base;
-  base.scenario = ScenarioId::kLeadSlowdown;
-  base.mode = AgentMode::kRoundRobin;
-  base.run_seed = 1;
-
-  RunConfig same = base;
-  same.run_seed = 999;  // run seed does not shape warmup state
-  same.fault.kind = FaultModelKind::kPermanent;
-  EXPECT_EQ(checkpoint_setup_digest(base), checkpoint_setup_digest(same));
-
-  RunConfig other = base;
-  other.scenario_seed = base.scenario_seed + 1;
-  EXPECT_NE(checkpoint_setup_digest(base), checkpoint_setup_digest(other));
-  RunConfig other_mode = base;
-  other_mode.mode = AgentMode::kSingle;
-  EXPECT_NE(checkpoint_setup_digest(base),
-            checkpoint_setup_digest(other_mode));
 }
 
 // ---- request codec ----
