@@ -19,6 +19,10 @@ target_compile_options(dav_build_flags INTERFACE
   -Wextra
   -Wshadow
   -Wnon-virtual-dtor
+  # Results must be bit-identical on every target: never fuse a multiply and
+  # an add into one FMA (the compiler may otherwise do so differently in a
+  # kernel's plain and instrumented loops once -march allows FMA).
+  -ffp-contract=off
 )
 if(DAV_WERROR)
   target_compile_options(dav_build_flags INTERFACE -Werror)

@@ -8,6 +8,43 @@
 
 namespace dav {
 
+namespace {
+
+struct MaskParams {
+  float dark_t = 0.0f, blue_t = 0.0f, red_t = 0.0f, white_t = 0.0f;
+  float dark_w = 0.0f, blue_w = 0.0f;
+};
+
+/// The per-pixel mask arithmetic of the ground band, in the scalar loop's
+/// pixel order: `rgb` holds n-pixel R, G and B planes back to back, and `ex`
+/// is the block's exec functor (see run_block). The planes do not overlap,
+/// which lets the plain instantiation vectorize.
+template <typename Ex>
+void mask_pixels(Ex ex, std::size_t n, const MaskParams& p,
+                 const float* __restrict rgb, float* __restrict vehicle,
+                 float* __restrict red, float* __restrict white) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float r = rgb[i];
+    const float g = rgb[n + i];
+    const float b = rgb[2 * n + i];
+    const float bright = ex(GpuOpcode::kFMacc, (r + g + b) * (1.0f / 3.0f));
+    const float dark = ex(GpuOpcode::kFRelu,
+                          p.dark_t - bright > 0.0f ? p.dark_t - bright : 0.0f);
+    const float blue = ex(GpuOpcode::kFRelu,
+                          b - r - p.blue_t > 0.0f ? b - r - p.blue_t : 0.0f);
+    vehicle[i] = ex(GpuOpcode::kFFma, p.dark_w * dark + p.blue_w * blue);
+    const float rd = r - 0.5f * (g + b) - p.red_t;
+    red[i] = ex(GpuOpcode::kFRelu, rd > 0.0f ? rd : 0.0f);
+    // Lane markings are bright AND achromatic; the chroma penalty rejects
+    // bright-but-colored blobs (vehicle bodies, painted stop lines).
+    const float chroma = std::abs(r - g) + std::abs(g - b);
+    const float wt = bright - p.white_t - 3.0f * chroma;
+    white[i] = ex(GpuOpcode::kFRelu, wt > 0.0f ? wt : 0.0f);
+  }
+}
+
+}  // namespace
+
 Perception::Perception(GpuEngine& eng, PerceptionConfig cfg)
     : eng_(eng), cfg_(std::move(cfg)) {}
 
@@ -59,30 +96,15 @@ Perception::Masks Perception::build_masks(const Image& img, float gain) {
   const float blue_t = static_cast<float>(cfg_.blue_thresh) * gain;
   const float red_t = static_cast<float>(cfg_.red_thresh) * gain;
   const float white_t = static_cast<float>(cfg_.white_thresh) * gain;
-  for (int y = 0; y < th; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const float r = rgb.at(0, y, x);
-      const float g = rgb.at(1, y, x);
-      const float b = rgb.at(2, y, x);
-      const float bright =
-          eng_.exec(GpuOpcode::kFMacc, (r + g + b) * (1.0f / 3.0f));
-      const float dark = eng_.exec(
-          GpuOpcode::kFRelu, dark_t - bright > 0.0f ? dark_t - bright : 0.0f);
-      const float blue = eng_.exec(
-          GpuOpcode::kFRelu, b - r - blue_t > 0.0f ? b - r - blue_t : 0.0f);
-      vehicle.at(0, y, x) =
-          eng_.exec(GpuOpcode::kFFma,
-                    static_cast<float>(cfg_.dark_weight) * dark +
-                        static_cast<float>(cfg_.blue_weight) * blue);
-      const float rd = r - 0.5f * (g + b) - red_t;
-      red.at(0, y, x) = eng_.exec(GpuOpcode::kFRelu, rd > 0.0f ? rd : 0.0f);
-      // Lane markings are bright AND achromatic; the chroma penalty rejects
-      // bright-but-colored blobs (vehicle bodies, painted stop lines).
-      const float chroma = std::abs(r - g) + std::abs(g - b);
-      const float wt = bright - white_t - 3.0f * chroma;
-      white.at(0, y, x) = eng_.exec(GpuOpcode::kFRelu, wt > 0.0f ? wt : 0.0f);
-    }
-  }
+  const MaskParams params{dark_t, blue_t, red_t, white_t,
+                          static_cast<float>(cfg_.dark_weight),
+                          static_cast<float>(cfg_.blue_weight)};
+  const std::size_t n = vehicle.size();
+  run_block(eng_, {{GpuOpcode::kFMacc, n}, {GpuOpcode::kFRelu, 4 * n},
+                   {GpuOpcode::kFFma, n}}, [&](auto ex) {
+    mask_pixels(ex, n, params, rgb.data().data(), vehicle.data().data(),
+                red.data().data(), white.data().data());
+  });
 
   // Above-horizon band: red traffic-light heads (ranged via their known
   // mount height; the painted stop line on the ground foreshortens to less
@@ -90,16 +112,17 @@ Perception::Masks Perception::build_masks(const Image& img, float gain) {
   const int band = std::min(cfg_.upper_band_rows, horizon);
   Tensor red_upper(1, band, w);
   Tensor rgb_u = image_rows_to_tensor(eng_, img, horizon - band, horizon);
-  for (int y = 0; y < band; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const float r = rgb_u.at(0, y, x);
-      const float g = rgb_u.at(1, y, x);
-      const float b = rgb_u.at(2, y, x);
-      const float rd = r - 0.5f * (g + b) - red_t;
-      red_upper.at(0, y, x) =
-          eng_.exec(GpuOpcode::kFRelu, rd > 0.0f ? rd : 0.0f);
+  run_block(eng_, {{GpuOpcode::kFRelu, red_upper.size()}}, [&](auto ex) {
+    for (int y = 0; y < band; ++y) {
+      for (int x = 0; x < w; ++x) {
+        const float r = rgb_u.at(0, y, x);
+        const float g = rgb_u.at(1, y, x);
+        const float b = rgb_u.at(2, y, x);
+        const float rd = r - 0.5f * (g + b) - red_t;
+        red_upper.at(0, y, x) = ex(GpuOpcode::kFRelu, rd > 0.0f ? rd : 0.0f);
+      }
     }
-  }
+  });
 
   // The CNN stage: a 3x3 box convolution of the vehicle mask. Ranging uses
   // the RAW mask (the box filter would smear the ground-contact edge a full
@@ -322,21 +345,25 @@ PerceptionOutput Perception::process(const std::vector<Image>& cams,
           cams[static_cast<std::size_t>(side)].height());
       Tensor pooled = avg_pool(eng_, rgb, 4);
       float mass = 0.0f;
-      for (int y = 0; y < pooled.height(); ++y) {
-        for (int x = 0; x < pooled.width(); ++x) {
-          const float r = pooled.at(0, y, x);
-          const float g = pooled.at(1, y, x);
-          const float b = pooled.at(2, y, x);
-          const float bright =
-              eng_.exec(GpuOpcode::kFMacc, (r + g + b) * (1.0f / 3.0f));
-          const float dark = eng_.exec(GpuOpcode::kFRelu,
-                                       0.09f - bright > 0.0f ? 0.09f - bright
-                                                             : 0.0f);
-          const float blue = eng_.exec(GpuOpcode::kFRelu,
-                                       b - r - 0.1f > 0.0f ? b - r - 0.1f : 0.0f);
-          mass = eng_.exec(GpuOpcode::kFMacc, mass + 8.0f * dark + 2.0f * blue);
+      const std::uint64_t n = pooled.size() / 3;
+      run_block(eng_, {{GpuOpcode::kFMacc, 2 * n}, {GpuOpcode::kFRelu, 2 * n}},
+                [&](auto ex) {
+        for (int y = 0; y < pooled.height(); ++y) {
+          for (int x = 0; x < pooled.width(); ++x) {
+            const float r = pooled.at(0, y, x);
+            const float g = pooled.at(1, y, x);
+            const float b = pooled.at(2, y, x);
+            const float bright =
+                ex(GpuOpcode::kFMacc, (r + g + b) * (1.0f / 3.0f));
+            const float dark = ex(GpuOpcode::kFRelu, 0.09f - bright > 0.0f
+                                                         ? 0.09f - bright
+                                                         : 0.0f);
+            const float blue = ex(GpuOpcode::kFRelu,
+                                  b - r - 0.1f > 0.0f ? b - r - 0.1f : 0.0f);
+            mass = ex(GpuOpcode::kFMacc, mass + 8.0f * dark + 2.0f * blue);
+          }
         }
-      }
+      });
       side_mass = c.max(side_mass, mass);
     }
   }

@@ -2,7 +2,11 @@
 //
 // Every elementwise arithmetic result flows through GpuEngine::exec, so the
 // fault injector can corrupt the destination register of any dynamic
-// instruction; loads/stores are accounted in bulk. This is the perception
+// instruction; loads/stores are accounted in bulk. A kernel whose block of
+// exec'd instructions no armed fault can touch retires the block in one step
+// (GpuEngine::retire_clean) and computes it as plain arithmetic, with the
+// same operations in the same order, so its results and dynamic indices are
+// those of the scalar loop. This is the perception
 // pipeline's compute fabric (the paper's CNN runs on the GPU; §V-C notes the
 // agent "uses the GPU mostly for computations").
 #pragma once

@@ -16,7 +16,9 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "fi/fault_model.h"
@@ -102,6 +104,38 @@ class Engine {
 
   /// Single control-flow marker (branch, call, loop bound...).
   void mark(OpcodeT op) { bulk(op, 1); }
+
+  /// Block accounting for a run of exec() calls whose per-opcode counts are
+  /// known before it starts. When no instruction of the block can be
+  /// corrupted — the engine is unarmed, the transient target lies outside
+  /// [total, total + n), or the permanent opcode has no instance in the
+  /// block — this retires the whole block at once (its per-opcode counts
+  /// and its total n) and returns true: the caller then computes the block
+  /// as plain arithmetic. Otherwise it changes nothing and returns false,
+  /// and the caller runs its scalar exec() loop, which retires the same
+  /// instructions one at a time. Either way the dynamic indices after the
+  /// block are the same.
+  bool retire_clean(
+      std::initializer_list<std::pair<OpcodeT, std::uint64_t>> block) {
+    std::uint64_t n = 0;
+    for (const auto& [op, k] : block) n += k;
+    if (armed_) {
+      if (plan_.kind == FaultModelKind::kTransient) {
+        if (plan_.target_dyn_index >= total_ &&
+            plan_.target_dyn_index - total_ < n) {
+          return false;
+        }
+      } else {
+        for (const auto& [op, k] : block) {
+          if (k > 0 && index(op) == static_cast<std::size_t>(plan_.target_opcode))
+            return false;
+        }
+      }
+    }
+    for (const auto& [op, k] : block) counts_[index(op)] += k;
+    total_ += n;
+    return true;
+  }
 
   std::uint64_t total_dyn_instructions() const { return total_; }
   std::uint64_t op_count(OpcodeT op) const { return counts_[index(op)]; }
@@ -260,6 +294,26 @@ class Engine {
   bool permanent_outcome_decided_ = false;
   bool permanent_lethal_ = false;
 };
+
+/// Runs one block of instrumented arithmetic whose per-opcode counts are
+/// `block`. `body(x)` computes the block through `x(op, v)`, in the order the
+/// scalar loop executes it: when the engine retires the block clean, `x` is
+/// the identity and the body compiles to plain arithmetic; otherwise `x` is
+/// Engine::exec, so every dynamic index, corruption and crash/hang lands
+/// exactly where the scalar loop puts it.
+template <typename EngineT, typename Body>
+void run_block(
+    EngineT& eng,
+    std::initializer_list<std::pair<typename EngineT::Opcode, std::uint64_t>>
+        block,
+    Body&& body) {
+  using Op = typename EngineT::Opcode;
+  if (eng.retire_clean(block)) {
+    body([](Op, float v) { return v; });
+  } else {
+    body([&eng](Op op, float v) { return eng.exec(op, v); });
+  }
+}
 
 /// The GPU engine: fp32 tensor arithmetic (perception pipeline).
 using GpuEngine = Engine<GpuOpcode, FaultDomain::kGpu>;

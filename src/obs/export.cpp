@@ -1,14 +1,15 @@
 #include "obs/export.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace dav::obs {
 
@@ -16,18 +17,47 @@ namespace {
 
 const char* kChannelNames[3] = {"throttle", "brake", "steer"};
 
-/// Shortest-round-trip decimal rendering; JSON has no NaN/Inf so non-finite
-/// values (which the instrumentation never produces) degrade to 0.
-std::string fmt(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+void append_int(std::string& out, long long v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+/// Appends v as printf's "%.17g" would render it (round-trip exact); JSON
+/// has no NaN/Inf, so non-finite values (which the instrumentation never
+/// produces) degrade to 0.
+void append_num(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += '0';
+    return;
+  }
+  // Nonzero whole numbers below 2^53 (timestamps are whole microseconds of
+  // simulated time) print as their integer digits under "%.17g".
+  const double mag = std::abs(v);
+  if (mag >= 1.0 && mag < 9007199254740992.0 && v == std::trunc(v)) {
+    append_int(out, static_cast<long long>(v));
+    return;
+  }
+  char buf[32];
+  const auto r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
+std::string fmt(double v) {
+  std::string s;
+  append_num(s, v);
+  return s;
+}
+
+void append_escaped(std::string& out, const std::string& s) {
+  const auto plain = [](char c) {
+    return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+  };
+  if (std::all_of(s.begin(), s.end(), plain)) {
+    out += s;
+    return;
+  }
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -46,7 +76,6 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
-  return out;
 }
 
 // ---- minimal JSON parser (for our own emitted traces) ----------------------
@@ -322,9 +351,9 @@ std::string chrome_trace_json(const ChromeTrace& trace) {
   for (std::size_t i = 0; i < trace.other_data.size(); ++i) {
     if (i > 0) out += ',';
     out += '"';
-    out += json_escape(trace.other_data[i].first);
+    append_escaped(out, trace.other_data[i].first);
     out += "\":\"";
-    out += json_escape(trace.other_data[i].second);
+    append_escaped(out, trace.other_data[i].second);
     out += '"';
   }
   out += "},\"traceEvents\":[";
@@ -332,25 +361,33 @@ std::string chrome_trace_json(const ChromeTrace& trace) {
     const ChromeEvent& e = trace.events[i];
     if (i > 0) out += ',';
     out += "\n{\"name\":\"";
-    out += json_escape(e.name);
+    append_escaped(out, e.name);
     out += "\",\"cat\":\"";
-    out += json_escape(e.cat);
+    append_escaped(out, e.cat);
     out += "\",\"ph\":\"";
     out.push_back(e.ph);
-    out += "\",\"pid\":" + std::to_string(e.pid);
-    out += ",\"tid\":" + std::to_string(e.tid);
-    out += ",\"ts\":" + fmt(e.ts_us);
-    if (e.ph == 'X') out += ",\"dur\":" + fmt(e.dur_us);
+    out += "\",\"pid\":";
+    append_int(out, e.pid);
+    out += ",\"tid\":";
+    append_int(out, e.tid);
+    out += ",\"ts\":";
+    append_num(out, e.ts_us);
+    if (e.ph == 'X') {
+      out += ",\"dur\":";
+      append_num(out, e.dur_us);
+    }
     if (e.ph == 'i') out += ",\"s\":\"g\"";
     out += ",\"args\":{";
     bool first = true;
     if (e.tick >= 0) {
-      out += "\"tick\":" + std::to_string(e.tick);
+      out += "\"tick\":";
+      append_int(out, e.tick);
       first = false;
     }
     if (e.has_value) {
       if (!first) out += ',';
-      out += "\"value\":" + fmt(e.value);
+      out += "\"value\":";
+      append_num(out, e.value);
     }
     out += "}}";
   }
@@ -435,16 +472,15 @@ std::string run_csv(const std::vector<ChromeEvent>& events) {
   // Column order matches the header below; counters carry forward, alarm
   // latches at detector_alarm and clears when recovery restarts or rejoins
   // (the points where the online detector is reset).
-  const std::vector<std::string> counter_cols = {
+  static constexpr std::string_view kCounterCols[6] = {
       "divergence.throttle", "divergence.brake", "divergence.steer",
       "threshold.throttle",  "threshold.brake",  "threshold.steer"};
-  std::map<std::string, double> current;
-  for (const auto& col : counter_cols) current[col] = 0.0;
+  double current[6] = {};
   int alarm = 0;
   double recovery_state = 0.0;
 
-  std::ostringstream out;
-  out << "tick,time_sec,div_throttle,div_brake,div_steer,"
+  std::string out;
+  out += "tick,time_sec,div_throttle,div_brake,div_steer,"
          "thr_throttle,thr_brake,thr_steer,alarm,recovery_state\n";
 
   int row_tick = -1;
@@ -452,9 +488,18 @@ std::string run_csv(const std::vector<ChromeEvent>& events) {
   bool have_row = false;
   const auto flush_row = [&]() {
     if (!have_row) return;
-    out << row_tick << ',' << fmt(row_time);
-    for (const auto& col : counter_cols) out << ',' << fmt(current[col]);
-    out << ',' << alarm << ',' << fmt(recovery_state) << '\n';
+    append_int(out, row_tick);
+    out += ',';
+    append_num(out, row_time);
+    for (const double v : current) {
+      out += ',';
+      append_num(out, v);
+    }
+    out += ',';
+    append_int(out, alarm);
+    out += ',';
+    append_num(out, recovery_state);
+    out += '\n';
     have_row = false;
   };
 
@@ -469,8 +514,10 @@ std::string run_csv(const std::vector<ChromeEvent>& events) {
     if (e.ph == 'C') {
       if (e.name == "recovery_state") {
         recovery_state = e.value;
-      } else if (current.count(e.name) != 0) {
-        current[e.name] = e.value;
+      } else {
+        for (std::size_t k = 0; k < 6; ++k) {
+          if (e.name == kCounterCols[k]) current[k] = e.value;
+        }
       }
     } else {
       if (e.name == "detector_alarm") alarm = 1;
@@ -480,7 +527,7 @@ std::string run_csv(const std::vector<ChromeEvent>& events) {
     }
   }
   flush_row();
-  return out.str();
+  return out;
 }
 
 void export_run_trace(

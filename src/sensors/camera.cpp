@@ -1,8 +1,13 @@
 #include "sensors/camera.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 
 namespace dav {
 
@@ -17,14 +22,26 @@ struct CamPoint {
   double x = 0.0, y = 0.0, z = 0.0;
 };
 
+/// World-to-image projection for one camera pose. The rotation into the
+/// camera frame is Pose2::to_local's, with its cos/sin computed once per
+/// frame instead of once per projected point.
 struct Projector {
   double f = 0.0, cx = 0.0, cy = 0.0;
   Pose2 cam_pose;      // world pose of the camera (pos + yaw)
   double mount_height = 0.0;
+  double rot_cos = 1.0, rot_sin = 0.0;  // of -cam_pose.yaw
+
+  Projector(const CameraModel& model, const World& world)
+      : f(model.focal_px()), cx(model.width * 0.5), cy(model.height * 0.5),
+        cam_pose{world.ego().pose.pos,
+                 wrap_angle(world.ego().pose.yaw + model.yaw_offset)},
+        mount_height(model.mount_height),
+        rot_cos(std::cos(-cam_pose.yaw)), rot_sin(std::sin(-cam_pose.yaw)) {}
 
   CamPoint to_cam(const Vec2& world, double height_above_ground) const {
-    const Vec2 local = cam_pose.to_local(world);
-    return {local.x, local.y, height_above_ground - mount_height};
+    const Vec2 d = world - cam_pose.pos;
+    return {rot_cos * d.x - rot_sin * d.y, rot_sin * d.x + rot_cos * d.y,
+            height_above_ground - mount_height};
   }
 
   /// Perspective projection. Caller must ensure p.x > 0.
@@ -33,6 +50,18 @@ struct Projector {
     v = cy - f * p.z / p.x;
   }
 };
+
+/// Paint pixels [col_lo, col_hi] of one row. An empty span touches nothing:
+/// col_lo may lie past the row's end.
+void fill_span(Image& img, int row, int col_lo, int col_hi, Rgb color) {
+  if (col_lo > col_hi) return;
+  std::uint8_t* p = img.row(row) + 3 * static_cast<std::size_t>(col_lo);
+  for (int col = col_lo; col <= col_hi; ++col, p += 3) {
+    p[0] = color.r;
+    p[1] = color.g;
+    p[2] = color.b;
+  }
+}
 
 /// Scanline-fill a convex quad given in image coordinates. Vertices with
 /// camera-space x <= kNearClip must be filtered by the caller.
@@ -66,7 +95,7 @@ void fill_quad(Image& img, const double ux[4], const double vy[4], Rgb color) {
     if (!any) continue;
     const int col_lo = std::max(0, static_cast<int>(std::floor(x_lo)));
     const int col_hi = std::min(img.width() - 1, static_cast<int>(std::ceil(x_hi) - 1));
-    for (int col = col_lo; col <= col_hi; ++col) img.set(col, row, color);
+    fill_span(img, row, col_lo, col_hi, color);
   }
 }
 
@@ -100,20 +129,37 @@ Rgb npc_color(int id) {
           static_cast<std::uint8_t>(45 + ((h >> 16) & 0x5F))};
 }
 
-/// Draw a quad strip along the route between lateral offsets [lat0, lat1].
-void draw_route_strip(Image& img, const Projector& pr, const RoadMap& map,
-                      double s_begin, double s_end, double lat0, double lat1,
-                      Rgb color, bool dashed = false, double dash_on = 2.0,
-                      double dash_period = 4.0) {
-  const Polyline& route = map.route();
-  const double step = dashed ? std::min(kRoadStep, dash_on) : kRoadStep;
+/// Route sample at one grid point of a strip.
+struct GridPoint {
+  double s = 0.0;
+  Polyline::Sample at;
+};
+
+/// The grid points of a quad strip over [s_begin, s_end): s_begin,
+/// s_begin + step, ... while below s_end, then s_end. Quad k spans points k
+/// and k + 1; strips over the same range and step share one grid.
+std::vector<GridPoint> route_grid(const Polyline& route, double s_begin,
+                                  double s_end, double step) {
+  std::vector<GridPoint> grid;
   for (double s = s_begin; s < s_end; s += step) {
-    if (dashed && std::fmod(s, dash_period) >= dash_on) continue;
-    const double s2 = std::min(s + step, s_end);
-    const Vec2 left_a = route.tangent_at(s).perp();
-    const Vec2 left_b = route.tangent_at(s2).perp();
-    const Vec2 pa = route.point_at(s);
-    const Vec2 pb = route.point_at(s2);
+    grid.push_back({s, route.sample_at(s)});
+  }
+  if (!grid.empty()) grid.push_back({s_end, route.sample_at(s_end)});
+  return grid;
+}
+
+/// Draw a quad strip along the route between lateral offsets [lat0, lat1].
+/// A dashed strip skips the quads whose start lies in a gap.
+void draw_route_strip(Image& img, const Projector& pr,
+                      const std::vector<GridPoint>& grid, double lat0,
+                      double lat1, Rgb color, bool dashed = false,
+                      double dash_on = 2.0, double dash_period = 4.0) {
+  for (std::size_t k = 0; k + 1 < grid.size(); ++k) {
+    if (dashed && std::fmod(grid[k].s, dash_period) >= dash_on) continue;
+    const Vec2 left_a = grid[k].at.tangent.perp();
+    const Vec2 left_b = grid[k + 1].at.tangent.perp();
+    const Vec2 pa = grid[k].at.point;
+    const Vec2 pb = grid[k + 1].at.point;
     const CamPoint corners[4] = {
         pr.to_cam(pa + left_a * lat0, 0.0), pr.to_cam(pa + left_a * lat1, 0.0),
         pr.to_cam(pb + left_b * lat1, 0.0), pr.to_cam(pb + left_b * lat0, 0.0)};
@@ -132,20 +178,48 @@ void draw_route_strip(Image& img, const Projector& pr, const RoadMap& map,
   }
 }
 
+/// One NPC's state for this frame, computed once.
+struct Billboard {
+  const NpcVehicle* npc = nullptr;
+  VehicleState st;
+  double dist = 0.0;  // camera to vehicle center
+};
+
+using NoiseTable = std::array<std::uint8_t, 256 * 256>;
+
+/// (channel byte, noise byte) -> noisy byte for one noise sigma: the
+/// per-channel jitter of an untextured pixel, tabulated. Tables live for the
+/// process, one per distinct sigma, shared by every renderer that uses it.
+const std::uint8_t* noise_table(double sigma) {
+  static std::mutex mu;
+  static std::map<std::uint64_t, std::unique_ptr<NoiseTable>> tables;
+  const std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<NoiseTable>& table = tables[std::bit_cast<std::uint64_t>(sigma)];
+  if (!table) {
+    table = std::make_unique<NoiseTable>();
+    const double scale = sigma / 74.0;  // byte lane std -> sigma
+    const double extra = 0.0;           // no texture
+    for (int ch = 0; ch < 256; ++ch) {
+      for (int k = 0; k < 256; ++k) {
+        const double n = (k - 128) * scale;
+        (*table)[static_cast<std::size_t>(ch << 8 | k)] =
+            static_cast<std::uint8_t>(clamp(ch + n + extra * 18.0, 0.0, 255.0));
+      }
+    }
+  }
+  return table->data();
+}
+
 }  // namespace
+
+CameraRenderer::CameraRenderer(CameraModel model)
+    : model_(model), noise_table_(noise_table(model.noise_sigma)) {}
 
 Image CameraRenderer::render(const World& world, Rng& noise) const {
   const int w = model_.width;
   const int h = model_.height;
   Image img(w, h);
-
-  Projector pr;
-  pr.f = model_.focal_px();
-  pr.cx = w * 0.5;
-  pr.cy = h * 0.5;
-  pr.cam_pose.pos = world.ego().pose.pos;
-  pr.cam_pose.yaw = wrap_angle(world.ego().pose.yaw + model_.yaw_offset);
-  pr.mount_height = model_.mount_height;
+  const Projector pr(model_, world);
 
   // 1. Background: sky gradient above the horizon, ground below.
   for (int y = 0; y < h; ++y) {
@@ -158,31 +232,35 @@ Image CameraRenderer::render(const World& world, Rng& noise) const {
     } else {
       c = {62, 86, 48};  // grass
     }
-    for (int x = 0; x < w; ++x) img.set(x, y, c);
+    fill_span(img, y, 0, w - 1, c);
   }
 
   const RoadMap& map = world.map();
+  const Polyline& route = map.route();
   const double ego_s = world.ego_route_s();
   const double s0 = std::max(0.0, ego_s - 8.0);
-  const double s1 = std::min(map.route().length(), ego_s + kRenderAhead);
+  const double s1 = std::min(route.length(), ego_s + kRenderAhead);
   const double lane_w = map.lane_width();
   const double left_edge = (map.num_left_lanes() + 0.5) * lane_w;
   const double right_edge = -(map.num_right_lanes() + 0.5) * lane_w;
 
   // 2. Road surface, then lane markings on top.
-  draw_route_strip(img, pr, map, s0, s1, right_edge, left_edge, {95, 95, 98});
+  const std::vector<GridPoint> road = route_grid(route, s0, s1, kRoadStep);
+  draw_route_strip(img, pr, road, right_edge, left_edge, {95, 95, 98});
   // Solid edge lines.
-  draw_route_strip(img, pr, map, s0, s1, left_edge - 0.18, left_edge,
-                   {225, 225, 225});
-  draw_route_strip(img, pr, map, s0, s1, right_edge, right_edge + 0.18,
+  draw_route_strip(img, pr, road, left_edge - 0.18, left_edge, {225, 225, 225});
+  draw_route_strip(img, pr, road, right_edge, right_edge + 0.18,
                    {225, 225, 225});
   // Dashed separators between lanes (short cycle so several dashes are
   // always visible in any depth band).
+  constexpr double kDashOn = 1.6;
+  constexpr double kDashPeriod = 3.0;
+  const std::vector<GridPoint> dashes =
+      route_grid(route, s0, s1, std::min(kRoadStep, kDashOn));
   for (int lane = -map.num_right_lanes(); lane < map.num_left_lanes(); ++lane) {
     const double lat = (lane + 0.5) * lane_w;
-    draw_route_strip(img, pr, map, s0, s1, lat - 0.09, lat + 0.09,
-                     {230, 230, 230}, /*dashed=*/true, /*dash_on=*/1.6,
-                     /*dash_period=*/3.0);
+    draw_route_strip(img, pr, dashes, lat - 0.09, lat + 0.09, {230, 230, 230},
+                     /*dashed=*/true, kDashOn, kDashPeriod);
   }
 
   // 3. Traffic light ahead (stop-line gantry with a colored head). When the
@@ -195,13 +273,13 @@ Image CameraRenderer::render(const World& world, Rng& noise) const {
       if (phase == TrafficLight::Phase::kYellow) head = {235, 200, 40};
       if (phase == TrafficLight::Phase::kRed) head = {235, 40, 40};
       if (phase != TrafficLight::Phase::kGreen) {
-        draw_route_strip(img, pr, map, std::max(s0, light->s - 0.7),
-                         std::min(s1, light->s + 0.7), right_edge, left_edge,
-                         {210, 35, 35});
+        draw_route_strip(img, pr,
+                         route_grid(route, std::max(s0, light->s - 0.7),
+                                    std::min(s1, light->s + 0.7), kRoadStep),
+                         right_edge, left_edge, {210, 35, 35});
       }
-      const Vec2 base =
-          map.route().point_at(light->s) +
-          map.route().tangent_at(light->s).perp() * (left_edge + 0.6);
+      const Vec2 base = route.point_at(light->s) +
+                        route.tangent_at(light->s).perp() * (left_edge + 0.6);
       const CamPoint top = pr.to_cam(base, 4.6);
       if (top.x > kNearClip) {
         double u, v;
@@ -225,15 +303,17 @@ Image CameraRenderer::render(const World& world, Rng& noise) const {
   }
 
   // 4. Vehicles as billboards, far to near.
-  std::vector<const NpcVehicle*> order;
-  for (const auto& npc : world.npcs()) order.push_back(&npc);
-  std::sort(order.begin(), order.end(), [&](const NpcVehicle* a,
-                                            const NpcVehicle* b) {
-    return distance(a->state(map).pose.pos, pr.cam_pose.pos) >
-           distance(b->state(map).pose.pos, pr.cam_pose.pos);
-  });
-  for (const NpcVehicle* npc : order) {
-    const VehicleState st = npc->state(map);
+  std::vector<Billboard> order;
+  order.reserve(world.npcs().size());
+  for (const auto& npc : world.npcs()) {
+    const VehicleState st = npc.state(map);
+    order.push_back({&npc, st, distance(st.pose.pos, pr.cam_pose.pos)});
+  }
+  std::sort(order.begin(), order.end(),
+            [](const Billboard& a, const Billboard& b) { return a.dist > b.dist; });
+  for (const Billboard& bb : order) {
+    const NpcVehicle* npc = bb.npc;
+    const VehicleState& st = bb.st;
     // Billboard anchored at the rear face of the vehicle (what a follower
     // actually sees), so close-range geometry stays visible and rangeable.
     const Vec2 rear_pos =
@@ -270,47 +350,53 @@ Image CameraRenderer::render(const World& world, Rng& noise) const {
   }
 
   // 5. World-anchored texture (KITTI-like realism) and photometric noise.
+  // One RNG draw per pixel: three byte lanes give per-channel uniform dither
+  // scaled to the configured sigma (campaigns render millions of frames, so
+  // per-channel Gaussian draws are too slow). The draws run on a local copy
+  // of the stream, because a byte store may alias a member and would force a
+  // reload of the state for every pixel.
   const bool textured = texture_strength_ > 0.0;
+  const double scale = model_.noise_sigma / 74.0;  // byte lane std -> sigma
+  Rng rng = noise;
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      Rgb c = img.get(x, y);
-      double extra = 0.0;
-      if (textured && y > h / 2) {
-        // Approximate world anchor of this ground pixel for the center
-        // camera: depth from the row, lateral from the column.
-        const double depth = pr.f * model_.mount_height / (y - h * 0.5 + 0.5);
-        const double lon = world.ego_route_s() + depth;
-        const double lat = (pr.cx - x) * depth / pr.f;
-        const std::uint32_t hv =
-            hash2(static_cast<std::int32_t>(std::floor(lon * 2.0)),
-                  static_cast<std::int32_t>(std::floor(lat * 2.0)));
-        extra = texture_strength_ * ((hv & 0xFF) / 255.0 - 0.5) * 2.0;
+    std::uint8_t* p = img.row(y);
+    if (!(textured && y > h / 2)) {
+      for (int x = 0; x < w; ++x, p += 3) {
+        const std::uint64_t r = rng();
+        p[0] = noise_table_[p[0] << 8 | (r & 0xFF)];
+        p[1] = noise_table_[p[1] << 8 | ((r >> 8) & 0xFF)];
+        p[2] = noise_table_[p[2] << 8 | ((r >> 16) & 0xFF)];
       }
-      // One RNG draw per pixel: three byte lanes give per-channel uniform
-      // dither scaled to the configured sigma (campaigns render millions of
-      // frames, so per-channel Gaussian draws are too slow).
-      const std::uint64_t r = noise();
-      const double scale = model_.noise_sigma / 74.0;  // byte lane std -> sigma
+      continue;
+    }
+    // Approximate world anchor of this ground row for the center camera:
+    // depth from the row, lateral from the column.
+    const double depth = pr.f * model_.mount_height / (y - h * 0.5 + 0.5);
+    const double lon = world.ego_route_s() + depth;
+    for (int x = 0; x < w; ++x, p += 3) {
+      const double lat = (pr.cx - x) * depth / pr.f;
+      const std::uint32_t hv =
+          hash2(static_cast<std::int32_t>(std::floor(lon * 2.0)),
+                static_cast<std::int32_t>(std::floor(lat * 2.0)));
+      const double extra = texture_strength_ * ((hv & 0xFF) / 255.0 - 0.5) * 2.0;
+      const std::uint64_t r = rng();
       const auto jitter = [&](std::uint8_t ch, int lane) {
         const double n =
             (static_cast<int>((r >> (8 * lane)) & 0xFF) - 128) * scale;
         return static_cast<std::uint8_t>(clamp(ch + n + extra * 18.0, 0.0, 255.0));
       };
-      img.set(x, y, {jitter(c.r, 0), jitter(c.g, 1), jitter(c.b, 2)});
+      p[0] = jitter(p[0], 0);
+      p[1] = jitter(p[1], 1);
+      p[2] = jitter(p[2], 2);
     }
   }
+  noise = rng;
   return img;
 }
 
 BBox2 CameraRenderer::project_npc(const World& world,
                                   const NpcVehicle& npc) const {
-  Projector pr;
-  pr.f = model_.focal_px();
-  pr.cx = model_.width * 0.5;
-  pr.cy = model_.height * 0.5;
-  pr.cam_pose.pos = world.ego().pose.pos;
-  pr.cam_pose.yaw = wrap_angle(world.ego().pose.yaw + model_.yaw_offset);
-  pr.mount_height = model_.mount_height;
+  const Projector pr(model_, world);
 
   const VehicleState st = npc.state(world.map());
   const Vec2 rear_pos =

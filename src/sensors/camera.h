@@ -6,6 +6,7 @@
 // right) feed the perception pipeline, as in the Sensorimotor agent.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sensors/image.h"
@@ -35,7 +36,7 @@ struct BBox2 {
 
 class CameraRenderer {
  public:
-  explicit CameraRenderer(CameraModel model) : model_(model) {}
+  explicit CameraRenderer(CameraModel model);
 
   const CameraModel& model() const { return model_; }
 
@@ -55,6 +56,9 @@ class CameraRenderer {
  private:
   CameraModel model_;
   double texture_strength_ = 0.0;
+  /// (channel byte, noise byte) -> byte for model_.noise_sigma; 64 KiB,
+  /// shared by every renderer with that sigma and never freed.
+  const std::uint8_t* noise_table_ = nullptr;
 };
 
 /// The standard three-camera rig of the Sensorimotor agent: left (-45 deg),

@@ -33,6 +33,10 @@ class Image {
     data_[i + 2] = c.b;
   }
 
+  /// First byte of row y (3 bytes per pixel, width() pixels).
+  std::uint8_t* row(int y) { return data_.data() + idx(0, y); }
+  const std::uint8_t* row(int y) const { return data_.data() + idx(0, y); }
+
   const std::vector<std::uint8_t>& bytes() const { return data_; }
   std::vector<std::uint8_t>& bytes() { return data_; }
   std::size_t byte_size() const { return data_.size(); }

@@ -136,11 +136,16 @@ Vec2 Polyline::point_at(double s) const {
   return points_[i] + (points_[i + 1] - points_[i]) * t;
 }
 
-Vec2 Polyline::tangent_at(double s) const {
-  if (points_.size() < 2) return {1.0, 0.0};
+Vec2 Polyline::tangent_at(double s) const { return sample_at(s).tangent; }
+
+Polyline::Sample Polyline::sample_at(double s) const {
+  if (points_.size() < 2) return {point_at(s), {1.0, 0.0}};
   s = clamp(s, 0.0, length());
   const std::size_t i = segment_index(s);
-  return (points_[i + 1] - points_[i]).normalized();
+  const double seg_len = cum_[i + 1] - cum_[i];
+  const double t = seg_len > 0.0 ? (s - cum_[i]) / seg_len : 0.0;
+  const Vec2 d = points_[i + 1] - points_[i];
+  return {points_[i] + d * t, d.normalized()};
 }
 
 double Polyline::heading_at(double s) const {

@@ -50,6 +50,13 @@ class Polyline {
   Vec2 point_at(double s) const;
   /// Unit tangent at arc length s.
   Vec2 tangent_at(double s) const;
+  /// Point and unit tangent at arc length s from one segment search: the
+  /// same values as point_at(s) and tangent_at(s).
+  struct Sample {
+    Vec2 point;
+    Vec2 tangent{1.0, 0.0};
+  };
+  Sample sample_at(double s) const;
   /// Heading (radians) at arc length s.
   double heading_at(double s) const;
   /// Arc length of the closest point on the polyline to p.

@@ -198,6 +198,103 @@ TEST(CpuEngine, SameMechanicsDifferentDomain) {
   EXPECT_FLOAT_EQ(eng.exec(CpuOpcode::kMul, 4.0f), 4.0f);
 }
 
+// --- retire_clean: block accounting boundaries. ----------------------------
+
+/// Runs 10 plain execs, then offers a block of 4 FAdd + 2 FMul (dynamic
+/// indices 10..15). Returns whether it retired clean.
+bool offer_block(GpuEngine& eng) {
+  for (int i = 0; i < 10; ++i) eng.exec(GpuOpcode::kFSub, 1.0f);
+  return eng.retire_clean({{GpuOpcode::kFAdd, 4}, {GpuOpcode::kFMul, 2}});
+}
+
+void expect_retired(const GpuEngine& eng) {
+  EXPECT_EQ(eng.total_dyn_instructions(), 16u);
+  EXPECT_EQ(eng.op_count(GpuOpcode::kFAdd), 4u);
+  EXPECT_EQ(eng.op_count(GpuOpcode::kFMul), 2u);
+  EXPECT_FALSE(eng.fault_activated());
+}
+
+void expect_untouched(const GpuEngine& eng) {
+  EXPECT_EQ(eng.total_dyn_instructions(), 10u);
+  EXPECT_EQ(eng.op_count(GpuOpcode::kFAdd), 0u);
+  EXPECT_EQ(eng.op_count(GpuOpcode::kFMul), 0u);
+  EXPECT_FALSE(eng.fault_activated());
+}
+
+TEST(RetireClean, UnarmedRetiresTheBlock) {
+  GpuEngine eng;
+  eng.configure({}, 0);
+  EXPECT_TRUE(offer_block(eng));
+  expect_retired(eng);
+}
+
+TEST(RetireClean, TransientInsideTheBlockRefuses) {
+  for (const std::uint64_t target : {10u, 12u, 15u}) {  // start, middle, last
+    GpuEngine eng;
+    eng.configure(transient_gpu(target, 31), 1, never_lethal());
+    EXPECT_FALSE(offer_block(eng)) << target;
+    expect_untouched(eng);
+  }
+}
+
+TEST(RetireClean, TransientOutsideTheBlockRetires) {
+  for (const std::uint64_t target : {16u, 1000u}) {  // one past, far past
+    GpuEngine eng;
+    eng.configure(transient_gpu(target, 31), 1, never_lethal());
+    EXPECT_TRUE(offer_block(eng)) << target;
+    expect_retired(eng);
+  }
+  // A target just before the block fired in the preceding execs.
+  GpuEngine eng;
+  eng.configure(transient_gpu(9, 31), 1, never_lethal());
+  EXPECT_TRUE(offer_block(eng));
+  EXPECT_TRUE(eng.fault_activated());
+  EXPECT_EQ(eng.total_dyn_instructions(), 16u);
+  EXPECT_EQ(eng.op_count(GpuOpcode::kFAdd), 4u);
+}
+
+TEST(RetireClean, PermanentOpcodeInTheBlockRefuses) {
+  GpuEngine eng;
+  eng.configure(permanent_gpu(GpuOpcode::kFMul, 31), 1, never_lethal());
+  EXPECT_FALSE(offer_block(eng));
+  expect_untouched(eng);
+}
+
+TEST(RetireClean, PermanentOpcodeOutsideTheBlockRetires) {
+  GpuEngine eng;
+  eng.configure(permanent_gpu(GpuOpcode::kFDiv, 31), 1, never_lethal());
+  EXPECT_TRUE(offer_block(eng));
+  expect_retired(eng);
+  // An opcode listed with no instances is not in the block.
+  eng.configure(permanent_gpu(GpuOpcode::kFDiv, 31), 1, never_lethal());
+  EXPECT_TRUE(eng.retire_clean({{GpuOpcode::kFDiv, 0}, {GpuOpcode::kFAdd, 3}}));
+  EXPECT_EQ(eng.total_dyn_instructions(), 19u);
+}
+
+TEST(RetireClean, OtherDomainPlanRetires) {
+  for (FaultPlan p : {transient_gpu(12, 31), permanent_gpu(GpuOpcode::kFAdd, 31)}) {
+    p.domain = FaultDomain::kCpu;
+    GpuEngine eng;
+    eng.configure(p, 1, never_lethal());
+    EXPECT_TRUE(offer_block(eng));
+    expect_retired(eng);
+  }
+}
+
+TEST(RetireClean, ClearedTransientRetires) {
+  GpuEngine eng;
+  eng.configure(transient_gpu(3, 31), 1, never_lethal());
+  eng.exec(GpuOpcode::kFAdd, 1.0f);
+  eng.exec(GpuOpcode::kFAdd, 1.0f);
+  eng.exec(GpuOpcode::kFAdd, 1.0f);
+  eng.exec(GpuOpcode::kFAdd, 1.0f);  // index 3: fires
+  ASSERT_TRUE(eng.fault_activated());
+  eng.clear_transient_fault();
+  EXPECT_TRUE(eng.retire_clean({{GpuOpcode::kFAdd, 5}}));
+  EXPECT_EQ(eng.total_dyn_instructions(), 9u);
+  EXPECT_EQ(eng.op_count(GpuOpcode::kFAdd), 9u);
+}
+
 class ManifestationProbability
     : public ::testing::TestWithParam<double> {};
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "agent/perception.h"
+#include "block_equivalence.h"
 #include "sensors/sensor_rig.h"
 #include "sim/scenario.h"
 
@@ -173,6 +175,95 @@ TEST_P(LaneOffsetSweep, TracksActualOffset) {
 
 INSTANTIATE_TEST_SUITE_P(Offsets, LaneOffsetSweep,
                          ::testing::Values(-0.8, -0.4, 0.0, 0.4, 0.8));
+
+
+// --- Block accounting: the clean path equals the scalar exec path. ---------
+
+template <typename T>
+void append_bits(std::vector<std::uint64_t>& out, T v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(T));
+  out.push_back(b);
+}
+
+/// Every output field and every persistent filter value, bit for bit.
+std::vector<std::uint64_t> perception_bits(const PerceptionOutput& o,
+                                           const PerceptionSnapshot& s) {
+  std::vector<std::uint64_t> out;
+  append_bits(out, o.obstacle_valid);
+  append_bits(out, o.obstacle_distance);
+  append_bits(out, o.lane_offset);
+  append_bits(out, o.heading_slope);
+  append_bits(out, o.side_warning);
+  append_bits(out, o.gain);
+  append_bits(out, o.scene_clutter);
+  for (const float f : o.features) append_bits(out, f);
+  append_bits(out, s.lane_offset_ema);
+  append_bits(out, s.heading_ema);
+  append_bits(out, s.obstacle_ema);
+  for (const float f : s.obstacle_hist) append_bits(out, f);
+  append_bits(out, s.hist_idx);
+  append_bits(out, s.ema_init);
+  return out;
+}
+
+/// A lead vehicle in path, a red light ahead and a parked car on the side,
+/// so the ranging, head-scan, lane and side-camera paths all run.
+World busy_world() {
+  Scenario sc = make_scenario(ScenarioId::kLeadSlowdown);
+  sc.npcs.clear();
+  IdmParams idm;
+  sc.npcs.emplace_back(1, sc.ego_start_s + 15.0, 0.0, 10.0, idm);
+  IdmParams parked;
+  parked.desired_speed = 0.0;
+  sc.npcs.emplace_back(5, sc.ego_start_s + 3.0, 3.6, 0.0, parked);
+  sc.map.add_traffic_light({sc.ego_start_s + 40.0, 0.0, 0.0, 10000.0, 0.0});
+  return World(std::move(sc));
+}
+
+/// Perception::process on the second of two rendered frames (the first warms
+/// the filters), from the same warm state under every engine.
+auto perception_kernel(int width, int height) {
+  World world = busy_world();
+  SensorRig rig(front_camera_rig(width, height, 2.0), 7);
+  PerceptionConfig cfg;
+  cfg.center_cam = front_camera_rig(width, height, 2.0)[1];
+  const SensorFrame first = rig.capture(world, 0);
+  const SensorFrame second = rig.capture(world, 1);
+  GpuEngine warm_eng;
+  warm_eng.configure({}, 0);
+  Perception warm(warm_eng, cfg);
+  warm.process(first.cameras);
+  const PerceptionSnapshot snap = warm.snapshot();
+  return [=](GpuEngine& eng) {
+    Perception p(eng, cfg);
+    p.restore(snap);
+    const PerceptionOutput out = p.process(second.cameras);
+    return perception_bits(out, p.snapshot());
+  };
+}
+
+TEST(PerceptionBlocks, SmallFramesEveryTransientIndex) {
+  const auto kernel = perception_kernel(32, 24);
+  GpuEngine probe;
+  probe.configure({}, 0);
+  kernel(probe);
+  testing_blocks::expect_scalar_path_identical(
+      kernel, testing_blocks::every_index(probe.total_dyn_instructions()));
+}
+
+TEST(PerceptionBlocks, FullFramesEveryOpcodeAndSpreadTransients) {
+  const auto kernel = perception_kernel(96, 72);
+  GpuEngine probe;
+  probe.configure({}, 0);
+  kernel(probe);
+  const std::uint64_t total = probe.total_dyn_instructions();
+  std::vector<std::uint64_t> indices;
+  for (std::uint64_t i = 0; i < total; i += total / 97 + 1) indices.push_back(i);
+  indices.push_back(total - 1);
+  indices.push_back(total);
+  testing_blocks::expect_scalar_path_identical(kernel, indices);
+}
 
 }  // namespace
 }  // namespace dav

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "agent/tensor.h"
+#include "block_equivalence.h"
 
 namespace dav {
 namespace {
@@ -13,12 +14,7 @@ GpuEngine clean_engine() {
   return eng;
 }
 
-CrashHangModel never_lethal() {
-  CrashHangModel m;
-  m.p_crash_data = m.p_hang_data = m.p_crash_mem = m.p_hang_mem = 0.0;
-  m.p_crash_ctrl = m.p_hang_ctrl = 0.0;
-  return m;
-}
+using testing_blocks::never_lethal;
 
 TEST(Tensor, ShapeAndAccess) {
   Tensor t(2, 3, 4);
@@ -197,6 +193,103 @@ TEST(FaultPropagation, TransientHitsOneElementOnly) {
   int mismatches = 0;
   for (std::size_t i = 0; i < a.size(); ++i) mismatches += a[i] != b[i];
   EXPECT_EQ(mismatches, 1);
+}
+
+
+// --- Block accounting: the clean path equals the scalar exec path. ---------
+
+using testing_blocks::every_index;
+using testing_blocks::expect_scalar_path_identical;
+using testing_blocks::float_bits;
+
+Tensor random_tensor(int c, int h, int w, std::uint64_t seed) {
+  Tensor t(c, h, w);
+  Rng rng(seed);
+  for (auto& v : t.data()) v = static_cast<float>(rng.uniform(-1.0, 2.0));
+  t.data()[1] = 0.0f;
+  t.data()[2] = -0.0f;
+  return t;
+}
+
+/// Bits and shape of a tensor, for exact comparison.
+struct TensorBits {
+  std::vector<int> shape;
+  std::vector<std::uint32_t> bits;
+  bool operator==(const TensorBits&) const = default;
+};
+
+TensorBits tensor_bits(const Tensor& t) {
+  return {{t.channels(), t.height(), t.width()}, float_bits(t.data())};
+}
+
+/// Runs `kernel` once on a clean engine to size the transient sweep, then
+/// checks the scalar path at every index.
+template <typename Kernel>
+void expect_blocks_exact(Kernel&& kernel) {
+  GpuEngine probe;
+  probe.configure({}, 0);
+  kernel(probe);
+  expect_scalar_path_identical(kernel,
+                               every_index(probe.total_dyn_instructions()));
+}
+
+TEST(BlockEquivalence, ImageRowsToTensor) {
+  Image img(7, 5);
+  Rng rng(3);
+  for (auto& b : img.bytes()) b = static_cast<std::uint8_t>(rng() & 0xFF);
+  expect_blocks_exact([&](GpuEngine& eng) {
+    std::vector<TensorBits> out;
+    out.push_back(tensor_bits(image_rows_to_tensor(eng, img, 1, 4)));
+    out.push_back(tensor_bits(image_to_tensor(eng, img)));
+    out.push_back(tensor_bits(image_rows_to_tensor(eng, img, 2, 2)));
+    return out;
+  });
+}
+
+TEST(BlockEquivalence, Conv2dPlane) {
+  const Tensor plane = random_tensor(1, 5, 7, 11);
+  std::vector<float> k3(9), k5(25);
+  Rng rng(5);
+  for (auto& v : k3) v = static_cast<float>(rng.uniform(-0.5, 0.5));
+  for (auto& v : k5) v = static_cast<float>(rng.uniform(-0.5, 0.5));
+  const Tensor thin = random_tensor(1, 1, 3, 12);
+  expect_blocks_exact([&](GpuEngine& eng) {
+    std::vector<TensorBits> out;
+    out.push_back(tensor_bits(conv2d_plane(eng, plane, k3, 1)));
+    out.push_back(tensor_bits(conv2d_plane(eng, plane, k5, 2)));
+    out.push_back(tensor_bits(conv2d_plane(eng, thin, k5, 2)));
+    return out;
+  });
+}
+
+TEST(BlockEquivalence, AvgPool) {
+  const Tensor t = random_tensor(3, 9, 10, 21);
+  expect_blocks_exact([&](GpuEngine& eng) {
+    std::vector<TensorBits> out;
+    out.push_back(tensor_bits(avg_pool(eng, t, 2)));
+    out.push_back(tensor_bits(avg_pool(eng, t, 4)));
+    return out;
+  });
+}
+
+TEST(BlockEquivalence, WindowSumAndColCentroid) {
+  const Tensor t = random_tensor(2, 6, 8, 31);
+  Tensor zeros(1, 3, 4);
+  expect_blocks_exact([&](GpuEngine& eng) {
+    std::vector<float> out;
+    out.push_back(window_sum(eng, t, 1, 1, 5, 2, 7));
+    out.push_back(window_sum(eng, t, 0, 3, 4, 0, 8));
+    out.push_back(window_sum(eng, t, 0, 2, 2, 0, 8));  // no rows
+    out.push_back(window_sum(eng, t, 0, 4, 2, 5, 1));  // reversed bounds
+    for (const CentroidResult r :
+         {col_centroid(eng, t, 1, 0, 6, 1, 5), col_centroid(eng, t, 0, 2, 3, 3, 8),
+          col_centroid(eng, zeros, 0, 0, 3, 0, 4),
+          col_centroid(eng, t, 0, 1, 1, 0, 8)}) {
+      out.push_back(r.mass);
+      out.push_back(r.centroid);
+    }
+    return float_bits(out);
+  });
 }
 
 }  // namespace

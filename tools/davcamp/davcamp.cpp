@@ -220,18 +220,22 @@ void print_telemetry(const CampaignManager& mgr) {
                static_cast<unsigned long long>(s.torn_bytes_discarded),
                s.wall_sec);
   if (s.pool_workers > 0) {
-    const std::uint64_t lookups = s.checkpoint_hits + s.checkpoint_misses;
-    std::fprintf(
-        stderr,
-        "  pool: workers=%d respawns=%d checkpoint_hits=%llu "
-        "checkpoint_misses=%llu checkpoint_evictions=%llu hit_rate=%.0f%%\n",
-        s.pool_workers, s.respawns,
-        static_cast<unsigned long long>(s.checkpoint_hits),
-        static_cast<unsigned long long>(s.checkpoint_misses),
-        static_cast<unsigned long long>(s.checkpoint_evictions),
-        lookups > 0 ? 100.0 * static_cast<double>(s.checkpoint_hits) /
-                          static_cast<double>(lookups)
-                    : 0.0);
+    std::fprintf(stderr, "  pool: workers=%d respawns=%d\n", s.pool_workers,
+                 s.respawns);
+  }
+  // Fork-point store traffic, from whichever slot source consulted it (the
+  // in-process slot's store counts too). Every capture, and so every
+  // eviction, follows a lookup: a campaign that made none prints nothing.
+  const std::uint64_t lookups = s.checkpoint_hits + s.checkpoint_misses;
+  if (lookups > 0) {
+    std::fprintf(stderr,
+                 "  checkpoint: checkpoint_hits=%llu checkpoint_misses=%llu "
+                 "checkpoint_evictions=%llu hit_rate=%.0f%%\n",
+                 static_cast<unsigned long long>(s.checkpoint_hits),
+                 static_cast<unsigned long long>(s.checkpoint_misses),
+                 static_cast<unsigned long long>(s.checkpoint_evictions),
+                 100.0 * static_cast<double>(s.checkpoint_hits) /
+                     static_cast<double>(lookups));
   }
   for (std::size_t i = 0; i < s.slot_busy_sec.size(); ++i) {
     const double util =
