@@ -43,11 +43,10 @@ std::vector<RunConfig> sweep(std::size_t n) {
   std::vector<RunConfig> cfgs;
   cfgs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    RunConfig cfg = RunConfigBuilder()
-                        .scenario(ScenarioId::kLeadSlowdown)
-                        .mode(AgentMode::kRoundRobin)
-                        .run_seed(777)
-                        .build();
+    RunConfig cfg;
+    cfg.scenario = ScenarioId::kLeadSlowdown;
+    cfg.mode = AgentMode::kRoundRobin;
+    cfg.run_seed = 777;
     cfg.scenario_opts.safety_duration_sec = kDurationSec;
     cfg.fusion.enabled = true;
     cfg.sensor_fault.model = (i % 2 == 0) ? SensorFaultModel::kCameraBlackout

@@ -14,14 +14,10 @@ using namespace dav;
 
 RunResult traced_run(CampaignManager& mgr, AgentMode mode,
                      const FaultPlan& fault) {
-  // Builder over the campaign's base config: scenario/mode come from the
-  // manager, the run-specific cluster is chained fluently.
-  const RunConfig cfg =
-      RunConfigBuilder(mgr.base_config(ScenarioId::kLeadSlowdown, mode))
-          .fault(fault)
-          .run_seed(31)
-          .record_traces()
-          .build();
+  RunConfig cfg = mgr.base_config(ScenarioId::kLeadSlowdown, mode);
+  cfg.fault = fault;
+  cfg.run_seed = 31;
+  cfg.record_traces = true;
   return run_experiment(cfg);
 }
 

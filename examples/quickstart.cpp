@@ -6,12 +6,11 @@
 #include "campaign/driver.h"
 
 int main() {
-  const dav::RunConfig cfg = dav::RunConfigBuilder()
-                                 .scenario(dav::ScenarioId::kLeadSlowdown)
-                                 .mode(dav::AgentMode::kRoundRobin)  // DiverseAV
-                                 .run_seed(42)
-                                 .record_traces()
-                                 .build();
+  dav::RunConfig cfg;
+  cfg.scenario = dav::ScenarioId::kLeadSlowdown;
+  cfg.mode = dav::AgentMode::kRoundRobin;  // DiverseAV
+  cfg.run_seed = 42;
+  cfg.record_traces = true;
 
   const dav::RunResult result = dav::run_experiment(cfg);
 

@@ -215,6 +215,11 @@ RunCheckpoint deserialize_run_checkpoint(const std::string& bytes) {
   return decode_fields<RunCheckpoint>(bytes, "run checkpoint");
 }
 
+int fork_tick(const RunConfig& cfg) {
+  if (cfg.checkpoint.capture_tick >= 0) return cfg.checkpoint.capture_tick;
+  return cfg.sensor_fault.active() ? cfg.sensor_fault.onset_tick : -1;
+}
+
 const CheckpointStore::DeepEntry* CheckpointStore::find_deep(
     const RunConfig& cfg) {
   const DeepEntry* best = nullptr;

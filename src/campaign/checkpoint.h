@@ -83,6 +83,12 @@ std::string serialize_run_checkpoint(const RunCheckpoint& c);
 /// version mismatch.
 RunCheckpoint deserialize_run_checkpoint(const std::string& bytes);
 
+/// The tick a run forks at: CheckpointOptions::capture_tick when set, else
+/// the sensor-fault onset, else -1 (register sweeps have no static onset
+/// tick, so they capture nothing). run_experiment captures there, and the
+/// executor groups dispatch by the prefix digest at that tick.
+int fork_tick(const RunConfig& cfg);
+
 /// Per-worker store of clean fork-point checkpoints, keyed by (prefix
 /// digest, tick) and filled only by cfg.checkpoint.enabled runs. Variants
 /// that share the run_seed and differ only in their fault plan restore the

@@ -340,15 +340,10 @@ RunResult run_experiment(const RunConfig& cfg, CheckpointStore* store) {
     result = std::move(partial);
   }
 
-  // Fork-point capture target: an explicit capture_tick wins; otherwise the
-  // sensor-fault onset is the natural fork (register sweeps have no static
-  // onset tick — they share only through the dyn-index gate on entries
-  // captured by sensor variants of the same seed).
-  const int capture_target =
-      !deep_enabled ? -1
-      : cfg.checkpoint.capture_tick >= 0
-          ? cfg.checkpoint.capture_tick
-          : (cfg.sensor_fault.active() ? cfg.sensor_fault.onset_tick : -1);
+  // Fork-point capture target (fork_tick). Register sweeps have none: they
+  // share only through the dyn-index gate on entries captured by sensor
+  // variants of the same seed.
+  const int capture_target = deep_enabled ? fork_tick(cfg) : -1;
   std::array<std::vector<std::uint8_t>, 3> prev_cameras;
   bool have_prev_cameras = false;
   const auto stash_prev_cameras = [&](const SensorFrame& frame) {

@@ -18,8 +18,8 @@ namespace dav {
 class CheckpointStore;  // campaign/checkpoint.h
 
 /// Fork-point checkpointing knobs (DESIGN.md §16). `capture_tick` pins the
-/// fork tick explicitly; -1 derives it from the sensor-fault onset (register
-/// sweeps with no natural onset tick capture nothing).
+/// fork tick explicitly; -1 derives it from the sensor-fault onset
+/// (fork_tick in campaign/checkpoint.h).
 struct CheckpointOptions {
   bool enabled = false;
   int capture_tick = -1;
@@ -78,10 +78,10 @@ struct RunConfig {
   RecoveryConfig recovery;  // used when mitigation == kRestartRecovery
 
   /// Flight recorder (src/obs/): when enabled, run_experiment installs a
-  /// TraceRecorder for the run and exports Chrome-trace JSON + CSV at run
-  /// end. Deliberately EXCLUDED from run_config_digest — tracing never
-  /// affects the run outcome, so journaled records stay replayable whether
-  /// or not the campaign was traced.
+  /// TraceRecorder for the run and exports Chrome-trace JSON at run end.
+  /// Deliberately EXCLUDED from run_config_digest — tracing never affects
+  /// the run outcome, so journaled records stay replayable whether or not
+  /// the campaign was traced.
   obs::TraceOptions trace;
 
   /// Fork-point checkpointing (campaign/checkpoint.h): when enabled and a
@@ -95,88 +95,6 @@ struct RunConfig {
   /// Fail fast on nonsensical parameters (throws std::invalid_argument with
   /// an actionable message). Called by run_experiment.
   void validate() const;
-};
-
-/// Fluent assembly for RunConfig's detector / mitigation / trace cluster —
-/// the fields that travel together (a detector without its DetectorConfig,
-/// or restart-recovery without its RecoveryConfig, is a latent bug). build()
-/// validates, so a half-wired cluster fails at construction, not mid-run.
-class RunConfigBuilder {
- public:
-  RunConfigBuilder() = default;
-  /// Start from an existing config (e.g. CampaignManager::base_config).
-  explicit RunConfigBuilder(RunConfig base) : cfg_(std::move(base)) {}
-
-  RunConfigBuilder& scenario(ScenarioId v) { cfg_.scenario = v; return *this; }
-  RunConfigBuilder& scenario_seed(std::uint64_t v) {
-    cfg_.scenario_seed = v;
-    return *this;
-  }
-  RunConfigBuilder& scenario_options(const ScenarioOptions& v) {
-    cfg_.scenario_opts = v;
-    return *this;
-  }
-  RunConfigBuilder& mode(AgentMode v) { cfg_.mode = v; return *this; }
-  RunConfigBuilder& overlap_ratio(double v) {
-    cfg_.overlap_ratio = v;
-    return *this;
-  }
-  RunConfigBuilder& fault(const FaultPlan& v) { cfg_.fault = v; return *this; }
-  RunConfigBuilder& sensor_fault(const SensorFaultPlan& v) {
-    cfg_.sensor_fault = v;
-    return *this;
-  }
-  RunConfigBuilder& fusion(const FusionConfig& v) {
-    cfg_.fusion = v;
-    return *this;
-  }
-  RunConfigBuilder& run_seed(std::uint64_t v) {
-    cfg_.run_seed = v;
-    return *this;
-  }
-  RunConfigBuilder& record_traces(bool v = true) {
-    cfg_.record_traces = v;
-    return *this;
-  }
-  /// Online in-run detection: the LUT (caller-owned, must outlive the run)
-  /// plus its tuning, attached together.
-  RunConfigBuilder& online_detection(const ThresholdLut& lut,
-                                     const DetectorConfig& det = {}) {
-    cfg_.online_lut = &lut;
-    cfg_.online_detector = det;
-    return *this;
-  }
-  /// Mitigation policy plus the recovery tuning it needs.
-  RunConfigBuilder& mitigation(MitigationPolicy policy,
-                               const RecoveryConfig& recovery = {}) {
-    cfg_.mitigation = policy;
-    cfg_.recovery = recovery;
-    return *this;
-  }
-  /// Flight-recorder routing (EnvOptions::trace_options or hand-built).
-  RunConfigBuilder& flight_recorder(const obs::TraceOptions& v) {
-    cfg_.trace = v;
-    return *this;
-  }
-  /// Fork-point checkpointing (explicit options or just on/off).
-  RunConfigBuilder& checkpoint(const CheckpointOptions& v) {
-    cfg_.checkpoint = v;
-    return *this;
-  }
-  RunConfigBuilder& checkpoint(bool enabled) {
-    cfg_.checkpoint.enabled = enabled;
-    return *this;
-  }
-
-  /// The assembled config; throws std::invalid_argument when inconsistent
-  /// (same checks as RunConfig::validate).
-  RunConfig build() const {
-    cfg_.validate();
-    return cfg_;
-  }
-
- private:
-  RunConfig cfg_;
 };
 
 /// Everything recorded about one experimental run.

@@ -175,18 +175,7 @@ EnvOptions EnvOptions::from_env() {
     o.sensor_duration_ticks = static_cast<int>(parse_int(
         "DAV_SENSOR_DURATION_TICKS", v, 1, kIntMax, "a tick count"));
   }
-  // Mirror DAV_JOURNAL: an empty value disables the snapshot.
-  if (const char* v = get("DAV_METRICS")) o.metrics_path = v;
-  if (const char* v = get("DAV_METRICS_INTERVAL_SEC")) {
-    o.metrics_interval_sec =
-        parse_seconds("DAV_METRICS_INTERVAL_SEC", v, false);
-  }
   if (const char* v = get("DAV_TRACE")) o.trace_dir = v;
-  if (const char* v = get("DAV_TRACE_CAPACITY")) {
-    o.trace_capacity = static_cast<std::size_t>(
-        parse_int("DAV_TRACE_CAPACITY", v, 1,
-                  std::numeric_limits<long long>::max(), "an event count"));
-  }
   o.validate();
   return o;
 }
@@ -198,8 +187,8 @@ void EnvOptions::validate() const {
   if (!(scale > 0.0) || !std::isfinite(scale)) {
     bad("scale must be positive and finite, got " + std::to_string(scale));
   }
-  // Every executor knob (jobs, retries, rlimits, timeouts, metrics cadence)
-  // is checked by the struct that consumes it.
+  // Every executor knob (jobs, retries, rlimits, timeouts) is checked by the
+  // struct that consumes it.
   executor_options().validate();
   for (const SensorFaultModel m : sensor_faults) {
     if (m == SensorFaultModel::kNone) {
@@ -214,7 +203,6 @@ void EnvOptions::validate() const {
     bad("sensor_duration_ticks must be positive, got " +
         std::to_string(sensor_duration_ticks));
   }
-  if (trace_capacity == 0) bad("trace_capacity must be positive");
 }
 
 CampaignScale EnvOptions::campaign_scale() const {
@@ -238,15 +226,12 @@ ExecutorOptions EnvOptions::executor_options() const {
   o.max_retries = run_retries;
   o.cpu_limit_sec = run_cpu_sec;
   o.address_space_mb = run_as_mb;
-  o.metrics_path = metrics_path;
-  o.metrics_interval_sec = metrics_interval_sec;
   return o;
 }
 
 obs::TraceOptions EnvOptions::trace_options() const {
   obs::TraceOptions t;
   t.dir = trace_dir;
-  t.capacity = trace_capacity;
   return t;
 }
 
@@ -269,11 +254,6 @@ const std::vector<EnvOptions::VarDoc>& EnvOptions::docs() {
        "RLIMIT_CPU per worker in seconds; 0 disables"},
       {"DAV_RUN_AS_MB", "0",
        "RLIMIT_AS per worker in MiB; 0 disables (keep 0 under ASan)"},
-      {"DAV_METRICS", "(unset)",
-       "live metrics snapshot path: key=value campaign progress rewritten "
-       "atomically while a campaign runs"},
-      {"DAV_METRICS_INTERVAL_SEC", "2",
-       "minimum seconds between metrics snapshot rewrites"},
       {"DAV_SENSOR_FAULTS", "(unset)",
        "sensor models swept by `davcamp --faults=sensor`: comma-separated "
        "canonical names (camera-blackout, gps-drift, ...) or \"all\""},
@@ -283,8 +263,6 @@ const std::vector<EnvOptions::VarDoc>& EnvOptions::docs() {
        "ticks the swept sensor faults stay active"},
       {"DAV_TRACE", "(unset)",
        "flight-recorder output directory; enables per-run + campaign traces"},
-      {"DAV_TRACE_CAPACITY", "65536",
-       "trace ring capacity in events (~24 B each)"},
   };
   return kDocs;
 }

@@ -50,14 +50,6 @@ struct EnvOptions {
   /// RLIMIT_AS per worker, MiB; 0 disables (DAV_RUN_AS_MB).
   std::size_t run_as_mb = 0;
 
-  // --- live campaign metrics (executor.h) ----------------------------------
-  /// Metrics snapshot path (DAV_METRICS, or davcamp --metrics): the executor
-  /// periodically rewrites this file with a key=value progress snapshot via
-  /// temp-file + atomic rename. Empty disables.
-  std::string metrics_path;
-  /// Minimum seconds between snapshots (DAV_METRICS_INTERVAL_SEC).
-  double metrics_interval_sec = 2.0;
-
   // --- sensor-path fault injection (fi/sensor_fault.h) ---------------------
   /// Models swept by `davcamp --faults=sensor` (DAV_SENSOR_FAULTS: comma-
   /// separated canonical names, or "all"). Empty selects every model.
@@ -70,8 +62,6 @@ struct EnvOptions {
   // --- flight recorder (util/trace.h) --------------------------------------
   /// Trace output directory (DAV_TRACE); empty disables tracing.
   std::string trace_dir;
-  /// Trace ring capacity in events (DAV_TRACE_CAPACITY).
-  std::size_t trace_capacity = 65536;
 
   /// THE env-reading entry point: parses and validates every DAV_* variable.
   /// Unset variables keep the defaults above. Throws std::invalid_argument
@@ -92,8 +82,8 @@ struct EnvOptions {
   /// Campaign sizing with `scale` applied (same floors as the historic
   /// DAV_SCALE handling, so existing campaigns reproduce exactly).
   CampaignScale campaign_scale() const;
-  /// Executor routing: jobs/checkpointing/journal/rlimits/metrics. The
-  /// caller stamps campaign_fingerprint before use.
+  /// Executor routing: jobs/checkpointing/journal/rlimits. The caller
+  /// stamps campaign_fingerprint before use.
   ExecutorOptions executor_options() const;
   /// Flight-recorder opt-in for RunConfig::trace.
   obs::TraceOptions trace_options() const;

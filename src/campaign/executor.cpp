@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -23,7 +22,6 @@
 #include "campaign/checkpoint.h"
 #include "campaign/journal.h"
 #include "campaign/serialize.h"
-#include "obs/export.h"
 #include "util/bits.h"
 
 namespace dav {
@@ -106,19 +104,15 @@ RunConfig effective_config(const RunConfig& cfg, const ExecutorOptions& opts) {
   return c;
 }
 
-/// Prefix-affinity key for dispatch: the run's prefix digest at its capture
-/// target, so fault variants that share a fault-free prefix group onto one
-/// worker (the one holding the checkpoint). 0 when the run has no capture
-/// target (then affinity cannot help).
+/// Prefix-affinity key for dispatch: the run's prefix digest at its fork
+/// tick, so fault variants that share a fault-free prefix group onto one
+/// worker (the one holding the checkpoint). 0 when the run has no fork tick
+/// (then affinity cannot help).
 std::uint64_t dispatch_affinity(const RunConfig& cfg,
                                 const ExecutorOptions& opts) {
   if (!opts.checkpoint && !cfg.checkpoint.enabled) return 0;
-  const int target = cfg.checkpoint.capture_tick >= 0
-                         ? cfg.checkpoint.capture_tick
-                         : (cfg.sensor_fault.active() ? cfg.sensor_fault.onset_tick
-                                                      : -1);
-  if (target < 0) return 0;
-  return run_config_prefix_digest(cfg, target);
+  const int tick = fork_tick(cfg);
+  return tick < 0 ? 0 : run_config_prefix_digest(cfg, tick);
 }
 
 }  // namespace
@@ -162,7 +156,6 @@ void ExecutorOptions::validate() const {
   seconds("run_timeout_sec", run_timeout_sec, false);
   seconds("retry_backoff_sec", retry_backoff_sec, true);
   seconds("cpu_limit_sec", cpu_limit_sec, true);
-  seconds("metrics_interval_sec", metrics_interval_sec, false);
   mib("address_space_mb", address_space_mb);
 }
 
@@ -194,59 +187,6 @@ void CampaignExecutor::fold_capture(const std::string& capture_payload) {
   stats_.trace_dropped += cap.capture.dropped;
   stats_.stage_hist.merge(cap.capture.histograms);
   stats_.captures.push_back(std::move(cap));
-}
-
-void CampaignExecutor::write_metrics_snapshot(std::size_t total,
-                                              std::size_t done, bool force) {
-  if (opts_.metrics_path.empty()) return;
-  const Clock::time_point now = Clock::now();
-  if (!force && last_metrics_ != Clock::time_point{} &&
-      elapsed_sec(last_metrics_, now) < opts_.metrics_interval_sec) {
-    return;
-  }
-  last_metrics_ = now;
-
-  const double elapsed = elapsed_sec(batch_start_, now);
-  // Journal replays resolve instantly; the rate that predicts the ETA is the
-  // executed-run rate.
-  const std::size_t hits = static_cast<std::size_t>(
-      std::max(0, stats_.journal_hits));
-  const std::size_t executed = done > hits ? done - hits : 0;
-  const double rate = elapsed > 0.0 ? static_cast<double>(executed) / elapsed
-                                    : 0.0;
-  double eta = -1.0;
-  if (done >= total) {
-    eta = 0.0;
-  } else if (rate > 0.0) {
-    eta = static_cast<double>(total - done) / rate;
-  }
-
-  char buf[256];
-  std::string out;
-  out.reserve(1024);
-  const auto line = [&](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof(buf), fmt, args...);
-    out += buf;
-    out += '\n';
-  };
-  line("schema=dav.metrics.v1");
-  line("phase=%s", done >= total ? "done" : "running");
-  line("runs_total=%zu", total);
-  line("runs_done=%zu", done);
-  line("runs_remaining=%zu", total - std::min(done, total));
-  line("journal_hits=%d", stats_.journal_hits);
-  line("elapsed_sec=%.3f", elapsed);
-  line("runs_per_sec=%.6g", rate);
-  line("eta_sec=%.3f", eta);
-  line("retries=%d", stats_.retries);
-  line("quarantined=%d", stats_.quarantined);
-  line("timeouts=%d", stats_.timeouts);
-  line("signal_deaths=%d", stats_.signal_deaths);
-  line("trace_dropped=%llu",
-       static_cast<unsigned long long>(stats_.trace_dropped));
-  // Atomic temp-file + rename (obs/export.h): a reader never sees a torn or
-  // partially-updated snapshot, only the previous or the new one.
-  obs::write_text_file(opts_.metrics_path, out);
 }
 
 // ---- slot sources ---------------------------------------------------------
@@ -904,13 +844,11 @@ std::vector<RunResult> CampaignExecutor::run_all(
     const std::vector<RunConfig>& cfgs) {
   quarantined_.clear();
   stats_ = ExecutorStats{};
-  last_metrics_ = Clock::time_point{};
   batch_start_ = Clock::now();
 
   const std::size_t n = cfgs.size();
   std::vector<RunResult> results(n);
   std::vector<char> done(n, 0);
-  std::size_t resolved = 0;
   std::vector<std::uint64_t> keys(n, 0);
   for (std::size_t i = 0; i < n; ++i) keys[i] = run_config_digest(cfgs[i]);
 
@@ -920,7 +858,6 @@ std::vector<RunResult> CampaignExecutor::run_all(
   const auto settle = [&](std::size_t i, ResultPayload p) {
     results[i] = std::move(p.result);
     done[i] = 1;
-    ++resolved;
     if (!p.ok) {
       quarantined_.push_back(RunQuarantine{i, cfgs[i], std::move(p.what)});
       ++stats_.quarantined;
@@ -1039,7 +976,6 @@ std::vector<RunResult> CampaignExecutor::run_all(
         settle(c.index, std::move(p));
       }
     }
-    write_metrics_snapshot(n, resolved, /*force=*/false);
   }
   src->finish();
 
@@ -1050,9 +986,6 @@ std::vector<RunResult> CampaignExecutor::run_all(
             });
   journal.close();
   stats_.wall_sec = elapsed_sec(batch_start_, Clock::now());
-  // Final snapshot: phase=done, complete counts. Readers polling the file
-  // see the terminal state even for campaigns shorter than the interval.
-  write_metrics_snapshot(n, n, /*force=*/true);
   return results;
 }
 

@@ -5,8 +5,7 @@
 // treat this as first-class infrastructure). CampaignExecutor::run_all is the
 // one dispatch loop every campaign goes through: it owns the plan queue,
 // attempts with capped backoff, retry-or-quarantine, the write-ahead journal
-// (journal.h), telemetry folding and the live metrics snapshot. Where a run
-// executes is a *slot source*:
+// (journal.h) and telemetry folding. Where a run executes is a *slot source*:
 //
 //  - jobs == 0 (and every non-POSIX host): one slot in this process. A run
 //    that throws becomes a failed attempt; no watchdog or rlimits.
@@ -44,15 +43,16 @@ struct ExecutorOptions {
   static constexpr std::size_t kMaxMiB =
       std::numeric_limits<std::size_t>::max() >> 20;
 
-  /// Worker processes: 0 runs every attempt in this process, N forks a pool
-  /// of up to N sandboxed workers (never more than the batch has runs).
-  int jobs = 1;
-  /// Fork-point checkpoint sharing (DAV_CHECKPOINT / davcamp --checkpoint):
-  /// force cfg.checkpoint.enabled for every dispatched run, so workers
-  /// capture a RunCheckpoint at each run's injection onset and variants that
-  /// share the fault-free prefix restore it instead of replaying the prefix.
-  /// Also turns on prefix-affinity scheduling (variants of one prefix go to
-  /// the same worker). Never changes results — byte-identity is test-pinned.
+  /// Worker processes: 0 (the default) runs every attempt in this process,
+  /// N forks a pool of up to N sandboxed workers (never more than the batch
+  /// has runs).
+  int jobs = 0;
+  /// Fork-point checkpoint sharing (DAV_CHECKPOINT): force
+  /// cfg.checkpoint.enabled for every dispatched run, so workers capture a
+  /// RunCheckpoint at each run's fork tick and variants that share the
+  /// fault-free prefix restore it instead of replaying the prefix. Also
+  /// turns on prefix-affinity scheduling (variants of one prefix go to the
+  /// same worker). Never changes results — byte-identity is test-pinned.
   bool checkpoint = false;
   /// Wall-clock watchdog per run attempt; a worker still alive past this is
   /// SIGKILLed and quarantined.
@@ -71,15 +71,6 @@ struct ExecutorOptions {
   std::string journal_path;
   /// Binds the journal to one campaign configuration (see journal.h).
   std::uint64_t campaign_fingerprint = 0;
-  /// Live metrics snapshot path (DAV_METRICS / davcamp --metrics): the
-  /// executor periodically rewrites this file with a key=value progress
-  /// snapshot (runs done/total, runs/sec, ETA, quarantines) via temp-file +
-  /// atomic rename, so a reader never sees a torn snapshot.
-  /// Empty disables. Observability only — never read back, never part of the
-  /// deterministic summary.
-  std::string metrics_path;
-  /// Minimum seconds between metrics snapshots (DAV_METRICS_INTERVAL_SEC).
-  double metrics_interval_sec = 2.0;
 
   /// Throws std::invalid_argument naming the field on nonsensical values,
   /// including seconds past kMaxSeconds and MiB counts past kMaxMiB.
@@ -185,9 +176,6 @@ class CampaignExecutor {
  private:
   /// Fold the trace residue of the attempt that settled a run into stats_.
   void fold_capture(const std::string& capture_payload);
-  /// Live metrics snapshot (opts_.metrics_path, atomic rename). Rate-limited
-  /// by metrics_interval_sec unless `force` (batch end / final state).
-  void write_metrics_snapshot(std::size_t total, std::size_t done, bool force);
 
   ExecutorOptions opts_;
   CheckpointRunFn fn_;
@@ -195,8 +183,6 @@ class CampaignExecutor {
   ExecutorStats stats_;
   /// run_all entry instant: the zero of the WorkerSpan timeline.
   std::chrono::steady_clock::time_point batch_start_{};
-  /// Last metrics snapshot write, for interval rate limiting.
-  std::chrono::steady_clock::time_point last_metrics_{};
 };
 
 }  // namespace dav

@@ -543,9 +543,8 @@ void export_run_trace(
   for (const auto& kv : metadata) trace.other_data.push_back(kv);
   trace.events = to_chrome_events(rec.drain(), dt, opts.pid);
 
-  const std::string stem = opts.dir + "/run_" + label;
-  write_text_file(stem + ".trace.json", chrome_trace_json(trace));
-  write_text_file(stem + ".csv", run_csv(trace.events));
+  write_text_file(opts.dir + "/run_" + label + ".trace.json",
+                  chrome_trace_json(trace));
 }
 
 }  // namespace dav::obs

@@ -1,7 +1,7 @@
 // Trace exporters: Chrome trace-event JSON (loads in Perfetto and
 // chrome://tracing) and a compact tick-indexed CSV of the detection /
-// recovery story. The JSON is also parsed back (tools/davtrace, test_obs),
-// so both directions live here and round-trip exactly.
+// recovery story. A run exports only the JSON; `davtrace csv` parses it back
+// and renders the CSV, so both directions live here and round-trip exactly.
 //
 // Timestamp convention: ts is SIMULATED microseconds (tick * dt * 1e6) for
 // per-run traces — bit-deterministic — and wall microseconds only for the
@@ -69,9 +69,9 @@ void write_text_file(const std::string& path, const std::string& text);
 /// detector_alarm instant and clears on recovery restart/rejoin.
 std::string run_csv(const std::vector<ChromeEvent>& events);
 
-/// Drain `rec` and publish "<dir>/run_<label>.trace.json" plus
-/// "<dir>/run_<label>.csv" (creating dir if needed). Extra metadata rows are
-/// appended to otherData. Throws on I/O failure.
+/// Drain `rec` and publish "<dir>/run_<label>.trace.json" (creating dir if
+/// needed); `davtrace csv` derives the run's CSV from it. Extra metadata rows
+/// are appended to otherData. Throws on I/O failure.
 void export_run_trace(const TraceOptions& opts, const std::string& label,
                       double dt, const TraceRecorder& rec,
                       const std::vector<std::pair<std::string, std::string>>&

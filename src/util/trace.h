@@ -221,7 +221,8 @@ class TraceRecorder {
 struct TraceOptions {
   /// Output directory; empty disables tracing entirely.
   std::string dir;
-  /// Ring capacity in events (DAV_TRACE_CAPACITY; default 64 Ki ≈ 1.5 MiB).
+  /// Ring capacity in events (64 Ki ≈ 1.5 MiB): enough for a whole run; CI's
+  /// trace smoke fails if a run drops an event.
   std::size_t capacity = 65536;
   /// Perfetto pid for this run's events; the campaign layer assigns one pid
   /// per plan index so multi-run traces stay distinguishable.
@@ -232,7 +233,7 @@ struct TraceOptions {
 
   bool enabled() const { return !dir.empty(); }
 
-  // Environment opt-in (DAV_TRACE / DAV_TRACE_CAPACITY) lives in
+  // Environment opt-in (DAV_TRACE) lives in
   // dav::EnvOptions::trace_options() — the obs layer never reads env vars.
 };
 

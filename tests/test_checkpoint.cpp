@@ -129,10 +129,10 @@ TEST(CheckpointRestore, RecoveryDetectorVariantsRestoreByteIdentical) {
       {SensorFaultModel::kCameraBlackout, 6160}};
   std::vector<RunConfig> variants;
   for (const auto& [model, seed] : plans) {
-    variants.push_back(RunConfigBuilder(sensor_variant(model, seed))
-                           .online_detection(lut)
-                           .mitigation(MitigationPolicy::kRestartRecovery)
-                           .build());
+    RunConfig cfg = sensor_variant(model, seed);
+    cfg.online_lut = &lut;
+    cfg.mitigation = MitigationPolicy::kRestartRecovery;
+    variants.push_back(cfg);
   }
 
   CheckpointStore store;
@@ -163,14 +163,13 @@ TEST(CheckpointRestore, EarlyPermanentFaultStoresNothing) {
   s.v = 10.0;
   lut.observe(s, {0.1, 0.1, 0.1});
 
-  RunConfig cfg = RunConfigBuilder()
-                      .scenario(ScenarioId::kLeadSlowdown)
-                      .mode(AgentMode::kRoundRobin)
-                      .run_seed(99)
-                      .record_traces()
-                      .online_detection(lut)
-                      .mitigation(MitigationPolicy::kRestartRecovery)
-                      .build();
+  RunConfig cfg;
+  cfg.scenario = ScenarioId::kLeadSlowdown;
+  cfg.mode = AgentMode::kRoundRobin;
+  cfg.run_seed = 99;
+  cfg.record_traces = true;
+  cfg.online_lut = &lut;
+  cfg.mitigation = MitigationPolicy::kRestartRecovery;
   cfg.scenario_opts.safety_duration_sec = 4.0;
   cfg.fault.kind = FaultModelKind::kPermanent;
   cfg.fault.domain = FaultDomain::kGpu;
@@ -334,28 +333,19 @@ TEST(CheckpointCodec, RoundTripsARealCapturedCheckpoint) {
   VehicleState s;
   s.v = 10.0;
   lut.observe(s, {0.1, 0.1, 0.1});
-  RunConfig cfg = RunConfigBuilder()
-                      .scenario(ScenarioId::kLeadSlowdown)
-                      .mode(AgentMode::kRoundRobin)
-                      .run_seed(31)
-                      .record_traces()
-                      .online_detection(lut)
-                      .mitigation(MitigationPolicy::kRestartRecovery)
-                      .sensor_fault([] {
-                        SensorFaultPlan p;
-                        p.model = SensorFaultModel::kCameraBlackout;
-                        p.sensor_index = 1;
-                        p.onset_tick = 25;
-                        p.duration_ticks = 10;
-                        p.seed = 9;
-                        return p;
-                      }())
-                      .fusion([] {
-                        FusionConfig f;
-                        f.enabled = true;
-                        return f;
-                      }())
-                      .build();
+  RunConfig cfg;
+  cfg.scenario = ScenarioId::kLeadSlowdown;
+  cfg.mode = AgentMode::kRoundRobin;
+  cfg.run_seed = 31;
+  cfg.record_traces = true;
+  cfg.online_lut = &lut;
+  cfg.mitigation = MitigationPolicy::kRestartRecovery;
+  cfg.sensor_fault.model = SensorFaultModel::kCameraBlackout;
+  cfg.sensor_fault.sensor_index = 1;
+  cfg.sensor_fault.onset_tick = 25;
+  cfg.sensor_fault.duration_ticks = 10;
+  cfg.sensor_fault.seed = 9;
+  cfg.fusion.enabled = true;
   cfg.scenario_opts.safety_duration_sec = 3.0;
   cfg.checkpoint.enabled = true;
 
@@ -417,7 +407,7 @@ TEST(CheckpointStoreTier, EvictsOldestPastTheByteBudget) {
 
 std::vector<RunConfig> sweep_configs() {
   // Checkpoint deliberately NOT set per-config: the executor option must
-  // fold it in (effective_config), the way davcamp --checkpoint does.
+  // fold it in (effective_config), the way DAV_CHECKPOINT=1 does.
   std::vector<RunConfig> cfgs;
   for (std::uint64_t i = 0; i < 4; ++i) {
     RunConfig cfg = sensor_variant(SensorFaultModel::kCameraBlackout,

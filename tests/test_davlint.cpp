@@ -165,14 +165,24 @@ TEST_F(DavlintTest, WallClockMemberCallClean) {
   EXPECT_EQ(run_on(p).exit_code, 0);
 }
 
-TEST_F(DavlintTest, WallClockExemptInMetricsLayer) {
-  const auto p = write_fixture("campaign/metrics_helper.cpp",
-                               "#include <ctime>\n"
-                               "long f() { return time(nullptr); }\n");
-  // The file lives under a campaign/metrics path, so wall-clock reads are
-  // allowed (real elapsed-time reporting, paper Table 2).
+TEST_F(DavlintTest, WallClockFiresInMetricsLayer) {
+  // The metrics/resources layer has no clock carve-out: campaign/metrics is
+  // safety-metric arithmetic and campaign/resources the analytic Table II
+  // model, so neither has a reason to read a clock.
+  write_fixture("campaign/metrics_helper.cpp",
+                "#include <ctime>\n"
+                "long f() { return time(nullptr); }\n");
+  write_fixture("campaign/resources_helper.cpp",
+                "#include <chrono>\n"
+                "auto g() { return std::chrono::steady_clock::now(); }\n");
   const auto r = run_on(dir_ / "campaign");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.output.find("metrics_helper.cpp:2: [wall-clock]"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("resources_helper.cpp:2: [obs-clock]"),
+            std::string::npos)
+      << r.output;
 }
 
 TEST_F(DavlintTest, WallClockSuppressed) {

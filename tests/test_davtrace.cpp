@@ -1,15 +1,20 @@
 // End-to-end tests for tools/davtrace: the summarize error paths must name
-// the offending file and say what is wrong with it, and `compare` — the CI
+// the offending file and say what is wrong with it, `csv` must render an
+// exported run trace exactly as obs::run_csv does, and `compare` — the CI
 // perf gate — must pass self-vs-self at zero tolerance, flag regressions
 // with exit 2, and respect global and per-stage tolerances. Driven through
 // the real binary (DAVTRACE_BIN, injected by CMake).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "obs/export.h"
+#include "util/trace.h"
 
 #ifndef DAVTRACE_BIN
 #error "DAVTRACE_BIN must point at the davtrace executable"
@@ -120,6 +125,42 @@ TEST_F(DavtraceTest, ValidTraceStillSummarizes) {
   const auto r = run("summarize " + p.string());
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("control"), std::string::npos) << r.output;
+}
+
+// ---- csv -------------------------------------------------------------------
+
+TEST_F(DavtraceTest, CsvOfExportedTraceEqualsRunCsv) {
+  // A run exports only its JSON; `davtrace csv` is what produces the
+  // tick-indexed CSV, so it must equal run_csv of the exported events.
+  dav::obs::TraceRecorder rec(64);
+  {
+    dav::obs::ScopedRecorder scope(&rec);
+    for (int tick = 0; tick < 6; ++tick) {
+      dav::obs::set_tick(static_cast<std::uint32_t>(tick));
+      for (int ch = 0; ch < 3; ++ch) {
+        dav::obs::counter(dav::obs::Counter::kDivergence,
+                          (tick + 1) * (ch + 1) / 3.0, ch);
+        dav::obs::counter(dav::obs::Counter::kThreshold, 0.1 * (ch + 1), ch);
+      }
+      if (tick == 3) dav::obs::instant(dav::obs::Instant::kDetectorAlarm, 0.15);
+      if (tick == 5) dav::obs::instant(dav::obs::Instant::kRecoveryRejoin);
+    }
+  }
+  dav::obs::TraceOptions opts;
+  opts.dir = dir_.string();
+  dav::obs::export_run_trace(opts, "csv", /*dt=*/0.05, rec);
+  const std::string expected = dav::obs::run_csv(
+      dav::obs::to_chrome_events(rec.drain(), /*dt=*/0.05, opts.pid));
+
+  const fs::path csv = dir_ / "davtrace.csv";
+  const auto r = run("csv " + (dir_ / "run_csv.trace.json").string() +
+                     " --out=" + csv.string());
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(csv);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(ss.str(), expected);
+  EXPECT_NE(expected.find("\n5,"), std::string::npos) << expected;
 }
 
 // ---- compare: the CI perf gate ---------------------------------------------

@@ -114,13 +114,12 @@ ThresholdLut trained_lut() {
 std::vector<std::string> config_seeds(const ThresholdLut& lut) {
   RunConfig plain;
   plain.run_seed = 42;
-  RunConfig detector = RunConfigBuilder()
-                           .scenario(ScenarioId::kGhostCutIn)
-                           .run_seed(77)
-                           .record_traces()
-                           .online_detection(lut)
-                           .mitigation(MitigationPolicy::kRestartRecovery)
-                           .build();
+  RunConfig detector;
+  detector.scenario = ScenarioId::kGhostCutIn;
+  detector.run_seed = 77;
+  detector.record_traces = true;
+  detector.online_lut = &lut;
+  detector.mitigation = MitigationPolicy::kRestartRecovery;
   detector.fault.kind = FaultModelKind::kTransient;
   detector.fault.target_dyn_index = 4242;
   detector.trace.dir = "/tmp/traces";

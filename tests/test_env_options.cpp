@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -80,9 +81,6 @@ TEST(EnvOptions, DefaultsWhenNothingIsSet) {
   EXPECT_DOUBLE_EQ(o.run_cpu_sec, 0.0);
   EXPECT_EQ(o.run_as_mb, 0u);
   EXPECT_TRUE(o.trace_dir.empty());
-  EXPECT_EQ(o.trace_capacity, 65536u);
-  EXPECT_TRUE(o.metrics_path.empty());
-  EXPECT_DOUBLE_EQ(o.metrics_interval_sec, 2.0);
   // Unset DAV_JOBS runs campaigns in this process.
   EXPECT_EQ(o.executor_options().jobs, 0);
 }
@@ -97,9 +95,6 @@ TEST(EnvOptions, ParsesEveryKnob) {
   ScopedEnv e8("DAV_RUN_CPU_SEC", "30");
   ScopedEnv e9("DAV_RUN_AS_MB", "2048");
   ScopedEnv e10("DAV_TRACE", "/tmp/traces");
-  ScopedEnv e11("DAV_TRACE_CAPACITY", "1024");
-  ScopedEnv e15("DAV_METRICS", "/tmp/dav.metrics");
-  ScopedEnv e16("DAV_METRICS_INTERVAL_SEC", "0.25");
 
   const EnvOptions o = EnvOptions::from_env();
   EXPECT_DOUBLE_EQ(o.scale, 0.5);
@@ -110,9 +105,6 @@ TEST(EnvOptions, ParsesEveryKnob) {
   EXPECT_DOUBLE_EQ(o.run_cpu_sec, 30.0);
   EXPECT_EQ(o.run_as_mb, 2048u);
   EXPECT_EQ(o.trace_dir, "/tmp/traces");
-  EXPECT_EQ(o.trace_capacity, 1024u);
-  EXPECT_EQ(o.metrics_path, "/tmp/dav.metrics");
-  EXPECT_DOUBLE_EQ(o.metrics_interval_sec, 0.25);
 }
 
 TEST(EnvOptions, BooleanSpellings) {
@@ -157,10 +149,6 @@ TEST(EnvOptions, RejectsMalformedValuesWithActionableErrors) {
   expect_rejects("DAV_RUN_RETRIES", "-1");
   expect_rejects("DAV_RUN_CPU_SEC", "-0.1");
   expect_rejects("DAV_RUN_AS_MB", "lots");
-  expect_rejects("DAV_TRACE_CAPACITY", "0");
-  expect_rejects("DAV_METRICS_INTERVAL_SEC", "0");
-  expect_rejects("DAV_METRICS_INTERVAL_SEC", "-1");
-  expect_rejects("DAV_METRICS_INTERVAL_SEC", "slow");
   // Out of range for the field: rejected, never wrapped or truncated.
   expect_rejects("DAV_JOBS", "4294967297");             // would wrap to 1
   expect_rejects("DAV_JOBS", "99999999999999999999");   // overflows strtoll
@@ -170,7 +158,6 @@ TEST(EnvOptions, RejectsMalformedValuesWithActionableErrors) {
   expect_rejects("DAV_RUN_AS_MB", "17592186044417");    // bytes wrap to 1 MiB
   expect_rejects("DAV_RUN_TIMEOUT_SEC", "1e10");        // past steady_clock
   expect_rejects("DAV_RUN_CPU_SEC", "1e10");
-  expect_rejects("DAV_METRICS_INTERVAL_SEC", "1e10");
 }
 
 TEST(EnvOptions, ValidateRejectsNonsenseOnHandBuiltValues) {
@@ -179,12 +166,6 @@ TEST(EnvOptions, ValidateRejectsNonsenseOnHandBuiltValues) {
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = EnvOptions::defaults();
   o.jobs = -1;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-  o = EnvOptions::defaults();
-  o.trace_capacity = 0;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-  o = EnvOptions::defaults();
-  o.metrics_interval_sec = 0.0;
   EXPECT_THROW(o.validate(), std::invalid_argument);
   EXPECT_NO_THROW(EnvOptions::defaults().validate());
 }
@@ -222,9 +203,6 @@ TEST(EnvOptions, ExecutorAndTraceProjections) {
   o.run_cpu_sec = 9.0;
   o.run_as_mb = 128;
   o.trace_dir = "/tmp/t";
-  o.trace_capacity = 99;
-  o.metrics_path = "/tmp/m.metrics";
-  o.metrics_interval_sec = 0.5;
 
   const ExecutorOptions x = o.executor_options();
   EXPECT_EQ(x.jobs, 3);
@@ -233,13 +211,10 @@ TEST(EnvOptions, ExecutorAndTraceProjections) {
   EXPECT_EQ(x.max_retries, 2);
   EXPECT_DOUBLE_EQ(x.cpu_limit_sec, 9.0);
   EXPECT_EQ(x.address_space_mb, 128u);
-  EXPECT_EQ(x.metrics_path, "/tmp/m.metrics");
-  EXPECT_DOUBLE_EQ(x.metrics_interval_sec, 0.5);
   EXPECT_NO_THROW(x.validate());
 
   const obs::TraceOptions t = o.trace_options();
   EXPECT_EQ(t.dir, "/tmp/t");
-  EXPECT_EQ(t.capacity, 99u);
 }
 
 TEST(EnvOptions, ParsesCheckpointKnobsIntoExecutorOptions) {
@@ -257,7 +232,8 @@ TEST(EnvOptions, RejectsUnknownVariablesByName) {
   // A misspelt or retired DAV_* name must not be ignored: DAV_JOB=4 would
   // otherwise run the campaign in-process without a word.
   for (const char* var :
-       {"DAV_JOB", "DAV_WORKERS", "DAV_CHECKPOINT_MAX_MB"}) {
+       {"DAV_JOB", "DAV_WORKERS", "DAV_CHECKPOINT_MAX_MB", "DAV_METRICS",
+        "DAV_METRICS_INTERVAL_SEC", "DAV_TRACE_CAPACITY"}) {
     CleanEnv clean;
     ScopedEnv e(var, "4");
     try {
@@ -329,8 +305,7 @@ TEST(EnvOptions, DocsCoverEveryParsedVariable) {
       "DAV_JOURNAL",
       "DAV_RUN_TIMEOUT_SEC", "DAV_RUN_RETRIES", "DAV_RUN_CPU_SEC",
       "DAV_RUN_AS_MB",
-      "DAV_TRACE",       "DAV_TRACE_CAPACITY",
-      "DAV_METRICS",     "DAV_METRICS_INTERVAL_SEC",
+      "DAV_TRACE",
       "DAV_SENSOR_FAULTS", "DAV_SENSOR_ONSET_TICK",
       "DAV_SENSOR_DURATION_TICKS"};
   const auto& docs = EnvOptions::docs();
@@ -346,6 +321,30 @@ TEST(EnvOptions, DocsCoverEveryParsedVariable) {
     EXPECT_NE(d.summary[0], '\0') << d.name << " has no summary";
     EXPECT_NE(d.fallback[0], '\0') << d.name << " has no default";
   }
+}
+
+TEST(EnvOptions, ReadmeTableMatchesDocsInOrder) {
+  // The README's variable table mirrors docs(): the same names in the same
+  // order, one row each, the name backticked in the first column.
+  std::ifstream in(DAV_README_PATH);
+  ASSERT_TRUE(in) << DAV_README_PATH;
+  std::vector<std::string> table;
+  bool in_table = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line == "| Variable | Effect |") {
+      in_table = true;
+    } else if (in_table) {
+      if (line.rfind('|', 0) != 0) break;         // first line past the table
+      if (line.rfind("| `", 0) != 0) continue;    // the | --- | rule
+      const std::size_t end = line.find('`', 3);
+      ASSERT_NE(end, std::string::npos) << line;
+      table.push_back(line.substr(3, end - 3));
+    }
+  }
+  std::vector<std::string> docs;
+  for (const auto& d : EnvOptions::docs()) docs.emplace_back(d.name);
+  EXPECT_EQ(table, docs);
 }
 
 }  // namespace

@@ -131,8 +131,7 @@ TEST(ExecutorOptions, ValidationRejectsNonsense) {
   // wraps, are rejected instead of overflowing a cast downstream.
   for (double ExecutorOptions::*field :
        {&ExecutorOptions::run_timeout_sec, &ExecutorOptions::cpu_limit_sec,
-        &ExecutorOptions::retry_backoff_sec,
-        &ExecutorOptions::metrics_interval_sec}) {
+        &ExecutorOptions::retry_backoff_sec}) {
     o = ExecutorOptions{};
     o.*field = 1e10;
     EXPECT_THROW(o.validate(), std::invalid_argument);
@@ -164,6 +163,16 @@ TEST(Executor, InProcessPathMatchesDirectCalls) {
   EXPECT_EQ(exec.stats().launched, 0);
   EXPECT_EQ(exec.stats().jobs, 1);
   EXPECT_EQ(exec.stats().spans.size(), cfgs.size());
+}
+
+TEST(Executor, DefaultOptionsRunInProcess) {
+  // Library callers never fork unasked: a default-constructed
+  // ExecutorOptions runs the batch in this process.
+  CampaignExecutor exec(ExecutorOptions{}, stub_result);
+  const auto cfgs = make_configs(3);
+  ASSERT_EQ(exec.run_all(cfgs).size(), cfgs.size());
+  EXPECT_EQ(exec.stats().launched, 0);
+  EXPECT_EQ(exec.stats().jobs, 1);
 }
 
 TEST(Executor, InProcessRetriesAThrowingRunBeforeQuarantine) {
@@ -596,14 +605,12 @@ TEST(ExecutorPool, RealRunsBitIdenticalWithFullConfigCodec) {
 
   std::vector<RunConfig> cfgs(2);
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    cfgs[i] = RunConfigBuilder()
-                  .scenario(ScenarioId::kLeadSlowdown)
-                  .mode(AgentMode::kRoundRobin)
-                  .run_seed(7 + i)
-                  .record_traces()
-                  .online_detection(lut)
-                  .mitigation(MitigationPolicy::kRestartRecovery)
-                  .build();
+    cfgs[i].scenario = ScenarioId::kLeadSlowdown;
+    cfgs[i].mode = AgentMode::kRoundRobin;
+    cfgs[i].run_seed = 7 + i;
+    cfgs[i].record_traces = true;
+    cfgs[i].online_lut = &lut;
+    cfgs[i].mitigation = MitigationPolicy::kRestartRecovery;
     cfgs[i].scenario_opts.safety_duration_sec = 2.0;
   }
 
@@ -704,87 +711,6 @@ TEST(ExecutorPool, SlotsNeverExceedTheBatch) {
   EXPECT_LE(exec.stats().launched, 3);
 }
 
-// ---- live metrics snapshot ----
-
-/// Strict key=value parse: one '=' split per line, non-empty keys. A torn or
-/// truncated snapshot fails here, which is the point — the atomic
-/// temp-file + rename contract says readers only ever see complete files.
-std::vector<std::pair<std::string, std::string>> parse_metrics(
-    const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.is_open()) << path;
-  std::vector<std::pair<std::string, std::string>> kv;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t eq = line.find('=');
-    EXPECT_NE(eq, std::string::npos) << "not key=value: " << line;
-    EXPECT_GT(eq, 0u) << "empty key: " << line;
-    kv.emplace_back(line.substr(0, eq), line.substr(eq + 1));
-  }
-  return kv;
-}
-
-std::string metrics_value(
-    const std::vector<std::pair<std::string, std::string>>& kv,
-    const std::string& key) {
-  for (const auto& [k, v] : kv) {
-    if (k == key) return v;
-  }
-  ADD_FAILURE() << "missing key " << key;
-  return {};
-}
-
-TEST(ExecutorMetrics, FinalSnapshotIsCompleteAndParseable) {
-  ExecutorOptions o = pool_options();
-  o.metrics_path = temp_path("exec_metrics.txt");
-  // Far beyond the batch runtime: only the forced final write may fire, so
-  // the file we parse is exactly the end-of-batch snapshot.
-  o.metrics_interval_sec = 3600.0;
-  CampaignExecutor exec(o, stub_result);
-  const auto cfgs = make_configs(6);
-  const auto results = exec.run_all(cfgs);
-  ASSERT_EQ(results.size(), cfgs.size());
-
-  const auto kv = parse_metrics(o.metrics_path);
-  ASSERT_FALSE(kv.empty());
-  EXPECT_EQ(kv.front().first, "schema");
-  EXPECT_EQ(kv.front().second, "dav.metrics.v1");
-  EXPECT_EQ(metrics_value(kv, "phase"), "done");
-  EXPECT_EQ(metrics_value(kv, "runs_total"), "6");
-  EXPECT_EQ(metrics_value(kv, "runs_done"), "6");
-  EXPECT_EQ(metrics_value(kv, "runs_remaining"), "0");
-  EXPECT_EQ(metrics_value(kv, "eta_sec"), "0.000");
-  EXPECT_EQ(metrics_value(kv, "quarantined"), "0");
-  std::remove(o.metrics_path.c_str());
-}
-
-TEST(ExecutorMetrics, SnapshotTracksJournalReplayOnResume) {
-  // A fully-journaled batch resolves instantly from replay; the snapshot
-  // must report the hits and still land on phase=done.
-  const std::string journal = temp_path("metrics_resume.journal");
-  const auto cfgs = make_configs(4);
-  {
-    ExecutorOptions o = pool_options();
-    o.journal_path = journal;
-    o.campaign_fingerprint = 0xABCDull;
-    CampaignExecutor exec(o, stub_result);
-    (void)exec.run_all(cfgs);
-  }
-  ExecutorOptions o = pool_options();
-  o.journal_path = journal;
-  o.campaign_fingerprint = 0xABCDull;
-  o.metrics_path = temp_path("metrics_resume.txt");
-  CampaignExecutor exec(o, stub_result);
-  const auto results = exec.run_all(cfgs);
-  ASSERT_EQ(results.size(), cfgs.size());
-  const auto kv = parse_metrics(o.metrics_path);
-  EXPECT_EQ(metrics_value(kv, "phase"), "done");
-  EXPECT_EQ(metrics_value(kv, "journal_hits"), "4");
-  EXPECT_EQ(metrics_value(kv, "runs_done"), "4");
-  std::remove(journal.c_str());
-  std::remove(o.metrics_path.c_str());
-}
-
 // ---- request codec ----
 
 TEST(RunConfigCodec, RoundTripPreservesDigestAndBytes) {
@@ -793,14 +719,13 @@ TEST(RunConfigCodec, RoundTripPreservesDigestAndBytes) {
   s.v = 12.5;
   lut.observe(s, {0.25, 0.125, 1.0 / 3.0});  // 1/3: not exact in 6 digits
 
-  RunConfig cfg = RunConfigBuilder()
-                      .scenario(ScenarioId::kGhostCutIn)
-                      .mode(AgentMode::kRoundRobin)
-                      .run_seed(77)
-                      .record_traces()
-                      .online_detection(lut)
-                      .mitigation(MitigationPolicy::kRestartRecovery)
-                      .build();
+  RunConfig cfg;
+  cfg.scenario = ScenarioId::kGhostCutIn;
+  cfg.mode = AgentMode::kRoundRobin;
+  cfg.run_seed = 77;
+  cfg.record_traces = true;
+  cfg.online_lut = &lut;
+  cfg.mitigation = MitigationPolicy::kRestartRecovery;
   cfg.fault.kind = FaultModelKind::kTransient;
   cfg.fault.target_dyn_index = 4242;
   cfg.trace.dir = "/tmp/traces";

@@ -10,8 +10,7 @@
 //   davcamp [--scenario=lead|cutin|front] [--mode=single|rr|dup]
 //           [--domain=gpu|cpu] [--kind=transient|permanent]
 //           [--faults=register|sensor|both]
-//           [--td=<meters>] [--out=<path>] [--metrics=<path>] [--checkpoint]
-//           [--env-help]
+//           [--td=<meters>] [--out=<path>] [--env-help]
 //
 // --faults selects the injection surface: "register" (default) is the
 // classic compute-fault sweep and prints byte-identical output to earlier
@@ -22,8 +21,9 @@
 // Environment: every DAV_* variable is parsed by dav::EnvOptions (the only
 // env-reading entry point); `davcamp --env-help` prints the full table.
 // DAV_SCALE scales run counts; DAV_JOBS picks in-process (0, the default) or
-// a pool of N sandboxed workers, and DAV_JOURNAL makes the campaign
-// resumable (DESIGN.md §9/§11).
+// a pool of N sandboxed workers, DAV_JOURNAL makes the campaign resumable
+// (DESIGN.md §9/§11), and DAV_CHECKPOINT=1 shares fault-free prefixes
+// across variants (DESIGN.md §16).
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -52,9 +52,7 @@ struct Args {
   FaultModelKind kind = FaultModelKind::kTransient;
   Faults faults = Faults::kRegister;
   double td = 2.0;
-  std::string out;      // empty = stdout
-  std::string metrics;  // --metrics override of DAV_METRICS
-  bool checkpoint = false;  // --checkpoint: fork-point prefix sharing
+  std::string out;  // empty = stdout
   bool env_help = false;
 };
 
@@ -64,7 +62,7 @@ struct Args {
       "\nusage: davcamp [--scenario=lead|cutin|front] [--mode=single|rr|dup]"
       " [--domain=gpu|cpu] [--kind=transient|permanent]"
       " [--faults=register|sensor|both] [--td=<meters>]"
-      " [--out=<path>] [--metrics=<path>] [--checkpoint] [--env-help]");
+      " [--out=<path>] [--env-help]");
 }
 
 Args parse_args(int argc, char** argv) {
@@ -73,10 +71,6 @@ Args parse_args(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--env-help") {
       a.env_help = true;
-      continue;
-    }
-    if (arg == "--checkpoint") {
-      a.checkpoint = true;
       continue;
     }
     const std::size_t eq = arg.find('=');
@@ -117,8 +111,6 @@ Args parse_args(int argc, char** argv) {
       }
     } else if (key == "out") {
       a.out = val;
-    } else if (key == "metrics") {
-      a.metrics = val;
     } else {
       usage_error("unrecognized option '--" + key + "'");
     }
@@ -300,9 +292,7 @@ int main(int argc, char** argv) {
       print_env_help();
       return 0;
     }
-    EnvOptions env = EnvOptions::from_env();
-    if (!a.metrics.empty()) env.metrics_path = a.metrics;
-    if (a.checkpoint) env.checkpoint = true;
+    const EnvOptions env = EnvOptions::from_env();
     CampaignManager mgr(env, /*seed=*/2022);
     std::string text;
     if (a.faults != Args::Faults::kSensor) {

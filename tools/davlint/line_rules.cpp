@@ -137,20 +137,15 @@ class LineScanner {
   LineScanner(const SourceFile& f, const std::set<std::string>& enabled)
       : f_(f), enabled_(enabled) {
     const std::string& path = f.path;
-    // The campaign metrics/resources layer legitimately reads the wall
-    // clock (it reports real elapsed time and RSS, paper Table 2).
-    wall_clock_exempt_ = path.find("campaign/metrics") != std::string::npos ||
-                         path.find("campaign/resources") != std::string::npos;
     // obs-clock carve-outs: the util/trace span primitives and the src/obs/
     // exporters measure span durations (that is their job; the determinism
     // contract in util/trace.h confines wall time to dur_ns), and the
-    // executor/metrics/resources layer times real worker processes. No
-    // per-line suppressions needed there.
+    // executor times real worker processes. No per-line suppressions needed
+    // there.
     obs_clock_exempt_ = path.find("/obs/") != std::string::npos ||
                         path.rfind("obs/", 0) == 0 ||
                         path.find("util/trace") != std::string::npos ||
-                        path.find("campaign/executor") != std::string::npos ||
-                        wall_clock_exempt_;
+                        path.find("campaign/executor") != std::string::npos;
     // The EnvOptions facade is the single sanctioned env-reading TU; every
     // other layer takes a validated EnvOptions value instead of peeking at
     // the process environment (hidden inputs break run reproducibility).
@@ -209,7 +204,6 @@ class LineScanner {
 
   void check_wall_clock(const std::string& raw, const std::string& code,
                         int lineno, std::vector<Finding>& findings) {
-    if (wall_clock_exempt_) return;
     if (code.find("system_clock") != std::string::npos) {
       report(findings, raw, lineno, "wall-clock",
              "std::chrono::system_clock reads the wall clock; simulated time "
@@ -411,7 +405,6 @@ class LineScanner {
 
   const SourceFile& f_;
   const std::set<std::string>& enabled_;
-  bool wall_clock_exempt_ = false;
   bool obs_clock_exempt_ = false;
   bool env_read_exempt_ = false;
   std::set<std::string> unordered_idents_;

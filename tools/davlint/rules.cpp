@@ -15,7 +15,7 @@ const std::vector<RuleInfo>& rules() {
        "the campaign seed"},
       {"wall-clock",
        "wall-clock reads (time/clock/gettimeofday/std::chrono::system_clock) "
-       "are banned outside the campaign metrics/resources layer"},
+       "are banned everywhere; simulated time comes from World::time()"},
       {"unordered-iter",
        "iterating an unordered container has unspecified order; anything "
        "serialized from it is nondeterministic"},
@@ -28,7 +28,7 @@ const std::vector<RuleInfo>& rules() {
       {"obs-clock",
        "std::chrono::steady_clock / high_resolution_clock are wall clocks; "
        "only the util/trace span primitives, src/obs/ exporters and the "
-       "campaign executor/metrics/resources layer may read them"},
+       "campaign executor may read them"},
       {"env-read",
        "std::getenv is banned outside campaign/env_options: all DAV_* "
        "parsing goes through the dav::EnvOptions facade"},

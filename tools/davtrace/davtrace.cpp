@@ -6,8 +6,9 @@
 //                                        p95/p99 per stage), counter ranges,
 //                                        and the alarm/recovery timeline
 //   davtrace csv <trace.json> [--out=<path>]
-//                                        re-derive the tick-indexed CSV
-//                                        (same columns run_experiment writes)
+//                                        render a run trace's tick-indexed
+//                                        detection/recovery CSV (runs export
+//                                        only the JSON)
 //   davtrace compare <baseline.json> <candidate.json>
 //            [--tolerance=<pct>] [--stage=<name>=<pct>]...
 //                                        diff two traces' per-stage latency
