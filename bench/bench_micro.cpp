@@ -93,19 +93,37 @@ void BM_DetectorObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectorObserve);
 
+RunConfig golden_lead_slowdown() {
+  RunConfig cfg;
+  cfg.scenario = ScenarioId::kLeadSlowdown;
+  cfg.mode = AgentMode::kRoundRobin;
+  cfg.run_seed = 5;
+  return cfg;
+}
+
 void BM_GoldenRunLeadSlowdown(benchmark::State& state) {
+  const RunConfig cfg = golden_lead_slowdown();
   for (auto _ : state) {
-    RunConfig cfg;
-    cfg.scenario = ScenarioId::kLeadSlowdown;
-    cfg.mode = AgentMode::kRoundRobin;
-    cfg.run_seed = 5;
-    // Honors DAV_TRACE so CI can measure flight-recorder overhead: the same
-    // binary runs traced and untraced and the medians are compared.
-    cfg.trace = EnvOptions::from_env().trace_options();
     benchmark::DoNotOptimize(run_experiment(cfg));
   }
 }
 BENCHMARK(BM_GoldenRunLeadSlowdown)->Unit(benchmark::kMillisecond);
+
+// The same run with the flight recorder writing to DAV_TRACE's directory.
+// CI runs both in one invocation with --benchmark_enable_random_interleaving,
+// so neighbour noise hits the two alike, and compares their fastest runs.
+void BM_GoldenRunLeadSlowdownTraced(benchmark::State& state) {
+  RunConfig cfg = golden_lead_slowdown();
+  cfg.trace = EnvOptions::from_env().trace_options();
+  if (!cfg.trace.enabled()) {
+    state.SkipWithError("set DAV_TRACE=<dir> to time the traced run");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_experiment(cfg));
+  }
+}
+BENCHMARK(BM_GoldenRunLeadSlowdownTraced)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -45,6 +45,77 @@ void mask_pixels(Ex ex, std::size_t n, const MaskParams& p,
 
 }  // namespace
 
+/// The proximity mass of one side camera: its ground band through
+/// image_rows_to_tensor and a 4x4 avg_pool, then a dark/blue mass over the
+/// pooled pixels in row order. The three kernels form one span; a clean span
+/// sums each pooled value straight from the camera bytes, from 0.0f in
+/// avg_pool's (dy, dx) tap order.
+float side_camera_mass(GpuEngine& eng, const Image& cam) {
+  constexpr int kPool = 4;
+  const int y0 = cam.height() / 2;
+  const int w = cam.width();
+  const int oh = (cam.height() - y0) / kPool;
+  const int ow = w / kPool;
+  const std::uint64_t n_in = 3 * static_cast<std::uint64_t>(cam.height() - y0) *
+                             static_cast<std::uint64_t>(w);
+  const std::uint64_t n_px =
+      static_cast<std::uint64_t>(oh) * static_cast<std::uint64_t>(ow);
+  const std::uint64_t n_out = 3 * n_px;
+  const std::uint64_t taps = kPool * kPool;
+  // Each pooled pixel's share of the mass, in the scalar loop's order.
+  const auto accumulate = [](auto ex, float mass, float r, float g, float b) {
+    const float bright = ex(GpuOpcode::kFMacc, (r + g + b) * (1.0f / 3.0f));
+    const float dark =
+        ex(GpuOpcode::kFRelu, 0.09f - bright > 0.0f ? 0.09f - bright : 0.0f);
+    const float blue =
+        ex(GpuOpcode::kFRelu, b - r - 0.1f > 0.0f ? b - r - 0.1f : 0.0f);
+    return ex(GpuOpcode::kFMacc, mass + 8.0f * dark + 2.0f * blue);
+  };
+  float mass = 0.0f;
+  if (eng.retire_clean({{GpuOpcode::kLdg, 2 * n_in},
+                        {GpuOpcode::kFScale, n_in},
+                        {GpuOpcode::kStg, n_in + n_out},
+                        {GpuOpcode::kFAdd, taps * n_out},
+                        {GpuOpcode::kRedAdd, n_out},
+                        {GpuOpcode::kFMacc, 2 * n_px},
+                        {GpuOpcode::kFRelu, 2 * n_px}})) {
+    const auto& unit = unit_byte_table();
+    const float inv = 1.0f / static_cast<float>(taps);
+    const auto plain = [](GpuOpcode, float v) { return v; };
+    for (int py = 0; py < oh; ++py) {
+      const int row0 = y0 + py * kPool;
+      for (int x = 0; x < ow; ++x) {
+        float r = 0.0f;
+        float g = 0.0f;
+        float b = 0.0f;
+        for (int dy = 0; dy < kPool; ++dy) {
+          const std::uint8_t* px =
+              cam.row(row0 + dy) + 3 * static_cast<std::size_t>(x * kPool);
+          for (int dx = 0; dx < kPool; ++dx, px += 3) {
+            r = r + unit[px[0]];
+            g = g + unit[px[1]];
+            b = b + unit[px[2]];
+          }
+        }
+        mass = accumulate(plain, mass, r * inv, g * inv, b * inv);
+      }
+    }
+    return mass;
+  }
+  const Tensor rgb = image_rows_to_tensor(eng, cam, y0, cam.height());
+  const Tensor pooled = avg_pool(eng, rgb, kPool);
+  run_block(eng, {{GpuOpcode::kFMacc, 2 * n_px}, {GpuOpcode::kFRelu, 2 * n_px}},
+            [&](auto ex) {
+    for (int y = 0; y < pooled.height(); ++y) {
+      for (int x = 0; x < pooled.width(); ++x) {
+        mass = accumulate(ex, mass, pooled.at(0, y, x), pooled.at(1, y, x),
+                          pooled.at(2, y, x));
+      }
+    }
+  });
+  return mass;
+}
+
 Perception::Perception(GpuEngine& eng, PerceptionConfig cfg)
     : eng_(eng), cfg_(std::move(cfg)) {}
 
@@ -84,10 +155,10 @@ std::size_t Perception::state_bytes() const {
 
 Perception::Masks Perception::build_masks(const Image& img, float gain) {
   const int h = img.height();
+  const int w = img.width();
   const int horizon = h / 2;
-  Tensor rgb = image_rows_to_tensor(eng_, img, horizon, h);
-  const int th = rgb.height();
-  const int w = rgb.width();
+  const int th = h - horizon;
+  const auto& unit = unit_byte_table();
 
   Tensor vehicle(1, th, w);
   Tensor red(1, th, w);
@@ -99,30 +170,67 @@ Perception::Masks Perception::build_masks(const Image& img, float gain) {
   const MaskParams params{dark_t, blue_t, red_t, white_t,
                           static_cast<float>(cfg_.dark_weight),
                           static_cast<float>(cfg_.blue_weight)};
+  // Ground band: image_rows_to_tensor, then the mask block, as one span.
   const std::size_t n = vehicle.size();
-  run_block(eng_, {{GpuOpcode::kFMacc, n}, {GpuOpcode::kFRelu, 4 * n},
-                   {GpuOpcode::kFFma, n}}, [&](auto ex) {
-    mask_pixels(ex, n, params, rgb.data().data(), vehicle.data().data(),
-                red.data().data(), white.data().data());
-  });
+  if (eng_.retire_clean({{GpuOpcode::kLdg, 3 * n}, {GpuOpcode::kFScale, 3 * n},
+                         {GpuOpcode::kStg, 3 * n}, {GpuOpcode::kFMacc, n},
+                         {GpuOpcode::kFRelu, 4 * n}, {GpuOpcode::kFFma, n}})) {
+    // One image row at a time: its R, G and B planes, then its masks.
+    const auto row_len = static_cast<std::size_t>(w);
+    std::vector<float> rgb(3 * row_len);
+    for (int y = 0; y < th; ++y) {
+      const std::uint8_t* px = img.row(horizon + y);
+      for (std::size_t x = 0; x < row_len; ++x, px += 3) {
+        rgb[x] = unit[px[0]];
+        rgb[row_len + x] = unit[px[1]];
+        rgb[2 * row_len + x] = unit[px[2]];
+      }
+      const std::size_t at = static_cast<std::size_t>(y) * row_len;
+      mask_pixels([](GpuOpcode, float v) { return v; }, row_len, params,
+                  rgb.data(), vehicle.data().data() + at,
+                  red.data().data() + at, white.data().data() + at);
+    }
+  } else {
+    Tensor rgb = image_rows_to_tensor(eng_, img, horizon, h);
+    run_block(eng_, {{GpuOpcode::kFMacc, n}, {GpuOpcode::kFRelu, 4 * n},
+                     {GpuOpcode::kFFma, n}}, [&](auto ex) {
+      mask_pixels(ex, n, params, rgb.data().data(), vehicle.data().data(),
+                  red.data().data(), white.data().data());
+    });
+  }
 
   // Above-horizon band: red traffic-light heads (ranged via their known
   // mount height; the painted stop line on the ground foreshortens to less
   // than a pixel beyond ~15 m, so the head is the long-range cue).
+  // image_rows_to_tensor and the red block form one span.
   const int band = std::min(cfg_.upper_band_rows, horizon);
   Tensor red_upper(1, band, w);
-  Tensor rgb_u = image_rows_to_tensor(eng_, img, horizon - band, horizon);
-  run_block(eng_, {{GpuOpcode::kFRelu, red_upper.size()}}, [&](auto ex) {
-    for (int y = 0; y < band; ++y) {
-      for (int x = 0; x < w; ++x) {
-        const float r = rgb_u.at(0, y, x);
-        const float g = rgb_u.at(1, y, x);
-        const float b = rgb_u.at(2, y, x);
-        const float rd = r - 0.5f * (g + b) - red_t;
-        red_upper.at(0, y, x) = ex(GpuOpcode::kFRelu, rd > 0.0f ? rd : 0.0f);
+  const std::size_t nu = red_upper.size();
+  const auto red_head = [red_t](float r, float g, float b) {
+    const float rd = r - 0.5f * (g + b) - red_t;
+    return rd > 0.0f ? rd : 0.0f;
+  };
+  if (eng_.retire_clean({{GpuOpcode::kLdg, 3 * nu}, {GpuOpcode::kFScale, 3 * nu},
+                         {GpuOpcode::kStg, 3 * nu}, {GpuOpcode::kFRelu, nu}})) {
+    float* out = red_upper.data().data();
+    for (int y = horizon - band; y < horizon; ++y) {
+      const std::uint8_t* px = img.row(y);
+      for (int x = 0; x < w; ++x, px += 3) {
+        *out++ = red_head(unit[px[0]], unit[px[1]], unit[px[2]]);
       }
     }
-  });
+  } else {
+    Tensor rgb_u = image_rows_to_tensor(eng_, img, horizon - band, horizon);
+    run_block(eng_, {{GpuOpcode::kFRelu, nu}}, [&](auto ex) {
+      for (int y = 0; y < band; ++y) {
+        for (int x = 0; x < w; ++x) {
+          red_upper.at(0, y, x) = ex(
+              GpuOpcode::kFRelu, red_head(rgb_u.at(0, y, x), rgb_u.at(1, y, x),
+                                          rgb_u.at(2, y, x)));
+        }
+      }
+    });
+  }
 
   // The CNN stage: a 3x3 box convolution of the vehicle mask. Ranging uses
   // the RAW mask (the box filter would smear the ground-contact edge a full
@@ -133,8 +241,10 @@ Perception::Masks Perception::build_masks(const Image& img, float gain) {
   Tensor smoothed = conv2d_plane(eng_, vehicle, kBox, 1);
   Masks m{std::move(vehicle), std::move(smoothed), std::move(red),
           std::move(white), std::move(red_upper)};
-  scratch_bytes_ = rgb.byte_size() + m.vehicle.byte_size() * 4 +
-                   rgb_u.byte_size() + m.red_upper.byte_size();
+  // The kernel sequence's tensors, whichever path ran: the two RGB crops,
+  // four ground-band planes and the upper band.
+  scratch_bytes_ = 3 * n * sizeof(float) + m.vehicle.byte_size() * 4 +
+                   3 * nu * sizeof(float) + m.red_upper.byte_size();
   return m;
 }
 
@@ -338,34 +448,8 @@ PerceptionOutput Perception::process(const std::vector<Image>& cams,
   // --- Side cameras: proximity warning + (mostly masked) compute load. ------
   float side_mass = 0.0f;
   if (cams.size() == 3) {
-    for (int side = 0; side < 3; side += 2) {
-      Tensor rgb = image_rows_to_tensor(
-          eng_, cams[static_cast<std::size_t>(side)],
-          cams[static_cast<std::size_t>(side)].height() / 2,
-          cams[static_cast<std::size_t>(side)].height());
-      Tensor pooled = avg_pool(eng_, rgb, 4);
-      float mass = 0.0f;
-      const std::uint64_t n = pooled.size() / 3;
-      run_block(eng_, {{GpuOpcode::kFMacc, 2 * n}, {GpuOpcode::kFRelu, 2 * n}},
-                [&](auto ex) {
-        for (int y = 0; y < pooled.height(); ++y) {
-          for (int x = 0; x < pooled.width(); ++x) {
-            const float r = pooled.at(0, y, x);
-            const float g = pooled.at(1, y, x);
-            const float b = pooled.at(2, y, x);
-            const float bright =
-                ex(GpuOpcode::kFMacc, (r + g + b) * (1.0f / 3.0f));
-            const float dark = ex(GpuOpcode::kFRelu, 0.09f - bright > 0.0f
-                                                         ? 0.09f - bright
-                                                         : 0.0f);
-            const float blue = ex(GpuOpcode::kFRelu,
-                                  b - r - 0.1f > 0.0f ? b - r - 0.1f : 0.0f);
-            mass = ex(GpuOpcode::kFMacc, mass + 8.0f * dark + 2.0f * blue);
-          }
-        }
-      });
-      side_mass = c.max(side_mass, mass);
-    }
+    side_mass = c.max(side_mass, side_camera_mass(eng_, cams[0]));
+    side_mass = c.max(side_mass, side_camera_mass(eng_, cams[2]));
   }
   out.side_warning = side_mass > static_cast<float>(cfg_.side_mass_thresh) * gain;
 

@@ -72,6 +72,11 @@ struct PerceptionSnapshot {
   bool ema_init = false;
 };
 
+/// The side-camera chain of Perception::process: the proximity mass of one
+/// camera's ground band, one fused span of image_rows_to_tensor, a 4x4
+/// avg_pool and the mass block (DESIGN.md §17.1).
+float side_camera_mass(GpuEngine& eng, const Image& cam);
+
 class Perception {
  public:
   Perception(GpuEngine& eng, PerceptionConfig cfg);

@@ -33,6 +33,17 @@ Tensor image_to_tensor(GpuEngine& eng, const Image& img) {
   return image_rows_to_tensor(eng, img, 0, img.height());
 }
 
+const std::array<float, 256>& unit_byte_table() {
+  static const std::array<float, 256> table = [] {
+    std::array<float, 256> t{};
+    for (int b = 0; b < 256; ++b) {
+      t[static_cast<std::size_t>(b)] = b * (1.0f / 255.0f);
+    }
+    return t;
+  }();
+  return table;
+}
+
 Tensor image_rows_to_tensor(GpuEngine& eng, const Image& img, int y0, int y1) {
   Tensor t(3, y1 - y0, img.width());
   eng.bulk(GpuOpcode::kLdg, static_cast<std::uint64_t>(y1 - y0) *

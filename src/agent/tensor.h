@@ -11,6 +11,7 @@
 // agent "uses the GPU mostly for computations").
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "fi/engine.h"
@@ -49,6 +50,11 @@ class Tensor {
 /// Convert an RGB8 image to a 3xHxW tensor in [0,1]. Counts the global loads
 /// and executes the per-element normalization on the engine.
 Tensor image_to_tensor(GpuEngine& eng, const Image& img);
+
+/// The normalization image_to_tensor applies to a channel byte,
+/// byte * (1.0f / 255.0f), tabulated for every byte value: the same floats,
+/// for kernels that read camera bytes directly.
+const std::array<float, 256>& unit_byte_table();
 
 /// Like image_to_tensor but converts only rows [y0, y1) — the perception
 /// pipeline crops to the ground region below the horizon.

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -31,10 +32,9 @@ struct Projector {
   double mount_height = 0.0;
   double rot_cos = 1.0, rot_sin = 0.0;  // of -cam_pose.yaw
 
-  Projector(const CameraModel& model, const World& world)
+  Projector(const CameraModel& model, const Pose2& ego)
       : f(model.focal_px()), cx(model.width * 0.5), cy(model.height * 0.5),
-        cam_pose{world.ego().pose.pos,
-                 wrap_angle(world.ego().pose.yaw + model.yaw_offset)},
+        cam_pose{ego.pos, wrap_angle(ego.yaw + model.yaw_offset)},
         mount_height(model.mount_height),
         rot_cos(std::cos(-cam_pose.yaw)), rot_sin(std::sin(-cam_pose.yaw)) {}
 
@@ -52,11 +52,23 @@ struct Projector {
 };
 
 /// Paint pixels [col_lo, col_hi] of one row. An empty span touches nothing:
-/// col_lo may lie past the row's end.
+/// col_lo may lie past the row's end. Long spans are copied 8 pixels at a
+/// time from a run of the color.
 void fill_span(Image& img, int row, int col_lo, int col_hi, Rgb color) {
   if (col_lo > col_hi) return;
   std::uint8_t* p = img.row(row) + 3 * static_cast<std::size_t>(col_lo);
-  for (int col = col_lo; col <= col_hi; ++col, p += 3) {
+  std::uint8_t* const end = p + 3 * static_cast<std::size_t>(col_hi - col_lo + 1);
+  constexpr std::ptrdiff_t kRunBytes = 24;
+  if (end - p >= 2 * kRunBytes) {
+    std::uint8_t run[kRunBytes];
+    for (std::ptrdiff_t i = 0; i < kRunBytes; i += 3) {
+      run[i] = color.r;
+      run[i + 1] = color.g;
+      run[i + 2] = color.b;
+    }
+    for (; end - p >= kRunBytes; p += kRunBytes) std::memcpy(p, run, kRunBytes);
+  }
+  for (; p != end; p += 3) {
     p[0] = color.r;
     p[1] = color.g;
     p[2] = color.b;
@@ -72,21 +84,35 @@ void fill_quad(Image& img, const double ux[4], const double vy[4], Rgb color) {
     v_lo = std::min(v_lo, vy[i]);
     v_hi = std::max(v_hi, vy[i]);
   }
-  const int row_lo = std::max(0, static_cast<int>(std::floor(v_lo)));
-  const int row_hi = std::min(img.height() - 1, static_cast<int>(std::ceil(v_hi)));
+  int row_lo = std::max(0, static_cast<int>(std::floor(v_lo)));
+  int row_hi = std::min(img.height() - 1, static_cast<int>(std::ceil(v_hi)));
+  // A row whose center lies outside [v_lo, v_hi] meets no edge.
+  while (row_lo <= row_hi && row_lo + 0.5 < v_lo) ++row_lo;
+  while (row_lo <= row_hi && row_hi + 0.5 > v_hi) --row_hi;
+  if (row_lo > row_hi) return;
+  // Edge i runs from vertex i to vertex i + 1 and meets the rows whose
+  // center y lies in [y_min, y_max], at x = u0 + t * du with
+  // t = (y - y0) / dy (0 for a flat edge).
+  struct Edge {
+    double y_min = 0.0, y_max = 0.0, y0 = 0.0, dy = 0.0, u0 = 0.0, du = 0.0;
+    bool flat = false;
+  };
+  Edge edges[4];
+  for (int i = 0; i < 4; ++i) {
+    const int j = (i + 1) % 4;
+    const double dy = vy[j] - vy[i];
+    edges[i] = {std::min(vy[i], vy[j]), std::max(vy[i], vy[j]), vy[i], dy,
+                ux[i], ux[j] - ux[i], std::abs(dy) < 1e-12};
+  }
   for (int row = row_lo; row <= row_hi; ++row) {
     const double y = row + 0.5;
     double x_lo = std::numeric_limits<double>::infinity();
     double x_hi = -std::numeric_limits<double>::infinity();
     bool any = false;
-    for (int i = 0; i < 4; ++i) {
-      const int j = (i + 1) % 4;
-      const double y0 = vy[i];
-      const double y1 = vy[j];
-      if ((y0 <= y && y1 >= y) || (y1 <= y && y0 >= y)) {
-        const double denom = y1 - y0;
-        const double t = std::abs(denom) < 1e-12 ? 0.0 : (y - y0) / denom;
-        const double x = ux[i] + t * (ux[j] - ux[i]);
+    for (const Edge& e : edges) {
+      if (e.y_min <= y && y <= e.y_max) {
+        const double t = e.flat ? 0.0 : (y - e.y0) / e.dy;
+        const double x = e.u0 + t * e.du;
         x_lo = std::min(x_lo, x);
         x_hi = std::max(x_hi, x);
         any = true;
@@ -148,42 +174,58 @@ std::vector<GridPoint> route_grid(const Polyline& route, double s_begin,
   return grid;
 }
 
-/// Draw a quad strip along the route between lateral offsets [lat0, lat1].
-/// A dashed strip skips the quads whose start lies in a gap.
-void draw_route_strip(Image& img, const Projector& pr,
-                      const std::vector<GridPoint>& grid, double lat0,
-                      double lat1, Rgb color, bool dashed = false,
-                      double dash_on = 2.0, double dash_period = 4.0) {
-  for (std::size_t k = 0; k + 1 < grid.size(); ++k) {
-    if (dashed && std::fmod(grid[k].s, dash_period) >= dash_on) continue;
-    const Vec2 left_a = grid[k].at.tangent.perp();
-    const Vec2 left_b = grid[k + 1].at.tangent.perp();
-    const Vec2 pa = grid[k].at.point;
-    const Vec2 pb = grid[k + 1].at.point;
-    const CamPoint corners[4] = {
-        pr.to_cam(pa + left_a * lat0, 0.0), pr.to_cam(pa + left_a * lat1, 0.0),
-        pr.to_cam(pb + left_b * lat1, 0.0), pr.to_cam(pb + left_b * lat0, 0.0)};
+/// Appends the rail at lateral offset `lat` along `grid` (its world point at
+/// each grid point) and returns the index of its first point.
+std::size_t add_rail(std::vector<Vec2>& rail_points,
+                     const std::vector<GridPoint>& grid, double lat) {
+  const std::size_t first = rail_points.size();
+  for (const GridPoint& g : grid) {
+    rail_points.push_back(g.at.point + g.at.tangent.perp() * lat);
+  }
+  return first;
+}
+
+/// A rail point in one camera: its camera-frame depth x and, when it lies
+/// beyond the near clip plane, its image position.
+struct RailPixel {
+  double x = 0.0;
+  double u = 0.0;
+  double v = 0.0;
+};
+
+/// True when a quad with these image x coordinates fills no pixel of a row
+/// `width` pixels wide. fill_quad's span ends are interpolated between two
+/// of the corners, so a span lies within the corners' x range up to a
+/// rounding error of far less than the one pixel of margin used here while
+/// the range is narrower than 1e15 pixels.
+bool off_image(const double ux[4], int width) {
+  const double lo = std::min(std::min(ux[0], ux[1]), std::min(ux[2], ux[3]));
+  const double hi = std::max(std::max(ux[0], ux[1]), std::max(ux[2], ux[3]));
+  return (hi < -1.0 && lo > -1e15) || (lo > width + 1.0 && hi < 1e15);
+}
+
+/// Draw the quads of a strip between rails `a` and `b` (`points` grid points
+/// each) as projected by one camera. A dashed strip skips the quads whose
+/// `gap` entry is set.
+void draw_strip(Image& img, const RailPixel* a, const RailPixel* b,
+                std::size_t points, const std::uint8_t* gap, Rgb color) {
+  for (std::size_t k = 0; k + 1 < points; ++k) {
+    if (gap != nullptr && gap[k] != 0) continue;
+    const RailPixel* corners[4] = {&a[k], &b[k], &b[k + 1], &a[k + 1]};
     bool visible = true;
     double ux[4], vy[4];
     for (int i = 0; i < 4; ++i) {
-      if (corners[i].x <= kNearClip) {
+      if (corners[i]->x <= kNearClip) {
         visible = false;
         break;
       }
-      pr.project(corners[i], ux[i], vy[i]);
+      ux[i] = corners[i]->u;
+      vy[i] = corners[i]->v;
     }
-    if (!visible) continue;
-    const double dist = corners[0].x;
-    fill_quad(img, ux, vy, shade(color, dist));
+    if (!visible || off_image(ux, img.width())) continue;
+    fill_quad(img, ux, vy, shade(color, a[k].x));
   }
 }
-
-/// One NPC's state for this frame, computed once.
-struct Billboard {
-  const NpcVehicle* npc = nullptr;
-  VehicleState st;
-  double dist = 0.0;  // camera to vehicle center
-};
 
 using NoiseTable = std::array<std::uint8_t, 256 * 256>;
 
@@ -212,16 +254,87 @@ const std::uint8_t* noise_table(double sigma) {
 
 }  // namespace
 
+RenderScene::RenderScene(const World& world)
+    : ego_pose_(world.ego().pose), ego_s_(world.ego_route_s()) {
+  const RoadMap& map = world.map();
+  const Polyline& route = map.route();
+  const double s0 = std::max(0.0, ego_s_ - 8.0);
+  const double s1 = std::min(route.length(), ego_s_ + kRenderAhead);
+  const double lane_w = map.lane_width();
+  const double left_edge = (map.num_left_lanes() + 0.5) * lane_w;
+  const double right_edge = -(map.num_right_lanes() + 0.5) * lane_w;
+
+  // Road surface, then lane markings on top.
+  const std::vector<GridPoint> road = route_grid(route, s0, s1, kRoadStep);
+  const std::size_t right = add_rail(rail_points_, road, right_edge);
+  const std::size_t left = add_rail(rail_points_, road, left_edge);
+  strips_.push_back({right, left, road.size(), {95, 95, 98}});
+  // Solid edge lines.
+  strips_.push_back({add_rail(rail_points_, road, left_edge - 0.18), left,
+                     road.size(), {225, 225, 225}});
+  strips_.push_back({right, add_rail(rail_points_, road, right_edge + 0.18),
+                     road.size(), {225, 225, 225}});
+  // Dashed separators between lanes (short cycle so several dashes are
+  // always visible in any depth band). A quad whose start lies in a gap is
+  // skipped.
+  constexpr double kDashOn = 1.6;
+  constexpr double kDashPeriod = 3.0;
+  const std::vector<GridPoint> dashes =
+      route_grid(route, s0, s1, std::min(kRoadStep, kDashOn));
+  for (std::size_t k = 0; k + 1 < dashes.size(); ++k) {
+    dash_gap_.push_back(std::fmod(dashes[k].s, kDashPeriod) >= kDashOn);
+  }
+  for (int lane = -map.num_right_lanes(); lane < map.num_left_lanes(); ++lane) {
+    const double lat = (lane + 0.5) * lane_w;
+    strips_.push_back({add_rail(rail_points_, dashes, lat - 0.09),
+                       add_rail(rail_points_, dashes, lat + 0.09),
+                       dashes.size(), {230, 230, 230}, /*dashed=*/true});
+  }
+
+  // Traffic light ahead (stop-line gantry with a colored head). When the
+  // light is not green, the stop line itself is painted red across the road —
+  // this is the ground-plane cue the perception pipeline ranges against.
+  if (auto light = map.next_light_after(ego_s_)) {
+    if (light->s - ego_s_ < 100.0) {
+      light_ = true;
+      light_head_ = {40, 200, 60};
+      const auto phase = light->phase_at(world.time());
+      if (phase == TrafficLight::Phase::kYellow) light_head_ = {235, 200, 40};
+      if (phase == TrafficLight::Phase::kRed) light_head_ = {235, 40, 40};
+      if (phase != TrafficLight::Phase::kGreen) {
+        const std::vector<GridPoint> stop =
+            route_grid(route, std::max(s0, light->s - 0.7),
+                       std::min(s1, light->s + 0.7), kRoadStep);
+        strips_.push_back({add_rail(rail_points_, stop, right_edge),
+                           add_rail(rail_points_, stop, left_edge),
+                           stop.size(), {210, 35, 35}});
+      }
+      light_base_ = route.point_at(light->s) +
+                    route.tangent_at(light->s).perp() * (left_edge + 0.6);
+    }
+  }
+
+  // Vehicles as billboards, far to near.
+  billboards_.reserve(world.npcs().size());
+  for (const auto& npc : world.npcs()) {
+    const VehicleState st = npc.state(map);
+    // Billboard anchored at the rear face of the vehicle (what a follower
+    // actually sees), so close-range geometry stays visible and rangeable.
+    billboards_.push_back(
+        {st.pose.pos - st.pose.forward() * (npc.spec().length * 0.5),
+         st.pose.yaw, npc.spec().width, npc.spec().length, npc_color(npc.id()),
+         distance(st.pose.pos, ego_pose_.pos)});
+  }
+  std::sort(billboards_.begin(), billboards_.end(),
+            [](const Billboard& a, const Billboard& b) { return a.dist > b.dist; });
+}
+
 CameraRenderer::CameraRenderer(CameraModel model)
-    : model_(model), noise_table_(noise_table(model.noise_sigma)) {}
-
-Image CameraRenderer::render(const World& world, Rng& noise) const {
-  const int w = model_.width;
-  const int h = model_.height;
-  Image img(w, h);
-  const Projector pr(model_, world);
-
-  // 1. Background: sky gradient above the horizon, ground below.
+    : model_(model),
+      noise_table_(noise_table(model.noise_sigma)),
+      background_(model.width, model.height) {
+  // Sky gradient above the horizon, ground below.
+  const int h = model.height;
   for (int y = 0; y < h; ++y) {
     Rgb c;
     if (y < h / 2) {
@@ -232,109 +345,76 @@ Image CameraRenderer::render(const World& world, Rng& noise) const {
     } else {
       c = {62, 86, 48};  // grass
     }
-    fill_span(img, y, 0, w - 1, c);
+    fill_span(background_, y, 0, model.width - 1, c);
+  }
+}
+
+Image CameraRenderer::render(const World& world, Rng& noise) const {
+  return render(RenderScene(world), noise);
+}
+
+Image CameraRenderer::render(const RenderScene& scene, Rng& noise) const {
+  const int w = model_.width;
+  const int h = model_.height;
+  // 1. Background, the same in every frame.
+  Image img = background_;
+  const Projector pr(model_, scene.ego_pose_);
+
+  // 2. Road surface, lane markings and stop line: each rail point is
+  // projected once and shared by the quads on both of its sides.
+  std::vector<RailPixel> rails(scene.rail_points_.size());
+  for (std::size_t i = 0; i < rails.size(); ++i) {
+    const CamPoint p = pr.to_cam(scene.rail_points_[i], 0.0);
+    rails[i].x = p.x;
+    if (p.x > kNearClip) pr.project(p, rails[i].u, rails[i].v);
+  }
+  for (const RenderScene::Strip& strip : scene.strips_) {
+    draw_strip(img, rails.data() + strip.rail0, rails.data() + strip.rail1,
+               strip.points, strip.dashed ? scene.dash_gap_.data() : nullptr,
+               strip.color);
   }
 
-  const RoadMap& map = world.map();
-  const Polyline& route = map.route();
-  const double ego_s = world.ego_route_s();
-  const double s0 = std::max(0.0, ego_s - 8.0);
-  const double s1 = std::min(route.length(), ego_s + kRenderAhead);
-  const double lane_w = map.lane_width();
-  const double left_edge = (map.num_left_lanes() + 0.5) * lane_w;
-  const double right_edge = -(map.num_right_lanes() + 0.5) * lane_w;
-
-  // 2. Road surface, then lane markings on top.
-  const std::vector<GridPoint> road = route_grid(route, s0, s1, kRoadStep);
-  draw_route_strip(img, pr, road, right_edge, left_edge, {95, 95, 98});
-  // Solid edge lines.
-  draw_route_strip(img, pr, road, left_edge - 0.18, left_edge, {225, 225, 225});
-  draw_route_strip(img, pr, road, right_edge, right_edge + 0.18,
-                   {225, 225, 225});
-  // Dashed separators between lanes (short cycle so several dashes are
-  // always visible in any depth band).
-  constexpr double kDashOn = 1.6;
-  constexpr double kDashPeriod = 3.0;
-  const std::vector<GridPoint> dashes =
-      route_grid(route, s0, s1, std::min(kRoadStep, kDashOn));
-  for (int lane = -map.num_right_lanes(); lane < map.num_left_lanes(); ++lane) {
-    const double lat = (lane + 0.5) * lane_w;
-    draw_route_strip(img, pr, dashes, lat - 0.09, lat + 0.09, {230, 230, 230},
-                     /*dashed=*/true, kDashOn, kDashPeriod);
-  }
-
-  // 3. Traffic light ahead (stop-line gantry with a colored head). When the
-  // light is not green, the stop line itself is painted red across the road —
-  // this is the ground-plane cue the perception pipeline ranges against.
-  if (auto light = map.next_light_after(ego_s)) {
-    if (light->s - ego_s < 100.0) {
-      Rgb head{40, 200, 60};
-      const auto phase = light->phase_at(world.time());
-      if (phase == TrafficLight::Phase::kYellow) head = {235, 200, 40};
-      if (phase == TrafficLight::Phase::kRed) head = {235, 40, 40};
-      if (phase != TrafficLight::Phase::kGreen) {
-        draw_route_strip(img, pr,
-                         route_grid(route, std::max(s0, light->s - 0.7),
-                                    std::min(s1, light->s + 0.7), kRoadStep),
-                         right_edge, left_edge, {210, 35, 35});
-      }
-      const Vec2 base = route.point_at(light->s) +
-                        route.tangent_at(light->s).perp() * (left_edge + 0.6);
-      const CamPoint top = pr.to_cam(base, 4.6);
-      if (top.x > kNearClip) {
-        double u, v;
-        pr.project(top, u, v);
-        const double size = pr.f * 0.9 / top.x;  // ~0.9 m head box
-        const double ux[4] = {u - size, u + size, u + size, u - size};
-        const double vy[4] = {v - size, v - size, v + size, v + size};
-        fill_quad(img, ux, vy, head);
-        // Pole.
-        const CamPoint bot = pr.to_cam(base, 0.0);
-        if (bot.x > kNearClip) {
-          double ub, vb;
-          pr.project(bot, ub, vb);
-          const double pw = std::max(1.0, pr.f * 0.12 / top.x);
-          const double pux[4] = {ub - pw, ub + pw, u + pw, u - pw};
-          const double pvy[4] = {vb, vb, v + size, v + size};
-          fill_quad(img, pux, pvy, {70, 70, 70});
-        }
+  // 3. Traffic-light head and pole.
+  if (scene.light_) {
+    const CamPoint top = pr.to_cam(scene.light_base_, 4.6);
+    if (top.x > kNearClip) {
+      double u, v;
+      pr.project(top, u, v);
+      const double size = pr.f * 0.9 / top.x;  // ~0.9 m head box
+      const double ux[4] = {u - size, u + size, u + size, u - size};
+      const double vy[4] = {v - size, v - size, v + size, v + size};
+      fill_quad(img, ux, vy, scene.light_head_);
+      // Pole.
+      const CamPoint bot = pr.to_cam(scene.light_base_, 0.0);
+      if (bot.x > kNearClip) {
+        double ub, vb;
+        pr.project(bot, ub, vb);
+        const double pw = std::max(1.0, pr.f * 0.12 / top.x);
+        const double pux[4] = {ub - pw, ub + pw, u + pw, u - pw};
+        const double pvy[4] = {vb, vb, v + size, v + size};
+        fill_quad(img, pux, pvy, {70, 70, 70});
       }
     }
   }
 
   // 4. Vehicles as billboards, far to near.
-  std::vector<Billboard> order;
-  order.reserve(world.npcs().size());
-  for (const auto& npc : world.npcs()) {
-    const VehicleState st = npc.state(map);
-    order.push_back({&npc, st, distance(st.pose.pos, pr.cam_pose.pos)});
-  }
-  std::sort(order.begin(), order.end(),
-            [](const Billboard& a, const Billboard& b) { return a.dist > b.dist; });
-  for (const Billboard& bb : order) {
-    const NpcVehicle* npc = bb.npc;
-    const VehicleState& st = bb.st;
-    // Billboard anchored at the rear face of the vehicle (what a follower
-    // actually sees), so close-range geometry stays visible and rangeable.
-    const Vec2 rear_pos =
-        st.pose.pos - st.pose.forward() * (npc->spec().length * 0.5);
-    const CamPoint base = pr.to_cam(rear_pos, 0.0);
+  for (const RenderScene::Billboard& bb : scene.billboards_) {
+    const CamPoint base = pr.to_cam(bb.rear, 0.0);
     if (base.x <= kNearClip) continue;
     double u, v_bottom;
     pr.project(base, u, v_bottom);
     const double depth = base.x;
     // Apparent width interpolates between the vehicle's width and length
     // depending on the viewing angle.
-    const double rel_yaw = std::abs(wrap_angle(st.pose.yaw - pr.cam_pose.yaw));
+    const double rel_yaw = std::abs(wrap_angle(bb.yaw - pr.cam_pose.yaw));
     const double apparent =
-        npc->spec().width +
-        (npc->spec().length - npc->spec().width) * std::abs(std::sin(rel_yaw));
+        bb.width + (bb.length - bb.width) * std::abs(std::sin(rel_yaw));
     const double half_w = 0.5 * pr.f * apparent / depth;
     const double height_px = pr.f * 1.5 / depth;  // 1.5 m body height
     const double ux[4] = {u - half_w, u + half_w, u + half_w, u - half_w};
     const double vy[4] = {v_bottom - height_px, v_bottom - height_px, v_bottom,
                           v_bottom};
-    fill_quad(img, ux, vy, shade(npc_color(npc->id()), depth));
+    fill_quad(img, ux, vy, shade(bb.color, depth));
     // Windshield band to give the blob structure.
     const double wy[4] = {v_bottom - height_px, v_bottom - height_px,
                           v_bottom - 0.7 * height_px, v_bottom - 0.7 * height_px};
@@ -372,7 +452,7 @@ Image CameraRenderer::render(const World& world, Rng& noise) const {
     // Approximate world anchor of this ground row for the center camera:
     // depth from the row, lateral from the column.
     const double depth = pr.f * model_.mount_height / (y - h * 0.5 + 0.5);
-    const double lon = world.ego_route_s() + depth;
+    const double lon = scene.ego_s_ + depth;
     for (int x = 0; x < w; ++x, p += 3) {
       const double lat = (pr.cx - x) * depth / pr.f;
       const std::uint32_t hv =
@@ -396,7 +476,7 @@ Image CameraRenderer::render(const World& world, Rng& noise) const {
 
 BBox2 CameraRenderer::project_npc(const World& world,
                                   const NpcVehicle& npc) const {
-  const Projector pr(model_, world);
+  const Projector pr(model_, world.ego().pose);
 
   const VehicleState st = npc.state(world.map());
   const Vec2 rear_pos =

@@ -6,6 +6,7 @@
 // right) feed the perception pipeline, as in the Sensorimotor agent.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,6 +35,51 @@ struct BBox2 {
   bool valid() const { return x_max > x_min && y_max > y_min; }
 };
 
+/// The camera-independent part of one frame of a world: what every camera of
+/// a rig draws. All cameras sit at the ego position, so they share the route
+/// grids (with each dash quad's on/off phase), the NPC billboards in their
+/// far-to-near order, and the traffic-light and stop-line state. Build one
+/// per tick and render it with each camera.
+class RenderScene {
+ public:
+  explicit RenderScene(const World& world);
+
+ private:
+  friend class CameraRenderer;
+
+  /// Quads between two rails of one route grid. A rail is a road line at
+  /// one lateral offset: its world point at each of the grid's `points`,
+  /// stored from index `rail0` (or `rail1`) of `rail_points_`. Quad k spans
+  /// grid points k and k + 1; a dashed strip skips the quads `dash_gap_`
+  /// marks.
+  struct Strip {
+    std::size_t rail0 = 0;
+    std::size_t rail1 = 0;
+    std::size_t points = 0;
+    Rgb color;
+    bool dashed = false;
+  };
+  /// One NPC, drawn as a billboard at its rear face.
+  struct Billboard {
+    Vec2 rear;
+    double yaw = 0.0;
+    double width = 0.0;
+    double length = 0.0;
+    Rgb color;
+    double dist = 0.0;  // ego to vehicle center: the draw order, far first
+  };
+
+  Pose2 ego_pose_;
+  double ego_s_ = 0.0;
+  std::vector<Vec2> rail_points_;
+  std::vector<Strip> strips_;          // in draw order
+  std::vector<std::uint8_t> dash_gap_;  // per dash-grid quad
+  bool light_ = false;                 // a light head to draw
+  Rgb light_head_;
+  Vec2 light_base_;
+  std::vector<Billboard> billboards_;  // far to near
+};
+
 class CameraRenderer {
  public:
   explicit CameraRenderer(CameraModel model);
@@ -43,6 +89,9 @@ class CameraRenderer {
   /// Render the world from the ego's current viewpoint. `noise` drives the
   /// photometric noise (one independent stream per run).
   Image render(const World& world, Rng& noise) const;
+  /// Render a scene built from the world: the same image and noise draws
+  /// as render(world, noise).
+  Image render(const RenderScene& scene, Rng& noise) const;
 
   /// Ground-truth projected 2-D bounding box of an NPC in this camera
   /// (invalid box if behind the camera or out of frame). Used by the
@@ -59,6 +108,8 @@ class CameraRenderer {
   /// (channel byte, noise byte) -> byte for model_.noise_sigma; 64 KiB,
   /// shared by every renderer with that sigma and never freed.
   const std::uint8_t* noise_table_ = nullptr;
+  /// The frame before any geometry: sky gradient and ground.
+  Image background_;
 };
 
 /// The standard three-camera rig of the Sensorimotor agent: left (-45 deg),

@@ -17,8 +17,9 @@ SensorFrame SensorRig::capture(const World& world, int step) {
   frame.step = step;
   frame.time = world.time();
   frame.cameras.reserve(renderers_.size());
+  const RenderScene scene(world);
   for (const auto& r : renderers_) {
-    frame.cameras.push_back(r.render(world, camera_noise_));
+    frame.cameras.push_back(r.render(scene, camera_noise_));
   }
   frame.gps_imu = sample_gps_imu(world.ego(), imu_model_, imu_noise_);
   if (enable_lidar_) {

@@ -4,7 +4,9 @@
 // TraceOptions).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -345,6 +347,35 @@ TEST(EnvOptions, ReadmeTableMatchesDocsInOrder) {
   std::vector<std::string> docs;
   for (const auto& d : EnvOptions::docs()) docs.emplace_back(d.name);
   EXPECT_EQ(table, docs);
+}
+
+TEST(EnvOptions, DavcampEnvHelpAlignsEveryRow) {
+  // `davcamp --env-help` prints one row per docs() entry, in order, with
+  // every row's default and summary starting in the same column however
+  // long the variable's name is.
+  FILE* pipe = popen(DAVCAMP_BIN " --env-help", "r");
+  ASSERT_NE(pipe, nullptr);
+  std::vector<std::string> rows;
+  char buf[1024];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+    std::string line(buf);
+    if (!line.empty() && line.back() == '\n') line.pop_back();
+    if (line.rfind("  DAV_", 0) == 0) rows.push_back(line);
+  }
+  ASSERT_EQ(pclose(pipe), 0);
+  const auto& docs = EnvOptions::docs();
+  ASSERT_EQ(rows.size(), docs.size());
+  const std::size_t default_col = rows.front().find(" default ");
+  ASSERT_NE(default_col, std::string::npos);
+  const std::size_t summary_col =
+      rows.front().find(docs.front().summary, default_col);
+  ASSERT_NE(summary_col, std::string::npos);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::string& row = rows[i];
+    EXPECT_EQ(row.substr(2, std::strlen(docs[i].name)), docs[i].name) << row;
+    EXPECT_EQ(row.find(" default "), default_col) << row;
+    EXPECT_EQ(row.find(docs[i].summary, default_col), summary_col) << row;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "agent/perception.h"
 #include "block_equivalence.h"
@@ -244,12 +245,51 @@ auto perception_kernel(int width, int height) {
 }
 
 TEST(PerceptionBlocks, SmallFramesEveryTransientIndex) {
-  const auto kernel = perception_kernel(32, 24);
+  // 30x22 leaves an 11-row ground band and 30 columns, neither a multiple
+  // of the side cameras' 4x4 pool.
+  for (const auto& [width, height] : {std::pair{32, 24}, std::pair{30, 22}}) {
+    SCOPED_TRACE(::testing::Message() << width << "x" << height);
+    const auto kernel = perception_kernel(width, height);
+    GpuEngine probe;
+    probe.configure({}, 0);
+    kernel(probe);
+    testing_blocks::expect_scalar_path_identical(
+        kernel, testing_blocks::every_index(probe.total_dyn_instructions()));
+  }
+}
+
+/// The side-camera span on a textured, noisy left-camera frame, where the
+/// pooled sums depend on the order of their terms.
+auto side_mass_kernel(int width, int height) {
+  World world = busy_world();
+  CameraRenderer left(front_camera_rig(width, height, 8.0)[0]);
+  left.set_texture_strength(1.0);
+  Rng noise(11);
+  const Image img = left.render(world, noise);
+  return [img](GpuEngine& eng) {
+    return testing_blocks::float_bits({side_camera_mass(eng, img)});
+  };
+}
+
+TEST(PerceptionBlocks, SideCameraSpanEqualsItsKernels) {
+  for (const auto& [width, height] : {std::pair{32, 24}, std::pair{30, 22}}) {
+    SCOPED_TRACE(::testing::Message() << width << "x" << height);
+    const auto kernel = side_mass_kernel(width, height);
+    GpuEngine probe;
+    probe.configure({}, 0);
+    kernel(probe);
+    testing_blocks::expect_scalar_path_identical(
+        kernel, testing_blocks::every_index(probe.total_dyn_instructions()));
+  }
+  const auto kernel = side_mass_kernel(96, 72);
   GpuEngine probe;
   probe.configure({}, 0);
   kernel(probe);
-  testing_blocks::expect_scalar_path_identical(
-      kernel, testing_blocks::every_index(probe.total_dyn_instructions()));
+  const std::uint64_t total = probe.total_dyn_instructions();
+  std::vector<std::uint64_t> indices;
+  for (std::uint64_t i = 0; i < total; i += total / 97 + 1) indices.push_back(i);
+  indices.push_back(total);
+  testing_blocks::expect_scalar_path_identical(kernel, indices);
 }
 
 TEST(PerceptionBlocks, FullFramesEveryOpcodeAndSpreadTransients) {

@@ -1,12 +1,13 @@
-// Oracle tests for the camera renderer: CameraRenderer::render must produce
-// the reference renderer's bytes, and leave the noise stream where the
-// reference leaves it, on every frame of closed-loop drives through each
-// scenario.
+// Oracle tests for the camera renderer: CameraRenderer::render, and
+// SensorRig::capture with its one scene per tick, must produce the reference
+// renderer's bytes, and leave the noise stream where the reference leaves
+// it, on every frame of closed-loop drives through each scenario.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "reference_render.h"
+#include "sensors/sensor_rig.h"
 #include "sim/scenario.h"
 
 namespace dav {
@@ -82,6 +83,43 @@ TEST_P(RenderOracle, EveryFrameMatchesReferenceBytesAndNoiseStream) {
   if (dc.cycling_light) {
     EXPECT_TRUE(saw_red);
     EXPECT_TRUE(saw_yellow);
+  }
+}
+
+// SensorRig::capture renders one scene per tick with all three cameras. Each
+// image must equal a reference_render of that tick on the rig's own camera
+// noise stream, and the stream must sit where three reference renders leave
+// it, with LiDAR capture off and on. The rig's renderers are untextured.
+TEST_P(RenderOracle, RigCaptureMatchesReferenceBytesAndNoiseStream) {
+  const DriveCase& dc = GetParam();
+  for (const bool lidar : {false, true}) {
+    Scenario sc = make_scenario(dc.id);
+    if (dc.cycling_light) {
+      sc.map.add_traffic_light({sc.ego_start_s + 40.0, 1.0, 1.0, 1.0, 0.0});
+    }
+    World world(std::move(sc));
+    const std::vector<CameraModel> models =
+        front_camera_rig(96, 72, dc.noise_sigma);
+    constexpr std::uint64_t kNoiseSeed = 2022;
+    SensorRig rig(models, kNoiseSeed, lidar);
+    // The rig's camera stream, as SensorRig derives it from the noise seed.
+    Rng ref_noise = Rng(kNoiseSeed).split(1);
+    ASSERT_EQ(rig.rng_state().camera, ref_noise.state());
+    constexpr int kTicks = 200;
+    for (int tick = 0; tick < kTicks; ++tick) {
+      const SensorFrame frame = rig.capture(world, tick);
+      ASSERT_EQ(frame.cameras.size(), models.size());
+      for (std::size_t cam = 0; cam < models.size(); ++cam) {
+        const Image want = reference_render(models[cam], 0.0, world, ref_noise);
+        ASSERT_EQ(frame.cameras[cam].bytes(), want.bytes())
+            << dc.name << " lidar " << lidar << " tick " << tick << " camera "
+            << cam;
+      }
+      ASSERT_EQ(rig.rng_state().camera, ref_noise.state())
+          << dc.name << " lidar " << lidar << " tick " << tick;
+      ASSERT_EQ(frame.lidar.empty(), !lidar);
+      world.step(follow_route(world, 10.0), 0.05);
+    }
   }
 }
 

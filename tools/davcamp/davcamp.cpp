@@ -24,6 +24,7 @@
 // a pool of N sandboxed workers, DAV_JOURNAL makes the campaign resumable
 // (DESIGN.md §9/§11), and DAV_CHECKPOINT=1 shares fault-free prefixes
 // across variants (DESIGN.md §16).
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -190,8 +191,13 @@ std::string render_sensor_summary(
 /// code.
 void print_env_help() {
   std::printf("DAV_* environment variables (parsed by dav::EnvOptions):\n");
+  int name_width = 0;
   for (const EnvOptions::VarDoc& d : EnvOptions::docs()) {
-    std::printf("  %-22s default %-8s %s\n", d.name, d.fallback, d.summary);
+    name_width = std::max(name_width, static_cast<int>(std::strlen(d.name)));
+  }
+  for (const EnvOptions::VarDoc& d : EnvOptions::docs()) {
+    std::printf("  %-*s default %-8s %s\n", name_width, d.name, d.fallback,
+                d.summary);
   }
 }
 
