@@ -1,7 +1,8 @@
 // Shared helpers for the bench binaries that regenerate the paper's tables
 // and figures.
 //
-// Every sweep goes through CampaignManager::run_all, so all bench binaries
+// Every ADS run a report bench makes goes through CampaignManager::run_all
+// (only bench_uav_extension's UAV loop stays in-process), so the benches
 // inherit the process-isolated executor: DAV_JOBS parallelizes the campaign
 // across sandboxed workers and DAV_JOURNAL makes it resumable after an
 // interruption, with bit-identical output (DESIGN.md §9).

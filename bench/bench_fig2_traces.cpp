@@ -12,13 +12,13 @@ namespace {
 
 using namespace dav;
 
-RunResult traced_run(CampaignManager& mgr, AgentMode mode,
-                     const FaultPlan& fault) {
+RunConfig traced_config(const CampaignManager& mgr, AgentMode mode,
+                        const FaultPlan& fault) {
   RunConfig cfg = mgr.base_config(ScenarioId::kLeadSlowdown, mode);
   cfg.fault = fault;
   cfg.run_seed = 31;
   cfg.record_traces = true;
-  return run_experiment(cfg);
+  return cfg;
 }
 
 void print_series(const char* name, const RunResult& run, int stride) {
@@ -59,24 +59,30 @@ int main() {
   CampaignManager mgr = make_manager();
   const int stride = 40;  // 2 s at 20 Hz
 
-  FaultPlan none;
-  std::printf("--- Fig 2(3): fault-free ---------------------------------\n");
-  const RunResult orig = traced_run(mgr, AgentMode::kSingle, none);
-  const RunResult ours = traced_run(mgr, AgentMode::kRoundRobin, none);
-  print_series("(a) original single-agent ADS", orig, stride);
-  print_series("(b) DiverseAV-enabled ADS", ours, stride);
-
   // A permanent GPU fault in a data opcode that propagates but does not
   // crash: corrupt FMACC (conv accumulate), a high-frequency opcode.
+  FaultPlan none;
   FaultPlan fault;
   fault.kind = FaultModelKind::kPermanent;
   fault.domain = FaultDomain::kGpu;
   fault.target_opcode = static_cast<int>(GpuOpcode::kFMacc);
   fault.bit = 21;
 
+  const std::vector<RunResult> runs = mgr.run_all(
+      {traced_config(mgr, AgentMode::kSingle, none),
+       traced_config(mgr, AgentMode::kRoundRobin, none),
+       traced_config(mgr, AgentMode::kSingle, fault),
+       traced_config(mgr, AgentMode::kRoundRobin, fault)});
+  const RunResult& orig = runs[0];
+  const RunResult& ours = runs[1];
+  const RunResult& forig = runs[2];
+  const RunResult& fours = runs[3];
+
+  std::printf("--- Fig 2(3): fault-free ---------------------------------\n");
+  print_series("(a) original single-agent ADS", orig, stride);
+  print_series("(b) DiverseAV-enabled ADS", ours, stride);
+
   std::printf("\n--- Fig 2(4): permanent GPU fault (FMACC bit 21) ---------\n");
-  const RunResult forig = traced_run(mgr, AgentMode::kSingle, fault);
-  const RunResult fours = traced_run(mgr, AgentMode::kRoundRobin, fault);
   print_series("(a) single agent under fault (PID smooths the anomaly)",
                forig, stride);
   print_series("(b) DiverseAV under fault", fours, stride);

@@ -2,12 +2,16 @@
 // simulator, renderer, instrumented engines, agent pipeline and detector.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <vector>
+
 #include "campaign/driver.h"
 #include "campaign/env_options.h"
 #include "core/ads_system.h"
 #include "core/detector.h"
 #include "sensors/sensor_rig.h"
 #include "sim/world.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -109,21 +113,59 @@ void BM_GoldenRunLeadSlowdown(benchmark::State& state) {
 }
 BENCHMARK(BM_GoldenRunLeadSlowdown)->Unit(benchmark::kMillisecond);
 
-// The same run with the flight recorder writing to DAV_TRACE's directory.
-// CI runs both in one invocation with --benchmark_enable_random_interleaving,
-// so neighbour noise hits the two alike, and compares their fastest runs.
-void BM_GoldenRunLeadSlowdownTraced(benchmark::State& state) {
-  RunConfig cfg = golden_lead_slowdown();
-  cfg.trace = EnvOptions::from_env().trace_options();
-  if (!cfg.trace.enabled()) {
+// Flight-recorder overhead on that run, for CI's 5% gate. Each iteration is
+// a pair: the run untraced and the run with the recorder writing to
+// DAV_TRACE's directory, back to back, alternating which goes first, so a
+// neighbour's load falls on both halves of a pair alike. Two untimed pairs
+// first let the allocator and page cache reach the state a campaign's
+// later runs see. Reports the median per-pair overhead with its quartiles,
+// and each side's median time.
+void BM_GoldenRunLeadSlowdownTraceOverhead(benchmark::State& state) {
+  const RunConfig plain = golden_lead_slowdown();
+  RunConfig traced = plain;
+  traced.trace = EnvOptions::from_env().trace_options();
+  if (!traced.trace.enabled()) {
     state.SkipWithError("set DAV_TRACE=<dir> to time the traced run");
     return;
   }
-  for (auto _ : state) {
+  const auto time_ms = [](const RunConfig& cfg) {
+    const auto t0 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(run_experiment(cfg));
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  for (int i = 0; i < 2; ++i) {
+    time_ms(plain);
+    time_ms(traced);
   }
+  std::vector<double> off_ms;
+  std::vector<double> on_ms;
+  std::vector<double> overhead_pct;
+  for (auto _ : state) {
+    double off = 0.0;
+    double on = 0.0;
+    if (overhead_pct.size() % 2 == 0) {
+      off = time_ms(plain);
+      on = time_ms(traced);
+    } else {
+      on = time_ms(traced);
+      off = time_ms(plain);
+    }
+    off_ms.push_back(off);
+    on_ms.push_back(on);
+    overhead_pct.push_back((on - off) / off * 100.0);
+  }
+  state.counters["pairs"] = static_cast<double>(overhead_pct.size());
+  state.counters["untraced_ms"] = median(off_ms);
+  state.counters["traced_ms"] = median(on_ms);
+  state.counters["overhead_pct"] = median(overhead_pct);
+  state.counters["overhead_q1_pct"] = percentile(overhead_pct, 25.0);
+  state.counters["overhead_q3_pct"] = percentile(overhead_pct, 75.0);
 }
-BENCHMARK(BM_GoldenRunLeadSlowdownTraced)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GoldenRunLeadSlowdownTraceOverhead)
+    ->Iterations(60)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -4,6 +4,7 @@
 // and reports compute overhead, golden trajectory divergence and detection
 // quality on the LeadSlowdown GPU permanent campaign.
 #include <cstdio>
+#include <iterator>
 
 #include "bench_common.h"
 #include "core/detector.h"
@@ -20,7 +21,7 @@ int main() {
   RunConfig single_cfg =
       mgr.base_config(ScenarioId::kLeadSlowdown, AgentMode::kSingle);
   single_cfg.run_seed = 17;
-  const RunResult single = run_experiment(single_cfg);
+  const RunResult single = mgr.run_all({single_cfg}).front();
   const double single_gpu = static_cast<double>(single.gpu_instructions);
 
   const GoldenSet orig = golden_set(mgr, ScenarioId::kLeadSlowdown,
@@ -29,26 +30,46 @@ int main() {
   TextTable table({"Overlap", "GPU overhead", "Golden div [m]", "Precision",
                    "Recall", "F1"});
   for (double overlap : {0.0, 0.25, 0.5, 1.0}) {
+    // One batch per overlap: detector training runs, golden runs, FI sweep.
+    std::vector<RunConfig> cfgs;
     // The detector must be trained at the overlap it will run with (the
     // fault-free divergence statistics change with the comparison pattern).
-    std::vector<std::vector<StepObservation>> train_obs;
     for (ScenarioId scenario : training_scenarios()) {
       RunConfig cfg = mgr.base_config(scenario, AgentMode::kRoundRobin);
       cfg.overlap_ratio = overlap;
       cfg.run_seed = 900 + static_cast<std::uint64_t>(overlap * 100);
-      train_obs.push_back(run_experiment(cfg).observations);
+      cfgs.push_back(cfg);
     }
-    const ThresholdLut lut = train_lut(train_obs, 3);
-
-    // Golden runs at this overlap.
-    std::vector<RunResult> golden;
-    for (int i = 0; i < 5; ++i) {
+    const std::ptrdiff_t n_train = std::ssize(cfgs);
+    const int n_golden = 5;
+    for (int i = 0; i < n_golden; ++i) {
       RunConfig cfg =
           mgr.base_config(ScenarioId::kLeadSlowdown, AgentMode::kRoundRobin);
       cfg.overlap_ratio = overlap;
       cfg.run_seed = 300 + static_cast<std::uint64_t>(i);
-      golden.push_back(run_experiment(cfg));
+      cfgs.push_back(cfg);
     }
+    InjectionPlanGenerator gen(41);
+    const auto plans = gen.permanent_plans(FaultDomain::kGpu, 1);
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      RunConfig cfg =
+          mgr.base_config(ScenarioId::kLeadSlowdown, AgentMode::kRoundRobin);
+      cfg.overlap_ratio = overlap;
+      cfg.fault = plans[i];
+      cfg.run_seed = 400 + i;
+      cfgs.push_back(cfg);
+    }
+    const std::vector<RunResult> results = mgr.run_all(cfgs);
+    const auto golden_begin = results.begin() + n_train;
+    const auto golden_end = golden_begin + n_golden;
+
+    std::vector<std::vector<StepObservation>> train_obs;
+    for (auto it = results.begin(); it != golden_begin; ++it) {
+      train_obs.push_back(it->observations);
+    }
+    const ThresholdLut lut = train_lut(train_obs, 3);
+
+    const std::vector<RunResult> golden(golden_begin, golden_end);
     const Trajectory baseline = golden_baseline(golden);
     double worst_vs_orig = 0.0;
     for (const auto& g : golden) {
@@ -59,17 +80,7 @@ int main() {
         static_cast<double>(golden[0].gpu_instructions) / single_gpu;
 
     // FI sweep at this overlap.
-    InjectionPlanGenerator gen(41);
-    const auto plans = gen.permanent_plans(FaultDomain::kGpu, 1);
-    std::vector<RunResult> runs;
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      RunConfig cfg =
-          mgr.base_config(ScenarioId::kLeadSlowdown, AgentMode::kRoundRobin);
-      cfg.overlap_ratio = overlap;
-      cfg.fault = plans[i];
-      cfg.run_seed = 400 + i;
-      runs.push_back(run_experiment(cfg));
-    }
+    const std::vector<RunResult> runs(golden_end, results.end());
     const DetectionEval ev =
         evaluate_detection(runs, golden, baseline, lut, 3, 2.0);
     table.add_row({TextTable::fmt(overlap, 2),

@@ -17,17 +17,19 @@ int main() {
 
   CampaignManager mgr = make_manager();
 
-  RunConfig single_cfg = mgr.base_config(ScenarioId::kLeadSlowdown,
-                                         AgentMode::kSingle);
-  single_cfg.run_seed = 77;
-  const RunResult single_run = run_experiment(single_cfg);
-
-  TextTable table({"Config", "CPU/proc", "GPU/proc", "RAM", "VRAM", "#Proc"});
+  std::vector<RunConfig> cfgs;
   for (AgentMode mode : {AgentMode::kSingle, AgentMode::kRoundRobin,
                          AgentMode::kDuplicate}) {
     RunConfig cfg = mgr.base_config(ScenarioId::kLeadSlowdown, mode);
     cfg.run_seed = 77;
-    const RunResult run = run_experiment(cfg);
+    cfgs.push_back(cfg);
+  }
+  const std::vector<RunResult> runs = mgr.run_all(cfgs);
+  // The single-agent run is the utilization reference.
+  const RunResult& single_run = runs.front();
+
+  TextTable table({"Config", "CPU/proc", "GPU/proc", "RAM", "VRAM", "#Proc"});
+  for (const RunResult& run : runs) {
     const ResourceUsage u = measure_resources(run, single_run);
     table.add_row({u.config, TextTable::fmt(u.cpu_util_pct, 1) + "%",
                    TextTable::fmt(u.gpu_util_pct, 1) + "%",

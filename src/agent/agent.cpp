@@ -40,17 +40,6 @@ SensorimotorAgent::SensorimotorAgent(std::string name, AgentConfig cfg,
       control_(cpu, cfg.control),
       health_(cfg.fusion.health) {}
 
-void SensorimotorAgent::reset() {
-  perception_.reset();
-  planner_.reset(cfg_.route_start_s);
-  control_.reset();
-  last_perception_ = {};
-  last_waypoints_ = {};
-  steps_ = 0;
-  health_ = SensorHealthMonitor(cfg_.fusion.health);
-  v_held_ = 0.0;
-}
-
 AgentSnapshot SensorimotorAgent::snapshot() const {
   AgentSnapshot s;
   s.perception = perception_.snapshot();

@@ -83,8 +83,6 @@ class SensorimotorAgent {
   /// Propagates CrashError / HangError from the engines.
   Actuation act(const SensorFrame& frame, double dt);
 
-  void reset();
-
   /// Capture / adopt the agent's private state (fault-recovery resync).
   AgentSnapshot snapshot() const;
   void restore(const AgentSnapshot& s);

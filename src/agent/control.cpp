@@ -11,8 +11,6 @@ RoutePlanner::RoutePlanner(CpuEngine& eng, const RoadMap* map,
     : eng_(eng), map_(map), mission_speed_(mission_speed), start_s_(start_s),
       s_est_(start_s) {}
 
-void RoutePlanner::reset(double s0) { s_est_ = s0; }
-
 double RoutePlanner::plan_cruise(double v_meas, double dt) {
   CpuCalc c(eng_);
   c.call();
@@ -40,16 +38,6 @@ double RoutePlanner::plan_cruise(double v_meas, double dt) {
 
 ControlUnit::ControlUnit(CpuEngine& eng, ControlConfig cfg)
     : eng_(eng), cfg_(cfg) {}
-
-void ControlUnit::reset() {
-  integral_ = 0.0;
-  steer_ema_ = 0.0;
-  throttle_ema_ = 0.0;
-  brake_ema_ = 0.0;
-  prev_v_tgt_ = 0.0;
-  first_step_ = true;
-  stopped_ = false;
-}
 
 ControlSnapshot ControlUnit::snapshot() const {
   ControlSnapshot s;

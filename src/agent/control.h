@@ -24,7 +24,6 @@ class RoutePlanner {
                double start_s = 0.0);
 
   double plan_cruise(double v_meas, double dt);
-  void reset(double s0);
   double progress() const { return s_est_; }
   /// Resync hook: adopt the dead-reckoned progress of the healthy replica.
   void restore_progress(double s) { s_est_ = s; }
@@ -33,7 +32,9 @@ class RoutePlanner {
   CpuEngine& eng_;
   const RoadMap* map_;
   double mission_speed_;
-  double start_s_;
+  // Nothing reads it, but it is part of sizeof(SensorimotorAgent), which
+  // state_bytes() reports in every RunResult: dropping it changes results.
+  [[maybe_unused]] double start_s_;
   double s_est_ = 0.0;  // persistent dead-reckoned progress
   double lat_accel_max_ = 2.3;  // m/s^2 comfort cornering envelope
 };
@@ -70,7 +71,6 @@ class ControlUnit {
 
   Actuation act(const Waypoints& wps, double v_meas, double dt,
                 double cpu_gain);
-  void reset();
   ControlSnapshot snapshot() const;
   void restore(const ControlSnapshot& s);
   std::size_t state_bytes() const { return sizeof(*this); }

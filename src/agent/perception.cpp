@@ -119,15 +119,6 @@ float side_camera_mass(GpuEngine& eng, const Image& cam) {
 Perception::Perception(GpuEngine& eng, PerceptionConfig cfg)
     : eng_(eng), cfg_(std::move(cfg)) {}
 
-void Perception::reset() {
-  lane_offset_ema_ = 0.0f;
-  heading_ema_ = 0.0f;
-  obstacle_ema_ = 200.0f;
-  obstacle_hist_[0] = obstacle_hist_[1] = obstacle_hist_[2] = 200.0f;
-  hist_idx_ = 0;
-  ema_init_ = false;
-}
-
 PerceptionSnapshot Perception::snapshot() const {
   PerceptionSnapshot s;
   s.lane_offset_ema = lane_offset_ema_;

@@ -93,7 +93,6 @@ class Perception {
     injector_ = injector;
   }
 
-  void reset();
   PerceptionSnapshot snapshot() const;
   void restore(const PerceptionSnapshot& s);
   /// Bytes of persistent state + scratch tensors (resource accounting).

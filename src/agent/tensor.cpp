@@ -29,10 +29,6 @@ std::uint64_t window_size(int row_begin, int row_end, int col_begin,
 
 }  // namespace
 
-Tensor image_to_tensor(GpuEngine& eng, const Image& img) {
-  return image_rows_to_tensor(eng, img, 0, img.height());
-}
-
 const std::array<float, 256>& unit_byte_table() {
   static const std::array<float, 256> table = [] {
     std::array<float, 256> t{};
@@ -148,20 +144,6 @@ Tensor avg_pool(GpuEngine& eng, const Tensor& t, int k) {
   });
   eng.bulk(GpuOpcode::kStg, out.size());
   return out;
-}
-
-void relu_inplace(GpuEngine& eng, Tensor& t) {
-  for (auto& v : t.data()) {
-    v = eng.exec(GpuOpcode::kFRelu, v > 0.0f ? v : 0.0f);
-  }
-}
-
-float row_sum(GpuEngine& eng, const Tensor& t, int channel, int row) {
-  float acc = 0.0f;
-  for (int x = 0; x < t.width(); ++x) {
-    acc = eng.exec(GpuOpcode::kFAdd, acc + t.at(channel, row, x));
-  }
-  return eng.exec(GpuOpcode::kRedAdd, acc);
 }
 
 CentroidResult col_centroid(GpuEngine& eng, const Tensor& t, int channel,

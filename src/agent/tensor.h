@@ -47,17 +47,15 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// Convert an RGB8 image to a 3xHxW tensor in [0,1]. Counts the global loads
-/// and executes the per-element normalization on the engine.
-Tensor image_to_tensor(GpuEngine& eng, const Image& img);
-
-/// The normalization image_to_tensor applies to a channel byte,
+/// The normalization image_rows_to_tensor applies to a channel byte,
 /// byte * (1.0f / 255.0f), tabulated for every byte value: the same floats,
 /// for kernels that read camera bytes directly.
 const std::array<float, 256>& unit_byte_table();
 
-/// Like image_to_tensor but converts only rows [y0, y1) — the perception
-/// pipeline crops to the ground region below the horizon.
+/// Convert rows [y0, y1) of an RGB8 image to a 3x(y1-y0)xW tensor in [0,1]
+/// (the perception pipeline crops to the ground region below the horizon).
+/// Counts the global loads and executes the per-element normalization on the
+/// engine.
 Tensor image_rows_to_tensor(GpuEngine& eng, const Image& img, int y0, int y1);
 
 /// 2-D convolution of a single-channel plane with a (2r+1)^2 kernel, same
@@ -68,12 +66,6 @@ Tensor conv2d_plane(GpuEngine& eng, const Tensor& plane,
 
 /// Average pooling by integer factor k (each output = scaled REDADD).
 Tensor avg_pool(GpuEngine& eng, const Tensor& t, int k);
-
-/// Elementwise ReLU.
-void relu_inplace(GpuEngine& eng, Tensor& t);
-
-/// Sum of one row of one channel (REDADD reduction).
-float row_sum(GpuEngine& eng, const Tensor& t, int channel, int row);
 
 /// Column-centroid and mass of a row/column window of one channel:
 /// mass = sum(v), centroid = sum(v * x) / mass (0 mass -> centroid = -1).

@@ -81,13 +81,6 @@ void AdsSystem::adopt(const AdsState& s) {
   executing_ = s.executing;
 }
 
-void AdsSystem::reset() {
-  agent0_->reset();
-  if (agent1_) agent1_->reset();
-  prev_output_.reset();
-  step_ = 0;
-}
-
 const SensorimotorAgent& AdsSystem::agent(int i) const {
   return i == 0 ? *agent0_ : *agent1_;
 }

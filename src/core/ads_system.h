@@ -105,7 +105,6 @@ class AdsSystem {
   /// back keeps the comparison stream continuous across the recovery window.
   void set_comparison_reference(const Actuation& applied);
 
-  void reset();
   AgentMode mode() const { return distributor_.mode(); }
   int num_agents() const { return distributor_.num_agents(); }
   const SensorimotorAgent& agent(int i) const;

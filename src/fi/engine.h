@@ -70,11 +70,6 @@ class Engine {
     permanent_lethal_ = false;
   }
 
-  void reset_counts() {
-    counts_.fill(0);
-    total_ = 0;
-  }
-
   /// Instrumented scalar operation: returns the (possibly corrupted) value.
   /// The value passed in is the computed result, i.e. the contents of the
   /// destination register before any fault effect.

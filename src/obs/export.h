@@ -57,7 +57,7 @@ ChromeTrace parse_chrome_trace(const std::string& json);
 /// failure.
 void ensure_dir(const std::string& dir);
 
-/// Atomically write `text` to `path` (temp file + rename, like CsvWriter).
+/// Atomically write `text` to `path` (temp file + rename).
 /// Throws std::runtime_error with path + strerror on failure.
 void write_text_file(const std::string& path, const std::string& text);
 

@@ -59,13 +59,6 @@ UavSensorSample sample_uav_sensors(const UavState& s, Rng& noise) {
 UavAgent::UavAgent(CpuEngine& engine, UavMission mission)
     : eng_(engine), mission_(mission) {}
 
-void UavAgent::reset() {
-  alt_integral_ = 0.0;
-  thrust_ema_ = 0.5;
-  pitch_ema_ = 0.0;
-  first_ = true;
-}
-
 UavCommand UavAgent::act(const UavSensorSample& s, double t, double dt) {
   // Live-seeded housekeeping gain, as in the car agent.
   const double gain =

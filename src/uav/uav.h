@@ -80,7 +80,6 @@ class UavAgent {
   UavAgent(CpuEngine& engine, UavMission mission);
 
   UavCommand act(const UavSensorSample& sensors, double t, double dt);
-  void reset();
 
  private:
   CpuEngine& eng_;

@@ -67,10 +67,6 @@ inline double bits_double(std::uint64_t u) {
   return d;
 }
 
-inline double xor_double(double d, std::uint64_t mask) {
-  return bits_double(double_bits(d) ^ mask);
-}
-
 /// FNV-1a 64-bit hash. Used for record checksums and config digests in the
 /// campaign journal; chain calls by passing the previous hash as `h`.
 inline std::uint64_t fnv1a64(const void* data, std::size_t n,

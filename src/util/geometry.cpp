@@ -13,11 +13,6 @@ std::array<Vec2, 4> Obb::corners() const {
           pose.pos + f - r};
 }
 
-bool Obb::contains(const Vec2& p) const {
-  const Vec2 local = pose.to_local(p);
-  return std::abs(local.x) <= half_length && std::abs(local.y) <= half_width;
-}
-
 namespace {
 
 // Project corners onto axis; return [min, max].
@@ -48,56 +43,6 @@ bool obb_intersect(const Obb& a, const Obb& b) {
   return true;
 }
 
-double point_segment_distance(const Vec2& p, const Vec2& a, const Vec2& b) {
-  const Vec2 ab = b - a;
-  const double len_sq = ab.norm_sq();
-  // Degenerate-segment guard: only an exactly-zero length divides by zero
-  // below, so the exact compare is correct.
-  if (len_sq == 0.0) return distance(p, a);  // davlint: allow(float-eq)
-  const double t = clamp((p - a).dot(ab) / len_sq, 0.0, 1.0);
-  return distance(p, a + ab * t);
-}
-
-double obb_distance(const Obb& a, const Obb& b) {
-  if (obb_intersect(a, b)) return 0.0;
-  const auto ca = a.corners();
-  const auto cb = b.corners();
-  double best = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      best = std::min(best,
-                      point_segment_distance(ca[i], cb[j], cb[(j + 1) % 4]));
-      best = std::min(best,
-                      point_segment_distance(cb[i], ca[j], ca[(j + 1) % 4]));
-    }
-  }
-  return best;
-}
-
-bool segments_intersect(const Vec2& a1, const Vec2& a2, const Vec2& b1,
-                        const Vec2& b2) {
-  const auto orient = [](const Vec2& p, const Vec2& q, const Vec2& r) {
-    const double v = (q - p).cross(r - p);
-    if (v > 1e-12) return 1;
-    if (v < -1e-12) return -1;
-    return 0;
-  };
-  const auto on_segment = [](const Vec2& p, const Vec2& q, const Vec2& r) {
-    return std::min(p.x, r.x) - 1e-12 <= q.x && q.x <= std::max(p.x, r.x) + 1e-12 &&
-           std::min(p.y, r.y) - 1e-12 <= q.y && q.y <= std::max(p.y, r.y) + 1e-12;
-  };
-  const int o1 = orient(a1, a2, b1);
-  const int o2 = orient(a1, a2, b2);
-  const int o3 = orient(b1, b2, a1);
-  const int o4 = orient(b1, b2, a2);
-  if (o1 != o2 && o3 != o4) return true;
-  if (o1 == 0 && on_segment(a1, b1, a2)) return true;
-  if (o2 == 0 && on_segment(a1, b2, a2)) return true;
-  if (o3 == 0 && on_segment(b1, a1, b2)) return true;
-  if (o4 == 0 && on_segment(b1, a2, b2)) return true;
-  return false;
-}
-
 Polyline::Polyline(std::vector<Vec2> points) : points_(std::move(points)) {
   cum_.reserve(points_.size());
   double s = 0.0;
@@ -105,16 +50,6 @@ Polyline::Polyline(std::vector<Vec2> points) : points_(std::move(points)) {
     if (i > 0) s += distance(points_[i - 1], points_[i]);
     cum_.push_back(s);
   }
-}
-
-void Polyline::append(const Vec2& p) {
-  if (points_.empty()) {
-    points_.push_back(p);
-    cum_.push_back(0.0);
-    return;
-  }
-  cum_.push_back(cum_.back() + distance(points_.back(), p));
-  points_.push_back(p);
 }
 
 std::size_t Polyline::segment_index(double s) const {

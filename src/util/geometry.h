@@ -1,5 +1,5 @@
 // Planar geometry: oriented bounding boxes (vehicle footprints, collision
-// detection), segments, and polyline utilities (routes, trajectories).
+// detection) and polyline utilities (routes, trajectories).
 #pragma once
 
 #include <array>
@@ -18,21 +18,10 @@ struct Obb {
 
   /// The four corners, counter-clockwise, in world coordinates.
   std::array<Vec2, 4> corners() const;
-  bool contains(const Vec2& p) const;
 };
 
 /// Separating-axis test for two OBBs.
 bool obb_intersect(const Obb& a, const Obb& b);
-
-/// Shortest distance between two OBBs' corner/edge sets (0 if intersecting).
-double obb_distance(const Obb& a, const Obb& b);
-
-/// Distance from point p to segment [a, b].
-double point_segment_distance(const Vec2& p, const Vec2& a, const Vec2& b);
-
-/// True if segments [a1,a2] and [b1,b2] intersect (including touching).
-bool segments_intersect(const Vec2& a1, const Vec2& a2, const Vec2& b1,
-                        const Vec2& b2);
 
 /// Polyline with arc-length parameterization. Routes and lane center lines are
 /// polylines; vehicles track progress along them by arc length s.
@@ -65,8 +54,6 @@ class Polyline {
   double lateral_offset(const Vec2& p) const;
   /// Approximate signed curvature at arc length s (1/m).
   double curvature_at(double s) const;
-
-  void append(const Vec2& p);
 
  private:
   std::size_t segment_index(double s) const;

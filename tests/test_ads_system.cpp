@@ -148,16 +148,5 @@ TEST(AdsSystem, StateBytesScaleWithAgents) {
   EXPECT_GT(dual.state_bytes(), single.state_bytes() * 3 / 2);
 }
 
-TEST(AdsSystem, ResetRestartsSchedule) {
-  AdsFixture f;
-  AdsSystem ads = f.make(AgentMode::kRoundRobin);
-  ads.step(f.rig.capture(f.world, 0), 0.05);
-  ads.step(f.rig.capture(f.world, 1), 0.05);
-  ads.reset();
-  const auto sr = ads.step(f.rig.capture(f.world, 0), 0.05);
-  EXPECT_EQ(sr.acting_agent, 0);
-  EXPECT_FALSE(sr.have_delta);
-}
-
 }  // namespace
 }  // namespace dav

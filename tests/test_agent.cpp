@@ -70,18 +70,6 @@ TEST(Agent, ExecutesBothEngines) {
             f.cpu.total_dyn_instructions() * 20);
 }
 
-TEST(Agent, ResetRestoresInitialBehavior) {
-  AgentFixture f;
-  const SensorFrame frame = f.rig.capture(f.world, 0);
-  const Actuation first = f.agent.act(frame, 0.05);
-  for (int i = 0; i < 5; ++i) f.agent.act(frame, 0.05);
-  f.agent.reset();
-  EXPECT_EQ(f.agent.steps_executed(), 0);
-  const Actuation after = f.agent.act(frame, 0.05);
-  EXPECT_NEAR(after.throttle, first.throttle, 1e-9);
-  EXPECT_NEAR(after.steer, first.steer, 1e-9);
-}
-
 TEST(Agent, StateBytesAccountsPerception) {
   AgentFixture f;
   f.agent.act(f.rig.capture(f.world, 0), 0.05);

@@ -58,8 +58,6 @@ TEST(RoutePlannerTest, DeadReckonsProgress) {
   RoutePlanner planner(eng, &map, 12.0, 5.0);
   for (int i = 0; i < 10; ++i) planner.plan_cruise(10.0, kDt);
   EXPECT_NEAR(planner.progress(), 5.0 + 10.0 * 10 * kDt, 0.5);
-  planner.reset(0.0);
-  EXPECT_DOUBLE_EQ(planner.progress(), 0.0);
 }
 
 TEST(ControlUnit, AcceleratesTowardTarget) {
@@ -98,15 +96,15 @@ TEST(ControlUnit, DecodesTargetSpeedFromSpacing) {
 
 TEST(ControlUnit, SteersTowardLateralOffset) {
   CpuEngine eng = clean_engine();
-  ControlUnit ctrl(eng, {});
+  ControlUnit left_ctrl(eng, {});
+  ControlUnit right_ctrl(eng, {});
   Actuation left;
   Actuation right;
   for (int i = 0; i < 10; ++i) {
-    left = ctrl.act(straight_waypoints(8.0, +1.0), 8.0, kDt, 1.0);
+    left = left_ctrl.act(straight_waypoints(8.0, +1.0), 8.0, kDt, 1.0);
   }
-  ctrl.reset();
   for (int i = 0; i < 10; ++i) {
-    right = ctrl.act(straight_waypoints(8.0, -1.0), 8.0, kDt, 1.0);
+    right = right_ctrl.act(straight_waypoints(8.0, -1.0), 8.0, kDt, 1.0);
   }
   EXPECT_GT(left.steer, 0.05);
   EXPECT_LT(right.steer, -0.05);
@@ -161,18 +159,6 @@ TEST(ControlUnit, CpuGainScalesTarget) {
   }
   // Gain 1.5 raises the decoded target -> throttle rises.
   EXPECT_GT(with_gain.throttle, 0.15);
-}
-
-TEST(ControlUnit, ResetClearsState) {
-  CpuEngine eng = clean_engine();
-  ControlUnit ctrl(eng, {});
-  for (int i = 0; i < 20; ++i) {
-    ctrl.act(straight_waypoints(10.0, 1.0), 5.0, kDt, 1.0);
-  }
-  ctrl.reset();
-  const Actuation cmd = ctrl.act(straight_waypoints(5.0), 5.0, kDt, 1.0);
-  EXPECT_LT(cmd.throttle, 0.3);  // integral gone
-  EXPECT_NEAR(cmd.steer, 0.0, 0.2);
 }
 
 TEST(ControlUnit, InstrumentationCountsGrow) {

@@ -85,15 +85,6 @@ TEST(Engine, BulkCountsManyAtOnce) {
   EXPECT_EQ(eng.op_count(GpuOpcode::kBra), 1u);
 }
 
-TEST(Engine, ResetCountsClears) {
-  GpuEngine eng;
-  eng.configure({}, 0);
-  eng.exec(GpuOpcode::kFAdd, 1.0f);
-  eng.reset_counts();
-  EXPECT_EQ(eng.total_dyn_instructions(), 0u);
-  EXPECT_EQ(eng.op_count(GpuOpcode::kFAdd), 0u);
-}
-
 TEST(Engine, TransientCorruptsExactlyTargetIndex) {
   GpuEngine eng;
   eng.configure(transient_gpu(/*index=*/2, /*bit=*/31), 1, never_lethal());

@@ -29,13 +29,6 @@ TEST(Obb, CornersAxisAligned) {
   EXPECT_NEAR(max_y, 1.0, 1e-12);
 }
 
-TEST(Obb, Contains) {
-  const Obb o = make_obb(1, 1, M_PI / 2, 2, 1);
-  EXPECT_TRUE(o.contains({1, 1}));
-  EXPECT_TRUE(o.contains({1, 2.9}));   // along rotated length axis
-  EXPECT_FALSE(o.contains({2.5, 1}));  // outside rotated width axis
-}
-
 TEST(ObbIntersect, OverlappingAndSeparated) {
   const Obb a = make_obb(0, 0, 0, 2, 1);
   EXPECT_TRUE(obb_intersect(a, make_obb(3.5, 0, 0, 2, 1)));
@@ -48,26 +41,6 @@ TEST(ObbIntersect, RotationMatters) {
   // A thin box rotated 90 deg at x = 2.2 overlaps only via its length.
   EXPECT_FALSE(obb_intersect(a, make_obb(2.7, 0, 0, 0.2, 0.2)));
   EXPECT_TRUE(obb_intersect(a, make_obb(2.2, 0, M_PI / 2, 2, 0.4)));
-}
-
-TEST(ObbDistance, ZeroWhenTouchingPositiveApart) {
-  const Obb a = make_obb(0, 0, 0, 1, 1);
-  EXPECT_DOUBLE_EQ(obb_distance(a, make_obb(1.5, 0, 0, 1, 1)), 0.0);
-  EXPECT_NEAR(obb_distance(a, make_obb(5, 0, 0, 1, 1)), 3.0, 1e-9);
-}
-
-TEST(PointSegmentDistance, EndpointsAndInterior) {
-  EXPECT_NEAR(point_segment_distance({0, 1}, {0, 0}, {2, 0}), 1.0, 1e-12);
-  EXPECT_NEAR(point_segment_distance({-1, 0}, {0, 0}, {2, 0}), 1.0, 1e-12);
-  EXPECT_NEAR(point_segment_distance({3, 4}, {0, 0}, {0, 0}), 5.0, 1e-12);
-}
-
-TEST(SegmentsIntersect, CrossTouchDisjoint) {
-  EXPECT_TRUE(segments_intersect({0, 0}, {2, 2}, {0, 2}, {2, 0}));
-  EXPECT_TRUE(segments_intersect({0, 0}, {1, 1}, {1, 1}, {2, 0}));
-  EXPECT_FALSE(segments_intersect({0, 0}, {1, 0}, {0, 1}, {1, 1}));
-  // Collinear overlapping.
-  EXPECT_TRUE(segments_intersect({0, 0}, {2, 0}, {1, 0}, {3, 0}));
 }
 
 TEST(Polyline, LengthAndPointAt) {
@@ -95,15 +68,6 @@ TEST(Polyline, ProjectAndLateralOffset) {
   EXPECT_NEAR(line.lateral_offset({4.0, 3.0}), 3.0, 1e-12);   // left positive
   EXPECT_NEAR(line.lateral_offset({4.0, -2.0}), -2.0, 1e-12);
   EXPECT_NEAR(line.project({-3.0, 1.0}), 0.0, 1e-12);  // clamps to start
-}
-
-TEST(Polyline, Append) {
-  Polyline line;
-  line.append({0, 0});
-  line.append({1, 0});
-  line.append({1, 1});
-  EXPECT_DOUBLE_EQ(line.length(), 2.0);
-  EXPECT_EQ(line.size(), 3u);
 }
 
 class PolylineProjectProperty : public ::testing::TestWithParam<double> {};

@@ -112,20 +112,6 @@ TEST(Perception, GainIsOneFaultFree) {
   EXPECT_EQ(setup.run_perception().gain, 1.0);
 }
 
-TEST(Perception, ResetClearsState) {
-  Scenario sc = make_scenario(ScenarioId::kLeadSlowdown);
-  Harness setup(std::move(sc));
-  PerceptionConfig cfg;
-  cfg.center_cam = front_camera_rig()[1];
-  Perception perception(setup.eng, cfg);
-  const auto frame = setup.rig.capture(setup.world, 0);
-  const PerceptionOutput first = perception.process(frame.cameras);
-  perception.process(frame.cameras);
-  perception.reset();
-  const PerceptionOutput after_reset = perception.process(frame.cameras);
-  EXPECT_NEAR(after_reset.obstacle_distance, first.obstacle_distance, 1e-3);
-}
-
 TEST(Perception, StateBytesNonTrivial) {
   GpuEngine eng;
   eng.configure({}, 0);

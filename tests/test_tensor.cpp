@@ -32,7 +32,7 @@ TEST(ImageToTensor, NormalizesTo01) {
   GpuEngine eng = clean_engine();
   Image img(4, 2);
   img.set(0, 0, {255, 0, 128});
-  const Tensor t = image_to_tensor(eng, img);
+  const Tensor t = image_rows_to_tensor(eng, img, 0, img.height());
   EXPECT_EQ(t.channels(), 3);
   EXPECT_EQ(t.height(), 2);
   EXPECT_EQ(t.width(), 4);
@@ -87,27 +87,6 @@ TEST(AvgPool, DownsamplesByFactor) {
   EXPECT_EQ(out.width(), 2);
   EXPECT_NEAR(out.at(0, 0, 0), (10.0f + 2.0f * 3) / 4.0f, 1e-6);
   EXPECT_NEAR(out.at(0, 1, 1), 2.0f, 1e-6);
-}
-
-TEST(ReluInplace, ZeroesNegatives) {
-  GpuEngine eng = clean_engine();
-  Tensor t(1, 1, 3);
-  t.at(0, 0, 0) = -1.0f;
-  t.at(0, 0, 1) = 0.0f;
-  t.at(0, 0, 2) = 2.0f;
-  relu_inplace(eng, t);
-  EXPECT_FLOAT_EQ(t.at(0, 0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(t.at(0, 0, 2), 2.0f);
-}
-
-TEST(RowSum, SumsOneRow) {
-  GpuEngine eng = clean_engine();
-  Tensor t(1, 2, 3);
-  t.at(0, 1, 0) = 1.0f;
-  t.at(0, 1, 1) = 2.0f;
-  t.at(0, 1, 2) = 3.0f;
-  EXPECT_FLOAT_EQ(row_sum(eng, t, 0, 1), 6.0f);
-  EXPECT_FLOAT_EQ(row_sum(eng, t, 0, 0), 0.0f);
 }
 
 TEST(WindowSum, RespectsBounds) {
@@ -240,7 +219,8 @@ TEST(BlockEquivalence, ImageRowsToTensor) {
   expect_blocks_exact([&](GpuEngine& eng) {
     std::vector<TensorBits> out;
     out.push_back(tensor_bits(image_rows_to_tensor(eng, img, 1, 4)));
-    out.push_back(tensor_bits(image_to_tensor(eng, img)));
+    out.push_back(
+        tensor_bits(image_rows_to_tensor(eng, img, 0, img.height())));
     out.push_back(tensor_bits(image_rows_to_tensor(eng, img, 2, 2)));
     return out;
   });

@@ -4,7 +4,7 @@
 // DAV_JOBS + DAV_JOURNAL, hard-killed partway, relaunched, and its output
 // diffed against an uninterrupted reference run. The summary is therefore
 // fully deterministic (no wall-clock, no hostnames) and published with an
-// error-checked writer, so a byte-level diff is meaningful.
+// error-checked, atomic writer, so a byte-level diff is meaningful.
 //
 // Usage:
 //   davcamp [--scenario=lead|cutin|front] [--mode=single|rr|dup]
@@ -25,11 +25,9 @@
 // (DESIGN.md §9/§11), and DAV_CHECKPOINT=1 shares fault-free prefixes
 // across variants (DESIGN.md §16).
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -39,6 +37,7 @@
 #include "campaign/campaign.h"
 #include "campaign/env_options.h"
 #include "campaign/metrics.h"
+#include "obs/export.h"
 #include "util/trace.h"
 
 namespace {
@@ -276,17 +275,9 @@ void publish(const std::string& path, const std::string& text) {
     std::fputs(text.c_str(), stdout);
     return;
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("davcamp: cannot open " + path + ": " +
-                             std::strerror(errno));
-  }
-  out << text;
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("davcamp: write failed for " + path + ": " +
-                             std::strerror(errno));
-  }
+  // Temp file + rename: a davcamp killed mid-write leaves the old summary
+  // or none, never a torn one.
+  obs::write_text_file(path, text);
 }
 
 }  // namespace

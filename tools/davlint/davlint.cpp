@@ -9,26 +9,22 @@
 // line rules run on the stripped lines.
 //
 // Usage:   davlint [--list-rules] [--rules-md] [--rules=a,b,...]
-//                  [--baseline=FILE] [--write-baseline=FILE] [--sarif=FILE]
 //                  <file-or-dir>...
 // Exit:    0 clean, 1 findings, 2 usage or I/O error
 // Silence: append "davlint: allow(<rule>)" in a comment on the same line.
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "baseline.h"
 #include "callgraph.h"
 #include "lexer.h"
 #include "line_rules.h"
 #include "rules.h"
-#include "sarif.h"
 #include "semantic_rules.h"
 #include "tu_index.h"
 
@@ -43,22 +39,12 @@ bool has_cxx_extension(const fs::path& p) {
          ext == ".hpp";
 }
 
-bool write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::set<std::string> enabled;
   for (const auto& r : rules()) enabled.insert(r.name);
   std::vector<std::string> inputs;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  std::string sarif_path;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -85,18 +71,6 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-      continue;
-    }
-    if (arg.rfind("--write-baseline=", 0) == 0) {
-      write_baseline_path = arg.substr(17);
-      continue;
-    }
-    if (arg.rfind("--sarif=", 0) == 0) {
-      sarif_path = arg.substr(8);
-      continue;
-    }
     if (arg.rfind("--", 0) == 0) {
       std::cerr << "davlint: unknown option " << arg << "\n";
       return 2;
@@ -105,7 +79,6 @@ int main(int argc, char** argv) {
   }
   if (inputs.empty()) {
     std::cerr << "usage: davlint [--list-rules] [--rules-md] [--rules=a,b] "
-                 "[--baseline=FILE] [--write-baseline=FILE] [--sarif=FILE] "
                  "<file-or-dir>...\n";
     return 2;
   }
@@ -166,48 +139,6 @@ int main(int argc, char** argv) {
                                       a.message == b.message;
                              }),
                  findings.end());
-
-  if (!write_baseline_path.empty()) {
-    std::vector<const SourceFile*> file_ptrs;
-    for (const SourceFile& f : files) file_ptrs.push_back(&f);
-    if (!write_text_file(write_baseline_path,
-                         make_baseline(findings, file_ptrs))) {
-      std::cerr << "davlint: cannot write " << write_baseline_path << "\n";
-      return 2;
-    }
-    std::cout << "davlint: wrote " << findings.size() << " baseline entr"
-              << (findings.size() == 1 ? "y" : "ies") << " to "
-              << write_baseline_path << "\n";
-    return 0;
-  }
-
-  if (!baseline_path.empty()) {
-    std::vector<BaselineEntry> baseline;
-    std::string err;
-    if (!load_baseline(baseline_path, baseline, err)) {
-      std::cerr << "davlint: " << err << "\n";
-      return 2;
-    }
-    if (!err.empty()) std::cerr << "davlint: " << err;
-    std::vector<Finding> kept;
-    for (const Finding& f : findings) {
-      const SourceFile* src = nullptr;
-      for (const SourceFile& s : files) {
-        if (s.path == f.file) {
-          src = &s;
-          break;
-        }
-      }
-      if (src != nullptr && baseline_matches(baseline, f, *src)) continue;
-      kept.push_back(f);
-    }
-    findings.swap(kept);
-  }
-
-  if (!sarif_path.empty() && !write_text_file(sarif_path, to_sarif(findings))) {
-    std::cerr << "davlint: cannot write " << sarif_path << "\n";
-    return 2;
-  }
 
   for (const auto& f : findings) {
     std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
