@@ -1,10 +1,10 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -15,33 +15,131 @@ namespace dav::obs {
 
 namespace {
 
-const char* kChannelNames[3] = {"throttle", "brake", "steer"};
+const char* kChannelSuffixes[3] = {".throttle", ".brake", ".steer"};
 
-void append_int(std::string& out, long long v) {
-  char buf[24];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
+// The writers below fill a caller-sized buffer and return its new end.
+
+char* put(char* p, std::string_view text) {
+  std::memcpy(p, text.data(), text.size());
+  return p + text.size();
 }
 
-/// Appends v as printf's "%.17g" would render it (round-trip exact); JSON
-/// has no NaN/Inf, so non-finite values (which the instrumentation never
-/// produces) degrade to 0.
-void append_num(std::string& out, double v) {
+char* put_int(char* p, long long v) {
+  return std::to_chars(p, p + 24, v).ptr;
+}
+
+/// "%.17g" of a v in [1e-3, 2^52). v is m / 2^shift exactly, m < 2^53 and
+/// 1 <= shift <= 62. With x its decimal exponent, floor(v * 10^(16 - x))
+/// is its first 17 significant digits: m * 10^(16 - x) fits in 128 bits, the
+/// low `shift` bits are the remainder that rounds them, half to even. Then
+/// the digits are written in fixed notation, trailing zeros dropped.
+char* put_fixed17(char* p, double v) {
+  static constexpr std::uint64_t kPow10[20] = {
+      1ull, 10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull,
+      10000000ull, 100000000ull, 1000000000ull, 10000000000ull,
+      100000000000ull, 1000000000000ull, 10000000000000ull,
+      100000000000000ull, 1000000000000000ull, 10000000000000000ull,
+      100000000000000000ull, 1000000000000000000ull,
+      10000000000000000000ull};
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+  const std::uint64_t m = (bits & ((std::uint64_t{1} << 52) - 1)) |
+                          (std::uint64_t{1} << 52);
+  const int shift = 1075 - static_cast<int>(bits >> 52);
+  // floor(e * log10(2)) for v's binary exponent e may land one below x;
+  // the digit count corrects it.
+  const int e = static_cast<int>(bits >> 52) - 1023;
+  int x = std::clamp(e * 1233 >> 12, -3, 15);
+  std::uint64_t digits = 0;
+  unsigned __int128 scaled = 0;
+  for (;;) {
+    scaled = static_cast<unsigned __int128>(m) * kPow10[16 - x];
+    digits = static_cast<std::uint64_t>(scaled >> shift);
+    if (digits < kPow10[16]) {
+      --x;
+    } else if (digits >= kPow10[17]) {
+      ++x;
+    } else {
+      break;
+    }
+  }
+  const unsigned __int128 one = 1;
+  const unsigned __int128 rest = scaled & ((one << shift) - 1);
+  const unsigned __int128 half = one << (shift - 1);
+  if (rest > half || (rest == half && (digits & 1) != 0)) ++digits;
+  if (digits == kPow10[17]) {
+    digits = kPow10[16];
+    ++x;
+  }
+  char d[17];
+  std::to_chars(d, d + 17, digits);
+  int last = 16;  // the last digit kept: trailing zeros are dropped
+  while (last > 0 && d[last] == '0') --last;
+  if (x < 0) {
+    p = put(p, "0.");
+    for (int i = -1; i > x; --i) *p++ = '0';
+  }
+  for (int i = 0; i <= std::max(x, last); ++i) {
+    if (i == x + 1 && x >= 0) *p++ = '.';
+    *p++ = d[i];
+  }
+  return p;
+}
+
+/// Writes v as printf's "%.17g" would render it (round-trip exact), in at
+/// most 24 bytes; JSON has no NaN/Inf, so non-finite values (which the
+/// instrumentation never produces) degrade to 0.
+char* put_num(char* p, double v) {
   if (!std::isfinite(v)) {
-    out += '0';
-    return;
+    *p = '0';
+    return p + 1;
   }
   // Nonzero whole numbers below 2^53 (timestamps are whole microseconds of
   // simulated time) print as their integer digits under "%.17g".
   const double mag = std::abs(v);
   if (mag >= 1.0 && mag < 9007199254740992.0 && v == std::trunc(v)) {
-    append_int(out, static_cast<long long>(v));
-    return;
+    return put_int(p, static_cast<long long>(v));
   }
-  char buf[32];
-  const auto r =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
-  out.append(buf, r.ptr);
+  // Span durations (whole nanoseconds in microseconds) and most counter
+  // values lie in [1e-3, 2^52), where "%.17g" is fixed notation and its
+  // digits follow exactly from v's binary value with 128-bit integers.
+  if (mag >= 1e-3 && mag < 4503599627370496.0) {
+    if (v < 0) *p++ = '-';
+    return put_fixed17(p, mag);
+  }
+  return std::to_chars(p, p + 24, v, std::chars_format::general, 17).ptr;
+}
+
+/// Writes s JSON-escaped, in at most 6 * s.size() bytes.
+char* put_escaped(char* p, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': p = put(p, "\\\""); break;
+      case '\\': p = put(p, "\\\\"); break;
+      case '\n': p = put(p, "\\n"); break;
+      case '\r': p = put(p, "\\r"); break;
+      case '\t': p = put(p, "\\t"); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          p = put(p, "\\u00");
+          *p++ = kHex[(c >> 4) & 0xF];
+          *p++ = kHex[c & 0xF];
+        } else {
+          *p++ = c;
+        }
+    }
+  }
+  return p;
+}
+
+void append_int(std::string& out, long long v) {
+  char buf[24];
+  out.append(buf, static_cast<std::size_t>(put_int(buf, v) - buf));
+}
+
+void append_num(std::string& out, double v) {
+  char buf[24];
+  out.append(buf, static_cast<std::size_t>(put_num(buf, v) - buf));
 }
 
 std::string fmt(double v) {
@@ -50,33 +148,125 @@ std::string fmt(double v) {
   return s;
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  const auto plain = [](char c) {
-    return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
-  };
-  if (std::all_of(s.begin(), s.end(), plain)) {
-    out += s;
-    return;
-  }
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+/// One trace event's JSON fields. `name` is written followed by `suffix`;
+/// both and `cat` must outlive the value.
+struct EventFields {
+  std::string_view name;
+  std::string_view suffix;
+  std::string_view cat;
+  char ph = 'X';
+  int pid = 1;
+  int tid = 0;
+  double ts_us = 0.0;
+  double dur_us = 0.0;
+  int tick = -1;
+  double value = 0.0;
+  bool has_value = false;
+};
+
+/// A recorder event as Chrome names and places it: spans, counters and
+/// instants get their taxonomy names, per-channel counters (divergence,
+/// threshold) a ".throttle"/".brake"/".steer" suffix, ts = tick * tick_us.
+EventFields fields_of(const TraceEvent& ev, double tick_us, int pid) {
+  EventFields f;
+  f.pid = pid;
+  f.ts_us = static_cast<double>(ev.tick) * tick_us;
+  f.tick = static_cast<int>(ev.tick);
+  switch (ev.kind) {
+    case EventKind::kSpan:
+      f.ph = 'X';
+      f.cat = "stage";
+      f.name = to_string(static_cast<Stage>(ev.id));
+      f.tid = ev.track < 0 ? 0 : ev.track;
+      f.dur_us = static_cast<double>(ev.dur_ns) / 1000.0;
+      break;
+    case EventKind::kCounter: {
+      f.ph = 'C';
+      f.cat = "counter";
+      const auto c = static_cast<Counter>(ev.id);
+      f.name = to_string(c);
+      // Per-channel counters become separate named counter tracks.
+      if ((c == Counter::kDivergence || c == Counter::kThreshold) &&
+          ev.track >= 0 && ev.track < 3) {
+        f.suffix = kChannelSuffixes[ev.track];
+      }
+      f.value = ev.value;
+      f.has_value = true;
+      break;
     }
+    case EventKind::kInstant:
+      f.ph = 'i';
+      f.cat = "mark";
+      f.name = to_string(static_cast<Instant>(ev.id));
+      f.tid = ev.track < 0 ? 0 : ev.track;
+      f.value = ev.value;
+      f.has_value = true;
+      break;
   }
+  return f;
 }
+
+/// Appends one event object, preceded by a newline.
+void append_event(std::string& out, const EventFields& e) {
+  const std::size_t at = out.size();
+  // 80 bytes of keys and punctuation, three ints and three numbers.
+  out.resize(at + 256 + 6 * (e.name.size() + e.suffix.size() + e.cat.size()));
+  char* p = out.data() + at;
+  p = put(p, "\n{\"name\":\"");
+  p = put_escaped(p, e.name);
+  p = put_escaped(p, e.suffix);
+  p = put(p, "\",\"cat\":\"");
+  p = put_escaped(p, e.cat);
+  p = put(p, "\",\"ph\":\"");
+  *p++ = e.ph;
+  p = put(p, "\",\"pid\":");
+  p = put_int(p, e.pid);
+  p = put(p, ",\"tid\":");
+  p = put_int(p, e.tid);
+  p = put(p, ",\"ts\":");
+  p = put_num(p, e.ts_us);
+  if (e.ph == 'X') {
+    p = put(p, ",\"dur\":");
+    p = put_num(p, e.dur_us);
+  }
+  if (e.ph == 'i') p = put(p, ",\"s\":\"g\"");
+  p = put(p, ",\"args\":{");
+  if (e.tick >= 0) {
+    p = put(p, "\"tick\":");
+    p = put_int(p, e.tick);
+    if (e.has_value) *p++ = ',';
+  }
+  if (e.has_value) {
+    p = put(p, "\"value\":");
+    p = put_num(p, e.value);
+  }
+  p = put(p, "}}");
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
+
+/// Appends a trace's opening, through its otherData map, up to the first
+/// event.
+void append_head(
+    std::string& out,
+    const std::vector<std::pair<std::string, std::string>>& other) {
+  out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
+  for (std::size_t i = 0; i < other.size(); ++i) {
+    const auto& [key, value] = other[i];
+    const std::size_t at = out.size();
+    out.resize(at + 6 + 6 * (key.size() + value.size()));
+    char* p = out.data() + at;
+    if (i > 0) *p++ = ',';
+    *p++ = '"';
+    p = put_escaped(p, key);
+    p = put(p, "\":\"");
+    p = put_escaped(p, value);
+    *p++ = '"';
+    out.resize(static_cast<std::size_t>(p - out.data()));
+  }
+  out += "},\"traceEvents\":[";
+}
+
+constexpr std::string_view kTail = "\n]}\n";
 
 // ---- minimal JSON parser (for our own emitted traces) ----------------------
 
@@ -302,43 +492,19 @@ std::vector<ChromeEvent> to_chrome_events(const std::vector<TraceEvent>& evs,
   out.reserve(evs.size());
   const double tick_us = dt * 1e6;
   for (const TraceEvent& ev : evs) {
+    const EventFields f = fields_of(ev, tick_us, pid);
     ChromeEvent ce;
-    ce.pid = pid;
-    ce.ts_us = static_cast<double>(ev.tick) * tick_us;
-    ce.tick = static_cast<int>(ev.tick);
-    switch (ev.kind) {
-      case EventKind::kSpan: {
-        ce.ph = 'X';
-        ce.cat = "stage";
-        ce.name = to_string(static_cast<Stage>(ev.id));
-        ce.tid = ev.track < 0 ? 0 : ev.track;
-        ce.dur_us = static_cast<double>(ev.dur_ns) / 1000.0;
-        break;
-      }
-      case EventKind::kCounter: {
-        ce.ph = 'C';
-        ce.cat = "counter";
-        const auto c = static_cast<Counter>(ev.id);
-        ce.name = to_string(c);
-        // Per-channel counters become separate named counter tracks.
-        if ((c == Counter::kDivergence || c == Counter::kThreshold) &&
-            ev.track >= 0 && ev.track < 3) {
-          ce.name += std::string(".") + kChannelNames[ev.track];
-        }
-        ce.value = ev.value;
-        ce.has_value = true;
-        break;
-      }
-      case EventKind::kInstant: {
-        ce.ph = 'i';
-        ce.cat = "mark";
-        ce.name = to_string(static_cast<Instant>(ev.id));
-        ce.tid = ev.track < 0 ? 0 : ev.track;
-        ce.value = ev.value;
-        ce.has_value = true;
-        break;
-      }
-    }
+    ce.name.reserve(f.name.size() + f.suffix.size());
+    ce.name.append(f.name).append(f.suffix);
+    ce.cat = f.cat;
+    ce.ph = f.ph;
+    ce.ts_us = f.ts_us;
+    ce.dur_us = f.dur_us;
+    ce.pid = f.pid;
+    ce.tid = f.tid;
+    ce.tick = f.tick;
+    ce.value = f.value;
+    ce.has_value = f.has_value;
     out.push_back(std::move(ce));
   }
   return out;
@@ -347,51 +513,14 @@ std::vector<ChromeEvent> to_chrome_events(const std::vector<TraceEvent>& evs,
 std::string chrome_trace_json(const ChromeTrace& trace) {
   std::string out;
   out.reserve(trace.events.size() * 128 + 256);
-  out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
-  for (std::size_t i = 0; i < trace.other_data.size(); ++i) {
-    if (i > 0) out += ',';
-    out += '"';
-    append_escaped(out, trace.other_data[i].first);
-    out += "\":\"";
-    append_escaped(out, trace.other_data[i].second);
-    out += '"';
-  }
-  out += "},\"traceEvents\":[";
+  append_head(out, trace.other_data);
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
     const ChromeEvent& e = trace.events[i];
     if (i > 0) out += ',';
-    out += "\n{\"name\":\"";
-    append_escaped(out, e.name);
-    out += "\",\"cat\":\"";
-    append_escaped(out, e.cat);
-    out += "\",\"ph\":\"";
-    out.push_back(e.ph);
-    out += "\",\"pid\":";
-    append_int(out, e.pid);
-    out += ",\"tid\":";
-    append_int(out, e.tid);
-    out += ",\"ts\":";
-    append_num(out, e.ts_us);
-    if (e.ph == 'X') {
-      out += ",\"dur\":";
-      append_num(out, e.dur_us);
-    }
-    if (e.ph == 'i') out += ",\"s\":\"g\"";
-    out += ",\"args\":{";
-    bool first = true;
-    if (e.tick >= 0) {
-      out += "\"tick\":";
-      append_int(out, e.tick);
-      first = false;
-    }
-    if (e.has_value) {
-      if (!first) out += ',';
-      out += "\"value\":";
-      append_num(out, e.value);
-    }
-    out += "}}";
+    append_event(out, {e.name, {}, e.cat, e.ph, e.pid, e.tid, e.ts_us,
+                       e.dur_us, e.tick, e.value, e.has_value});
   }
-  out += "\n]}\n";
+  out += kTail;
   return out;
 }
 
@@ -535,16 +664,24 @@ void export_run_trace(
     const TraceRecorder& rec,
     const std::vector<std::pair<std::string, std::string>>& metadata) {
   ensure_dir(opts.dir);
-  ChromeTrace trace;
-  trace.other_data.emplace_back("tool", "dav-flight-recorder");
-  trace.other_data.emplace_back("dt_sec", fmt(dt));
-  trace.other_data.emplace_back("dropped_events",
-                                std::to_string(rec.dropped()));
-  for (const auto& kv : metadata) trace.other_data.push_back(kv);
-  trace.events = to_chrome_events(rec.drain(), dt, opts.pid);
-
-  write_text_file(opts.dir + "/run_" + label + ".trace.json",
-                  chrome_trace_json(trace));
+  std::vector<std::pair<std::string, std::string>> other = {
+      {"tool", "dav-flight-recorder"},
+      {"dt_sec", fmt(dt)},
+      {"dropped_events", std::to_string(rec.dropped())}};
+  other.insert(other.end(), metadata.begin(), metadata.end());
+  // chrome_trace_json of to_chrome_events' output, written straight from
+  // the recorder's events without building a ChromeEvent for each.
+  const std::vector<TraceEvent> events = rec.drain();
+  std::string out;
+  out.reserve(events.size() * 128 + 256);
+  append_head(out, other);
+  const double tick_us = dt * 1e6;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i > 0) out += ',';
+    append_event(out, fields_of(events[i], tick_us, opts.pid));
+  }
+  out += kTail;
+  write_text_file(opts.dir + "/run_" + label + ".trace.json", out);
 }
 
 }  // namespace dav::obs

@@ -1,14 +1,9 @@
 #include "sensors/camera.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <map>
-#include <memory>
-#include <mutex>
 
 namespace dav {
 
@@ -227,31 +222,6 @@ void draw_strip(Image& img, const RailPixel* a, const RailPixel* b,
   }
 }
 
-using NoiseTable = std::array<std::uint8_t, 256 * 256>;
-
-/// (channel byte, noise byte) -> noisy byte for one noise sigma: the
-/// per-channel jitter of an untextured pixel, tabulated. Tables live for the
-/// process, one per distinct sigma, shared by every renderer that uses it.
-const std::uint8_t* noise_table(double sigma) {
-  static std::mutex mu;
-  static std::map<std::uint64_t, std::unique_ptr<NoiseTable>> tables;
-  const std::lock_guard<std::mutex> lock(mu);
-  std::unique_ptr<NoiseTable>& table = tables[std::bit_cast<std::uint64_t>(sigma)];
-  if (!table) {
-    table = std::make_unique<NoiseTable>();
-    const double scale = sigma / 74.0;  // byte lane std -> sigma
-    const double extra = 0.0;           // no texture
-    for (int ch = 0; ch < 256; ++ch) {
-      for (int k = 0; k < 256; ++k) {
-        const double n = (k - 128) * scale;
-        (*table)[static_cast<std::size_t>(ch << 8 | k)] =
-            static_cast<std::uint8_t>(clamp(ch + n + extra * 18.0, 0.0, 255.0));
-      }
-    }
-  }
-  return table->data();
-}
-
 }  // namespace
 
 RenderScene::RenderScene(const World& world)
@@ -331,7 +301,8 @@ RenderScene::RenderScene(const World& world)
 
 CameraRenderer::CameraRenderer(CameraModel model)
     : model_(model),
-      noise_table_(noise_table(model.noise_sigma)),
+      noise_(model.noise_sigma,
+             static_cast<std::size_t>(model.width) * model.height),
       background_(model.width, model.height) {
   // Sky gradient above the horizon, ground below.
   const int h = model.height;
@@ -432,21 +403,19 @@ Image CameraRenderer::render(const RenderScene& scene, Rng& noise) const {
   // 5. World-anchored texture (KITTI-like realism) and photometric noise.
   // One RNG draw per pixel: three byte lanes give per-channel uniform dither
   // scaled to the configured sigma (campaigns render millions of frames, so
-  // per-channel Gaussian draws are too slow). The draws run on a local copy
-  // of the stream, because a byte store may alias a member and would force a
-  // reload of the state for every pixel.
-  const bool textured = texture_strength_ > 0.0;
+  // per-channel Gaussian draws are too slow). An untextured frame is one
+  // noise pass (sensors/noise.h).
+  if (texture_strength_ <= 0.0) {
+    noise_.apply(img.row(0), noise);
+    return img;
+  }
   const double scale = model_.noise_sigma / 74.0;  // byte lane std -> sigma
+  const std::uint8_t* const table = noise_.pixel_noise().table();
   Rng rng = noise;
   for (int y = 0; y < h; ++y) {
     std::uint8_t* p = img.row(y);
-    if (!(textured && y > h / 2)) {
-      for (int x = 0; x < w; ++x, p += 3) {
-        const std::uint64_t r = rng();
-        p[0] = noise_table_[p[0] << 8 | (r & 0xFF)];
-        p[1] = noise_table_[p[1] << 8 | ((r >> 8) & 0xFF)];
-        p[2] = noise_table_[p[2] << 8 | ((r >> 16) & 0xFF)];
-      }
+    if (y <= h / 2) {
+      add_noise_scalar(table, p, static_cast<std::size_t>(w), rng);
       continue;
     }
     // Approximate world anchor of this ground row for the center camera:

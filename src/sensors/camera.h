@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sensors/image.h"
+#include "sensors/noise.h"
 #include "sim/world.h"
 #include "util/rng.h"
 
@@ -105,9 +106,8 @@ class CameraRenderer {
  private:
   CameraModel model_;
   double texture_strength_ = 0.0;
-  /// (channel byte, noise byte) -> byte for model_.noise_sigma; 64 KiB,
-  /// shared by every renderer with that sigma and never freed.
-  const std::uint8_t* noise_table_ = nullptr;
+  /// The noise pass of an untextured frame at model_.noise_sigma.
+  FrameNoise noise_;
   /// The frame before any geometry: sky gradient and ground.
   Image background_;
 };

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -100,6 +101,76 @@ class Rng {
 
  private:
   std::uint64_t state_[4];
+};
+
+/// A fixed jump ahead on any Rng stream: apply() leaves a generator where
+/// `distance` calls of operator() would. xoshiro256** advances its 256-bit
+/// state by a linear map over GF(2), so the state `distance` draws ahead is
+/// a fixed 256x256 bit matrix times the current state. The matrix is held
+/// as one table per state nibble: entry [i][v] is the matrix applied to
+/// nibble i set to v and every other bit clear (64 x 16 states, 32 KiB). A
+/// jump is then 64 lookups and 256 XORs; building one costs a few
+/// milliseconds.
+class RngJump {
+ public:
+  using State = std::array<std::uint64_t, 4>;
+
+  explicit RngJump(std::uint64_t distance) {
+    // Columns of the one-draw matrix: the state one draw after each unit
+    // state. Square-and-multiply then raises it to `distance`, keeping the
+    // product's columns in `result` and the current power's in `power`.
+    std::array<State, 256> power{};
+    std::array<State, 256> result{};
+    for (std::size_t b = 0; b < 256; ++b) {
+      State unit{};
+      unit[b / 64] = std::uint64_t{1} << (b % 64);
+      result[b] = unit;
+      Rng rng;
+      rng.set_state(unit);
+      rng();
+      power[b] = rng.state();
+    }
+    for (; distance != 0; distance >>= 1) {
+      set_columns(power);
+      if ((distance & 1) != 0) {
+        for (State& column : result) column = times(column);
+      }
+      if (distance > 1) {
+        for (State& column : power) column = times(column);
+      }
+    }
+    set_columns(result);
+  }
+
+  void apply(Rng& rng) const { rng.set_state(times(rng.state())); }
+
+ private:
+  /// The matrix whose column b is columns[b].
+  void set_columns(const std::array<State, 256>& columns) {
+    for (std::size_t nibble = 0; nibble < 64; ++nibble) {
+      State* row = &table_[nibble * 16];
+      row[0] = State{};
+      for (std::size_t v = 1; v < 16; ++v) {
+        const std::size_t low = v & (~v + 1);  // lowest set bit of v
+        const State& column = columns[nibble * 4 + std::countr_zero(low)];
+        for (std::size_t w = 0; w < 4; ++w) {
+          row[v][w] = row[v ^ low][w] ^ column[w];
+        }
+      }
+    }
+  }
+
+  State times(const State& s) const {
+    State out{};
+    for (std::size_t nibble = 0; nibble < 64; ++nibble) {
+      const std::uint64_t v = (s[nibble / 16] >> (4 * (nibble % 16))) & 0xF;
+      const State& t = table_[nibble * 16 + v];
+      for (std::size_t w = 0; w < 4; ++w) out[w] ^= t[w];
+    }
+    return out;
+  }
+
+  std::array<State, 64 * 16> table_{};
 };
 
 }  // namespace dav

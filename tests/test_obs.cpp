@@ -3,6 +3,8 @@
 // traced run's RunResult must be bit-identical to the untraced run.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,6 +14,8 @@
 #include "campaign/driver.h"
 #include "campaign/serialize.h"
 #include "obs/export.h"
+#include "util/bits.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace dav {
@@ -240,6 +244,110 @@ TEST(ChromeTraceJson, RoundTripsEventsAndMetadata) {
   }
   ASSERT_EQ(back.other_data.size(), trace.other_data.size());
   EXPECT_EQ(back.other_data[1].second, "quotes \" and \\ backslash");
+}
+
+/// A fixed recorder with every kind of event a run records: each stage's
+/// span on agent tracks 0 and 1 with uneven durations, both per-channel
+/// counters and the scalar ones, and instants, over 120 ticks.
+obs::TraceRecorder synthetic_recorder() {
+  obs::TraceRecorder rec(1 << 14);
+  for (std::uint32_t tick = 0; tick < 120; ++tick) {
+    constexpr auto kStages = static_cast<std::uint16_t>(obs::Stage::kCount);
+    for (std::uint16_t s = 0; s < kStages; ++s) {
+      obs::TraceEvent span;
+      span.tick = tick;
+      span.id = s;
+      span.kind = obs::EventKind::kSpan;
+      span.track = static_cast<std::int8_t>(s % 3 == 2 ? -1 : s % 2);
+      span.dur_ns = (tick * 7919u + s * 104729u) % 250000u + (s == 0 ? 0 : 1);
+      rec.record(span);
+    }
+    for (int ch = 0; ch < 3; ++ch) {
+      rec.record(make_counter(tick, obs::Counter::kDivergence,
+                              tick * 0.001 + ch / 3.0, ch));
+      rec.record(
+          make_counter(tick, obs::Counter::kThreshold, 0.1 + 0.2 * ch, ch));
+    }
+    rec.record(make_counter(tick, obs::Counter::kCvip, 40.0 - tick / 7.0));
+    rec.record(make_counter(tick, obs::Counter::kRecoveryState, tick % 5));
+    if (tick % 17 == 0) {
+      rec.record(make_instant(tick, obs::Instant::kDetectorAlarm, tick * 0.05));
+      rec.record(make_instant(tick + 1, obs::Instant::kRecoveryRestart, 1.0));
+    }
+  }
+  return rec;
+}
+
+TEST_F(ScratchDirTest, RunTraceBytesArePinnedForAFixedRecorder) {
+  const obs::TraceRecorder rec = synthetic_recorder();
+  obs::TraceOptions opts;
+  opts.dir = dir_.string();
+  opts.pid = 3;
+  obs::export_run_trace(opts, "pinned", 0.05, rec,
+                        {{"seed", "2022"}, {"note", "a \"quoted\" value"}});
+  // Pinned: the exporter must keep writing these bytes for this recorder.
+  const std::string json = read_file(dir_ / "run_pinned.trace.json");
+  EXPECT_EQ(json.size(), 258275u);
+  EXPECT_EQ(fnv1a64(json.data(), json.size()), 13413871175116636100ull);
+  // The same events through the general converter and writer.
+  obs::ChromeTrace trace;
+  trace.other_data = {{"tool", "dav-flight-recorder"},
+                      {"dt_sec", "0.050000000000000003"}};
+  trace.events = obs::to_chrome_events(rec.drain(), 0.05, 3);
+  const std::string general = obs::chrome_trace_json(trace);
+  EXPECT_EQ(general.size(), 258212u);
+  EXPECT_EQ(fnv1a64(general.data(), general.size()), 3094882571916878191ull);
+}
+
+TEST(ChromeTraceJson, NumbersPrintAsPrintfG17) {
+  std::vector<double> values;
+  // Every span duration up to 100 us, in microseconds.
+  for (std::uint64_t ns = 0; ns <= 100000; ++ns) values.push_back(ns / 1000.0);
+  // Log-uniform magnitudes from 1e-5 to 1e17, either sign.
+  Rng rng(17);
+  for (int i = 0; i < 100000; ++i) {
+    const double mag = std::pow(10.0, rng.uniform(-5.0, 17.0));
+    values.push_back(rng.bernoulli(0.5) ? -mag : mag);
+  }
+  // The neighbours of each power of ten and of 2^52.
+  for (int e = -5; e <= 17; ++e) {
+    for (const double edge : {std::pow(10.0, e), 4503599627370496.0}) {
+      double lo = edge;
+      double hi = edge;
+      for (int k = 0; k < 3; ++k) {
+        values.push_back(lo);
+        values.push_back(hi);
+        lo = std::nextafter(lo, 0.0);
+        hi = std::nextafter(hi, 1e300);
+      }
+    }
+  }
+  // Exact ties at the 17th digit, which round half to even.
+  for (double k = 1e15; k < 1e15 + 40; k += 1) {
+    values.push_back(k + 0.25);
+    values.push_back(k + 0.75);
+    values.push_back(k / 10 + 0.125);
+  }
+
+  obs::ChromeTrace trace;
+  for (const double v : values) {
+    obs::ChromeEvent e;
+    e.ph = 'C';
+    e.value = v;
+    e.has_value = true;
+    trace.events.push_back(e);
+  }
+  const std::string json = obs::chrome_trace_json(trace);
+  std::size_t at = 0;
+  for (const double v : values) {
+    at = json.find("\"value\":", at);
+    ASSERT_NE(at, std::string::npos);
+    at += 8;
+    const std::size_t end = json.find('}', at);
+    char want[40];
+    std::snprintf(want, sizeof(want), "%.17g", v);
+    ASSERT_EQ(json.substr(at, end - at), want);
+  }
 }
 
 TEST(ChromeTraceJson, ParseRejectsMalformedInput) {

@@ -4,6 +4,7 @@
 // it, on every frame of closed-loop drives through each scenario.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "reference_render.h"
@@ -37,6 +38,8 @@ struct DriveCase {
   double noise_sigma = 2.0;
   double texture_strength = 0.0;
   bool cycling_light = false;  // add a fast-cycling light just ahead
+  int width = 96;
+  int height = 72;
 };
 
 void PrintTo(const DriveCase& c, std::ostream* os) { *os << c.name; }
@@ -53,7 +56,8 @@ TEST_P(RenderOracle, EveryFrameMatchesReferenceBytesAndNoiseStream) {
   }
   World world(std::move(sc));
   std::vector<CameraRenderer> renderers;
-  for (const CameraModel& m : front_camera_rig(96, 72, dc.noise_sigma)) {
+  for (const CameraModel& m :
+       front_camera_rig(dc.width, dc.height, dc.noise_sigma)) {
     renderers.emplace_back(m);
     renderers.back().set_texture_strength(dc.texture_strength);
   }
@@ -99,7 +103,7 @@ TEST_P(RenderOracle, RigCaptureMatchesReferenceBytesAndNoiseStream) {
     }
     World world(std::move(sc));
     const std::vector<CameraModel> models =
-        front_camera_rig(96, 72, dc.noise_sigma);
+        front_camera_rig(dc.width, dc.height, dc.noise_sigma);
     constexpr std::uint64_t kNoiseSeed = 2022;
     SensorRig rig(models, kNoiseSeed, lidar);
     // The rig's camera stream, as SensorRig derives it from the noise seed.
@@ -132,7 +136,14 @@ INSTANTIATE_TEST_SUITE_P(
         DriveCase{"Town01Route02", ScenarioId::kLongRoute02},
         DriveCase{"LightPhasesNoiseFree", ScenarioId::kLeadSlowdown, 0.0, 0.0,
                   true},
-        DriveCase{"TexturedSigma8", ScenarioId::kLongRoute02, 8.0, 1.0, true}),
+        DriveCase{"TexturedSigma8", ScenarioId::kLongRoute02, 8.0, 1.0, true},
+        // A sigma whose noise table has no integer-offset form: the scalar
+        // loop renders every frame.
+        DriveCase{"SigmaJustBelow2", ScenarioId::kLeadSlowdown,
+                  std::nextafter(2.0, 0.0)},
+        // 95 x 71 pixels leave 25 after the noise kernel's four runs.
+        DriveCase{"OddSize95x71", ScenarioId::kGhostCutIn, 2.0, 0.0, false, 95,
+                  71}),
     [](const ::testing::TestParamInfo<DriveCase>& p) { return p.param.name; });
 
 }  // namespace

@@ -126,6 +126,21 @@ TEST(Rng, StateRoundTripResumesMidStream) {
   EXPECT_EQ(resumed.normal(), expected_normal);
 }
 
+TEST(RngJump, EqualsThatManyDraws) {
+  for (const std::uint64_t d : {0, 1, 63, 64, 1727, 1728, 6912}) {
+    const RngJump jump(d);
+    for (const std::uint64_t seed : {2022, 7}) {
+      Rng drawn(seed);
+      Rng jumped(seed);
+      for (std::uint64_t i = 0; i < d; ++i) drawn();
+      jump.apply(jumped);
+      EXPECT_EQ(jumped.state(), drawn.state()) << "d " << d << " seed " << seed;
+      // The jumped stream continues as the drawn one does.
+      EXPECT_EQ(jumped(), drawn()) << "d " << d << " seed " << seed;
+    }
+  }
+}
+
 TEST(Splitmix64, AdvancesState) {
   std::uint64_t s = 0;
   const std::uint64_t first = splitmix64(s);
