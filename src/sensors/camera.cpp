@@ -162,6 +162,10 @@ struct GridPoint {
 std::vector<GridPoint> route_grid(const Polyline& route, double s_begin,
                                   double s_end, double step) {
   std::vector<GridPoint> grid;
+  // The loop's rounding may add a point to the quotient's count.
+  if (s_begin < s_end) {
+    grid.reserve(static_cast<std::size_t>((s_end - s_begin) / step) + 3);
+  }
   for (double s = s_begin; s < s_end; s += step) {
     grid.push_back({s, route.sample_at(s)});
   }
@@ -224,6 +228,13 @@ void draw_strip(Image& img, const RailPixel* a, const RailPixel* b,
 
 }  // namespace
 
+double dash_phase(double s) {
+  // For 0 <= s < 2^51 the rounded quotient keeps the true quotient's
+  // floor, and the difference is then exact, as fmod's result is
+  // (DESIGN §17.3).
+  return s - std::floor(s / 3.0) * 3.0;
+}
+
 RenderScene::RenderScene(const World& world)
     : ego_pose_(world.ego().pose), ego_s_(world.ego_route_s()) {
   const RoadMap& map = world.map();
@@ -236,6 +247,16 @@ RenderScene::RenderScene(const World& world)
 
   // Road surface, then lane markings on top.
   const std::vector<GridPoint> road = route_grid(route, s0, s1, kRoadStep);
+  constexpr double kDashOn = 1.6;
+  const std::vector<GridPoint> dashes =
+      route_grid(route, s0, s1, std::min(kRoadStep, kDashOn));
+  const auto separators = static_cast<std::size_t>(
+      std::max(0, map.num_left_lanes() + map.num_right_lanes()));
+  // Four road rails, two per separator and the stop line's two rails of two
+  // points each.
+  rail_points_.reserve(4 * road.size() + 2 * separators * dashes.size() + 4);
+  strips_.reserve(3 + separators + 1);
+  dash_gap_.reserve(dashes.size());
   const std::size_t right = add_rail(rail_points_, road, right_edge);
   const std::size_t left = add_rail(rail_points_, road, left_edge);
   strips_.push_back({right, left, road.size(), {95, 95, 98}});
@@ -247,12 +268,8 @@ RenderScene::RenderScene(const World& world)
   // Dashed separators between lanes (short cycle so several dashes are
   // always visible in any depth band). A quad whose start lies in a gap is
   // skipped.
-  constexpr double kDashOn = 1.6;
-  constexpr double kDashPeriod = 3.0;
-  const std::vector<GridPoint> dashes =
-      route_grid(route, s0, s1, std::min(kRoadStep, kDashOn));
   for (std::size_t k = 0; k + 1 < dashes.size(); ++k) {
-    dash_gap_.push_back(std::fmod(dashes[k].s, kDashPeriod) >= kDashOn);
+    dash_gap_.push_back(dash_phase(dashes[k].s) >= kDashOn);
   }
   for (int lane = -map.num_right_lanes(); lane < map.num_left_lanes(); ++lane) {
     const double lat = (lane + 0.5) * lane_w;
@@ -279,8 +296,8 @@ RenderScene::RenderScene(const World& world)
                            add_rail(rail_points_, stop, left_edge),
                            stop.size(), {210, 35, 35}});
       }
-      light_base_ = route.point_at(light->s) +
-                    route.tangent_at(light->s).perp() * (left_edge + 0.6);
+      const Polyline::Sample at = route.sample_at(light->s);
+      light_base_ = at.point + at.tangent.perp() * (left_edge + 0.6);
     }
   }
 

@@ -36,6 +36,10 @@ struct BBox2 {
   bool valid() const { return x_max > x_min && y_max > y_min; }
 };
 
+/// Where arc length s >= 0 falls in the lane separators' 3 m dash cycle:
+/// std::fmod(s, 3.0), bit for bit, without a call to fmod.
+double dash_phase(double s);
+
 /// The camera-independent part of one frame of a world: what every camera of
 /// a rig draws. All cameras sit at the ego position, so they share the route
 /// grids (with each dash quad's on/off phase), the NPC billboards in their

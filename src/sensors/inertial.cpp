@@ -1,7 +1,9 @@
 #include "sensors/inertial.h"
 
+#include <array>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "sim/vehicle.h"
 
@@ -43,14 +45,18 @@ std::vector<float> sample_lidar(const World& world, const LidarModel& model,
                                 Rng& noise) {
   std::vector<float> ranges(static_cast<std::size_t>(model.beams));
   const Vec2 origin = world.ego().pose.pos;
+  // Each NPC's box, once per sweep rather than once per beam.
+  std::vector<std::array<Vec2, 4>> boxes;
+  boxes.reserve(world.npcs().size());
+  for (const auto& npc : world.npcs()) {
+    boxes.push_back(vehicle_obb(npc.state(world.map()), npc.spec()).corners());
+  }
   for (int i = 0; i < model.beams; ++i) {
     const double angle =
         world.ego().pose.yaw + 2.0 * M_PI * i / model.beams;
     const Vec2 dir{std::cos(angle), std::sin(angle)};
     double best = model.max_range;
-    for (const auto& npc : world.npcs()) {
-      const Obb box = vehicle_obb(npc.state(world.map()), npc.spec());
-      const auto corners = box.corners();
+    for (const auto& corners : boxes) {
       for (int e = 0; e < 4; ++e) {
         const double t =
             ray_segment(origin, dir, corners[e], corners[(e + 1) % 4]);

@@ -117,11 +117,12 @@ FrameNoise::FrameNoise(double sigma, std::size_t pixels)
       run_(pixels / 32 * 8) {
   if (run_ > 0 && noise_->has_offset_form() && avx2_supported()) {
     jump_ = &rng_jump(run_);
+    kernel_ = noise_->offset_steps() <= kMaxKernelSteps;
   }
 }
 
 void FrameNoise::apply(std::uint8_t* rgb, Rng& noise) const {
-  if (jump_ != nullptr) {
+  if (kernel_) {
     apply_avx2(rgb, noise);
   } else {
     apply_scalar(rgb, noise);

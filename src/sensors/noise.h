@@ -11,9 +11,9 @@
 //     starts each at a precomputed jump ahead on the stream, advances the
 //     four runs in the four 64-bit lanes of one register, and jitters eight
 //     pixels per run at a time with byte compares and saturating adds. It
-//     runs only where the table has an integer-offset form (PixelNoise) and
-//     the CPU has AVX2, and leaves the pixels after the four runs to the
-//     scalar loop.
+//     runs only where the table has an integer-offset form (PixelNoise) in
+//     few enough steps to beat the table and the CPU has AVX2, and leaves
+//     the pixels after the four runs to the scalar loop.
 #pragma once
 
 #include <array>
@@ -41,6 +41,9 @@ class PixelNoise {
   bool has_offset_form() const { return has_offset_form_; }
   /// The offset of noise byte k. Meaningful only with has_offset_form().
   int offset(int k) const;
+  /// The number of unit steps offset(k) takes from k = 0 to 255: one byte
+  /// compare each in the AVX2 kernel. Zero without the offset form.
+  std::size_t offset_steps() const { return down_.size() + up_.size(); }
 
  private:
   friend class FrameNoise;
@@ -66,6 +69,16 @@ void add_noise_scalar(const std::uint8_t* table, std::uint8_t* p,
 /// sigma. It picks its path once, on construction.
 class FrameNoise {
  public:
+  /// The most offset steps at which the AVX2 kernel beats the scalar loop.
+  /// Each step costs the kernel about 0.2 us per 96x72 frame, while the
+  /// loop's cost does not depend on sigma. Standalone, best of 2,000
+  /// frames on a shared 4-vCPU AVX-512 host, kernel against loop:
+  /// sigma 8 (27 steps) 10.7-11.6 against 13.3-19.4 us, sigma 10 (35)
+  /// 12.1-13.9 against 13.0-14.8, 38 steps 13.6-15.7 against 13.9-16.0,
+  /// 39 steps level, sigma 12 (41) 12.6-15.3 against 12.3-14.9 and
+  /// sigma 16 (55) 15.1-16.5 against 12.3-13.5.
+  static constexpr std::size_t kMaxKernelSteps = 38;
+
   FrameNoise(double sigma, std::size_t pixels);
 
   const PixelNoise& pixel_noise() const { return *noise_; }
@@ -73,8 +86,13 @@ class FrameNoise {
   /// True when this CPU can run the AVX2 kernel (x86-64 only).
   static bool avx2_supported();
 
-  /// Jitter the frame at `rgb`: the AVX2 kernel when the CPU and the sigma
-  /// allow it, else the scalar loop. Either way one draw per pixel.
+  /// True when apply() runs the AVX2 kernel: the CPU has AVX2, the sigma
+  /// has the offset form in at most kMaxKernelSteps steps and the frame
+  /// has at least 32 pixels.
+  bool uses_kernel() const { return kernel_; }
+
+  /// Jitter the frame at `rgb`: the AVX2 kernel where uses_kernel(), else
+  /// the scalar loop. Either way one draw per pixel.
   void apply(std::uint8_t* rgb, Rng& noise) const;
 
   /// The scalar loop over the whole frame.
@@ -91,6 +109,8 @@ class FrameNoise {
   std::size_t run_ = 0;
   /// Jump over one run; set where the AVX2 kernel can run.
   const RngJump* jump_ = nullptr;
+  /// Whether apply() runs the kernel.
+  bool kernel_ = false;
 };
 
 }  // namespace dav

@@ -19,9 +19,8 @@ NpcVehicle::NpcVehicle(int id, double s, double lateral, double speed,
 
 VehicleState NpcVehicle::state(const RoadMap& map) const {
   VehicleState st;
-  const Vec2 base = map.route().point_at(s_);
-  const Vec2 left = map.route().tangent_at(s_).perp();
-  st.pose.pos = base + left * lateral_;
+  const Polyline::Sample at = map.route().sample_at(s_);
+  st.pose.pos = at.point + at.tangent.perp() * lateral_;
   st.pose.yaw = map.route().heading_at(s_);
   // During a lane change the heading tilts toward the lateral motion.
   // Rate is assigned exactly 0.0 when no lane change is active, so the

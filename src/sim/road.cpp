@@ -21,9 +21,8 @@ RoadMap::RoadMap(Polyline route, double lane_width, int num_left_lanes,
       num_right_lanes_(num_right_lanes) {}
 
 Vec2 RoadMap::lane_point(double s, int lane) const {
-  const Vec2 base = route_.point_at(s);
-  const Vec2 left = route_.tangent_at(s).perp();
-  return base + left * (static_cast<double>(lane) * lane_width_);
+  const Polyline::Sample at = route_.sample_at(s);
+  return at.point + at.tangent.perp() * (static_cast<double>(lane) * lane_width_);
 }
 
 std::optional<TrafficLight> RoadMap::next_light_after(double s) const {
@@ -42,7 +41,10 @@ double RoadMap::speed_limit_at(double s, double fallback) const {
 }
 
 bool RoadMap::on_road(const Vec2& p, double shoulder) const {
-  const double lat = route_.lateral_offset(p);
+  return on_road_lateral(route_.lateral_offset(p), shoulder);
+}
+
+bool RoadMap::on_road_lateral(double lat, double shoulder) const {
   const double left_edge =
       (static_cast<double>(num_left_lanes_) + 0.5) * lane_width_ + shoulder;
   const double right_edge =

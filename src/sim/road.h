@@ -60,6 +60,8 @@ class RoadMap {
 
   /// True if p lies within the paved corridor (all lanes + shoulder margin).
   bool on_road(const Vec2& p, double shoulder = 0.5) const;
+  /// The same test for a point at lateral offset `lat` from the route.
+  bool on_road_lateral(double lat, double shoulder = 0.5) const;
 
  private:
   Polyline route_;

@@ -72,26 +72,33 @@ void World::step_npcs(double dt) {
   }
 
   // NPC-NPC collision response: both vehicles crash out (brake hard + jink).
+  // crash() tilts the heading, so a crashed pair's boxes are rebuilt.
+  const auto box_of = [this](const NpcVehicle& npc) {
+    return vehicle_obb(npc.state(scenario_.map), npc.spec());
+  };
+  npc_boxes_.clear();
+  for (const auto& npc : scenario_.npcs) npc_boxes_.push_back(box_of(npc));
   for (std::size_t i = 0; i < n_npc; ++i) {
     for (std::size_t j = i + 1; j < n_npc; ++j) {
       auto& a = scenario_.npcs[i];
       auto& b = scenario_.npcs[j];
       if (a.crashed() && b.crashed()) continue;
-      const Obb oa = vehicle_obb(a.state(scenario_.map), a.spec());
-      const Obb ob = vehicle_obb(b.state(scenario_.map), b.spec());
-      if (obb_intersect(oa, ob)) {
+      if (obb_may_intersect(npc_boxes_[i], npc_boxes_[j]) &&
+          obb_intersect(npc_boxes_[i], npc_boxes_[j])) {
         a.crash(/*decel=*/9.0, /*lateral_jink=*/0.35);
         b.crash(/*decel=*/9.0, /*lateral_jink=*/-0.35);
+        npc_boxes_[i] = box_of(a);
+        npc_boxes_[j] = box_of(b);
       }
     }
   }
 }
 
 void World::update_safety() {
+  // The NPCs have not moved since step_npcs built their boxes.
   const Obb ego_box = vehicle_obb(ego_, scenario_.ego_spec);
-  for (const auto& npc : scenario_.npcs) {
-    const Obb npc_box = vehicle_obb(npc.state(scenario_.map), npc.spec());
-    if (obb_intersect(ego_box, npc_box)) {
+  for (const Obb& npc_box : npc_boxes_) {
+    if (obb_may_intersect(ego_box, npc_box) && obb_intersect(ego_box, npc_box)) {
       if (!flags_.collision) collision_time_ = time_;
       flags_.collision = true;
     }
@@ -109,14 +116,17 @@ void World::update_safety() {
   if (ego_.v > scenario_.map.speed_limit_at(ego_s_) * 1.15 + 0.5) {
     flags_.speeding = true;
   }
-  if (!scenario_.map.on_road(ego_.pose.pos)) {
+  // update_cvip projected the ego at its current position.
+  if (!scenario_.map.on_road_lateral(ego_lat_)) {
     flags_.off_road = true;
   }
 }
 
 void World::update_cvip() {
-  ego_s_ = scenario_.map.route().project(ego_.pose.pos);
-  ego_lat_ = scenario_.map.route().lateral_offset(ego_.pose.pos);
+  // The one projection of the ego per step.
+  const Polyline& route = scenario_.map.route();
+  ego_s_ = route.project(ego_.pose.pos);
+  ego_lat_ = route.lateral_offset(ego_.pose.pos, ego_s_);
   double best = kInf;
   for (const auto& npc : scenario_.npcs) {
     if (std::abs(npc.lateral() - ego_lat_) > kLaneCorridor) continue;

@@ -105,6 +105,8 @@ class World {
   Trajectory traj_;
   double collision_time_ = -1.0;
   double prev_ego_s_ = 0.0;
+  /// Each NPC's box at the end of step_npcs, for update_safety.
+  std::vector<Obb> npc_boxes_;
 };
 
 }  // namespace dav

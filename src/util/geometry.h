@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/vec2.h"
@@ -23,8 +24,20 @@ struct Obb {
 /// Separating-axis test for two OBBs.
 bool obb_intersect(const Obb& a, const Obb& b);
 
+/// False when the two centres lie farther apart than the boxes'
+/// circumradii plus 1 m, so obb_intersect(a, b) is false too: a pre-reject
+/// that costs no trigonometry.
+bool obb_may_intersect(const Obb& a, const Obb& b);
+
 /// Polyline with arc-length parameterization. Routes and lane center lines are
 /// polylines; vehicles track progress along them by arc length s.
+///
+/// Every query returns what a search over all points would: the segment at
+/// arc length s is the one std::upper_bound over the cumulative lengths
+/// picks, and project() returns the first of the closest segments. Tables
+/// built once, at construction, answer them without the search: each
+/// segment's unit tangent and heading, a bucket index over arc length and a
+/// bounding circle per run of segments (DESIGN §17.3).
 class Polyline {
  public:
   Polyline() = default;
@@ -52,13 +65,29 @@ class Polyline {
   double project(const Vec2& p) const;
   /// Signed lateral offset of p from the polyline (+ = left of direction).
   double lateral_offset(const Vec2& p) const;
+  /// The same, given s = project(p).
+  double lateral_offset(const Vec2& p, double s) const;
   /// Approximate signed curvature at arc length s (1/m).
   double curvature_at(double s) const;
 
  private:
+  /// A run of up to kChunk consecutive segments and a circle that holds all
+  /// of them, inflated so rounding in project() can never reach outside.
+  struct Chunk {
+    Vec2 center;
+    double radius = 0.0;
+  };
+  static constexpr std::size_t kChunk = 16;
+
   std::size_t segment_index(double s) const;
   std::vector<Vec2> points_;
   std::vector<double> cum_;  // cumulative arc length, cum_[i] = length to points_[i]
+  std::vector<Vec2> tangent_;    // per segment: its direction, normalized()
+  std::vector<double> heading_;  // per segment: atan2 of tangent_
+  /// Per 4 m of arc length: bucket_[b] = upper_bound(cum_, 4 * b) as an
+  /// index, where the search for any s in [4b, 4b + 4) can start.
+  std::vector<std::uint32_t> bucket_;
+  std::vector<Chunk> chunks_;
 };
 
 }  // namespace dav

@@ -102,5 +102,37 @@ TEST(NoiseKernel, Avx2KernelMatchesScalarLoop) {
   }
 }
 
+TEST(NoiseKernel, ScalarLoopAboveTheStepCrossover) {
+  const std::size_t pixels = 96 * 72;
+  const bool avx2 = FrameNoise::avx2_supported();
+  // Sigma 2 takes 7 steps, 8 takes 27 and 16 takes 55, past the crossover.
+  for (const double sigma : {2.0, 8.0, 16.0}) {
+    const FrameNoise frame(sigma, pixels);
+    ASSERT_TRUE(frame.pixel_noise().has_offset_form()) << sigma;
+    const bool few = frame.pixel_noise().offset_steps() <=
+                     FrameNoise::kMaxKernelSteps;
+    EXPECT_EQ(few, sigma < 10.0) << sigma;
+    EXPECT_EQ(frame.uses_kernel(), avx2 && few) << sigma;
+  }
+  // The bytes are the same on either path.
+  const FrameNoise frame(16.0, pixels);
+  std::vector<std::uint8_t> picked = test_frame(pixels, 3);
+  std::vector<std::uint8_t> scalar = picked;
+  std::vector<std::uint8_t> kernel = picked;
+  Rng rp(9);
+  Rng rs(9);
+  Rng rk(9);
+  for (int f = 0; f < 3; ++f) {
+    frame.apply(picked.data(), rp);
+    frame.apply_scalar(scalar.data(), rs);
+    ASSERT_EQ(picked, scalar) << "frame " << f;
+    ASSERT_EQ(rp.state(), rs.state()) << "frame " << f;
+    if (!avx2) continue;
+    frame.apply_avx2(kernel.data(), rk);
+    ASSERT_EQ(kernel, scalar) << "frame " << f;
+    ASSERT_EQ(rk.state(), rs.state()) << "frame " << f;
+  }
+}
+
 }  // namespace
 }  // namespace dav

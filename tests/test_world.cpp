@@ -149,6 +149,24 @@ TEST(World, NpcNpcCollisionCrashesBoth) {
   EXPECT_TRUE(world.npcs()[1].crashed());
 }
 
+TEST(World, CrashTiltsTheBoxForLaterPairs) {
+  // NPCs 1 and 2 overlap end to end and crash on the first step; NPC 1's
+  // jink tilts it left by about 4 degrees, which swings its front corner
+  // 0.15 m out, across the 0.08 m gap to NPC 3 alongside. Only the tilted
+  // box meets NPC 3, in the pair tested after the crash.
+  Scenario sc = simple_scenario();
+  sc.npcs.clear();
+  IdmParams idm;
+  sc.npcs.emplace_back(1, 100.0, 0.0, 10.0, idm);
+  sc.npcs.emplace_back(2, 104.0, 0.0, 10.0, idm);
+  sc.npcs.emplace_back(3, 100.0, 2.08, 10.0, idm);
+  World world(std::move(sc));
+  world.step({0.0, 0.0, 0.0}, kDt);
+  EXPECT_TRUE(world.npcs()[0].crashed());
+  EXPECT_TRUE(world.npcs()[1].crashed());
+  EXPECT_TRUE(world.npcs()[2].crashed());
+}
+
 TEST(World, DoneAtDurationOrRouteEnd) {
   Scenario sc = simple_scenario();
   sc.npcs.clear();
